@@ -483,15 +483,23 @@ def _div_packed(N: list, negated: list, deg_d: int, W: int):
     return cx_trim(quot)
 
 
+def _trimmed_row(s) -> list:
+    """A c-row without its trailing zeros; [] for an absent or all-zero row."""
+    if not s:
+        return []
+    n = len(s)
+    while n and not s[n - 1]:
+        n -= 1
+    return s if n == len(s) else s[:n]
+
+
 def cx_eq(A: list, B: list) -> bool:
-    A = cx_trim(cx_copy(A))
-    B = cx_trim(cx_copy(B))
-    if len(A) != len(B):
-        return False
-    for s, t in zip(A, B):
-        if (s or []) != (t or []):
-            return False
-    return True
+    if len(A) < len(B):
+        A, B = B, A
+    return all(
+        _trimmed_row(s) == _trimmed_row(B[i] if i < len(B) else None)
+        for i, s in enumerate(A)
+    )
 
 
 def cx_deg_x(A: list) -> int:

@@ -10,29 +10,46 @@ The candidate envelope: write c = a/b in lowest terms.
   point beyond that radius has strictly growing orbit.  Escape from this
   envelope therefore certifies non-preperiodicity.
 
-classify(c) runs every candidate's orbit, keeps the preperiodic ones (the
-set is automatically forward-closed), builds the portrait, canonicalizes,
-and matches the catalog.  sweep() does this for all c = a/m^2 up to a
-height bound and tallies the classes; any generic portrait outside the
-conjectured twelve rational classes is reported as an anomaly rather than
-an error, since completeness of that list is conditional on the absence of
-rational points of period above 3.
+classify(c) works on the integer numerators u of the candidates u/m.  The
+candidate u/m maps to (u^2 + a)/m when m divides u^2 + a and the result
+stays in the window |u| <= u_max; otherwise it escapes.  One successor array
+per c holds this map, the preperiodic points are the candidates whose path
+never escapes (the set is automatically forward-closed), and the portrait's
+image map is read straight off the array.  The portrait is then
+canonicalized and matched against the catalog.  sweep() does this for all
+c = a/m^2 up to a height bound and tallies the classes; any generic portrait
+outside the conjectured twelve rational classes is reported as an anomaly
+rather than an error, since completeness of that list is conditional on the
+absence of rational points of period above 3.
+
+orbit() iterates one value in Fraction arithmetic; the tests use it as an
+independent oracle for classify().
 """
 
 from __future__ import annotations
 
 import csv
-import io
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
-from multiprocessing import Pool
 
 from .catalog import TWELVE_RATIONAL_LABELS, match
-from .config import RunConfig, DEFAULT
 from .errors import StepBudgetExceeded
 from .portraits import Portrait, canonical_form, validate_generic
 from .rational import isqrt_ceil, perfect_square_root
+
+
+def _window(c: Fraction) -> tuple[int, int, int] | None:
+    """(m, a, u_max) with c = a/m^2 and the candidates u/m, |u| <= u_max.
+
+    u_max is the integer ceiling of the escape radius m/2 + sqrt(m^2/4 + |a|),
+    plus one.  None when the denominator of c is not a perfect square.
+    """
+    m = perfect_square_root(c.denominator)
+    if m is None:
+        return None
+    a = c.numerator
+    return m, a, (m + isqrt_ceil(m * m + 4 * abs(a))) // 2 + 1
 
 
 def preperiodic_candidates(c: Fraction) -> list[Fraction]:
@@ -42,12 +59,10 @@ def preperiodic_candidates(c: Fraction) -> list[Fraction]:
     all u/m with b = m^2 and |u| within the integer ceiling of the escape
     radius m/2 + sqrt(m^2/4 + |a|).
     """
-    c = Fraction(c)
-    m = perfect_square_root(c.denominator)
-    if m is None:
+    window = _window(Fraction(c))
+    if window is None:
         return []
-    a = abs(c.numerator)
-    u_max = (m + isqrt_ceil(m * m + 4 * a)) // 2 + 1
+    m, _, u_max = window
     return [Fraction(u, m) for u in range(-u_max, u_max + 1)]
 
 
@@ -115,15 +130,45 @@ class ClassificationRecord:
     points: list[Fraction] = field(default_factory=list)
 
 
-def classify(c: Fraction, config: RunConfig = DEFAULT) -> ClassificationRecord:
+def _successors(m: int, a: int, u_max: int) -> list[int]:
+    """succ[u + u_max] = v + u_max when u/m maps to v/m inside the window,
+    and -1 when the image of u/m escapes."""
+    succ = []
+    for u in range(-u_max, u_max + 1):
+        v, r = divmod(u * u + a, m)
+        succ.append(v + u_max if r == 0 and -u_max <= v <= u_max else -1)
+    return succ
+
+
+def _non_escaping(succ: list[int]) -> list[int]:
+    """The ascending indices whose path under succ never reaches -1."""
+    state = [0] * len(succ)  # 0 new, 1 on the current path, 2 escapes, 3 stays
+    for start in range(len(succ)):
+        path = []
+        i = start
+        while i >= 0 and state[i] == 0:
+            state[i] = 1
+            path.append(i)
+            i = succ[i]
+        verdict = 2 if i < 0 or state[i] == 2 else 3
+        for j in path:
+            state[j] = verdict
+    return [i for i, s in enumerate(state) if s == 3]
+
+
+def classify(c: Fraction) -> ClassificationRecord:
     """The exact rational preperiodic portrait of x^2 + c."""
     c = Fraction(c)
-    candidates = preperiodic_candidates(c)
-    budget = max(config.step_budget, len(candidates) + 4)
-    points = [x for x in candidates if not orbit(c, x, budget).escaped]
-    points.sort()
-    index = {x: i + 1 for i, x in enumerate(points)}
-    image = tuple(index[x * x + c] for x in points)
+    points: list[Fraction] = []
+    image: tuple[int, ...] = ()
+    window = _window(c)
+    if window is not None:
+        m, a, u_max = window
+        succ = _successors(m, a, u_max)
+        kept = _non_escaping(succ)
+        rank = {i: r + 1 for r, i in enumerate(kept)}
+        image = tuple(rank[succ[i]] for i in kept)
+        points = [Fraction(i - u_max, m) for i in kept]
     P = canonical_form(Portrait(len(points), image))
     entry = match(P)
     report = validate_generic(P)
@@ -168,11 +213,7 @@ def _sweep_domain(height_bound: int) -> list[Fraction]:
     return out
 
 
-def _classify_job(c: Fraction) -> ClassificationRecord:
-    return classify(c)
-
-
-def sweep(height_bound: int, out=None, config: RunConfig = DEFAULT) -> SweepSummary:
+def sweep(height_bound: int, out=None) -> SweepSummary:
     """Classify every square-denominator c up to the height bound.
 
     Writes CSV rows to `out` (a text stream) when given.  The summary
@@ -181,12 +222,7 @@ def sweep(height_bound: int, out=None, config: RunConfig = DEFAULT) -> SweepSumm
     """
     if height_bound < 1:
         raise ValueError("height bound must be >= 1")
-    domain = _sweep_domain(height_bound)
-    if config.jobs > 1:
-        with Pool(config.jobs) as pool:
-            records = pool.map(_classify_job, domain)
-    else:
-        records = [classify(c, config) for c in domain]
+    records = [classify(c) for c in _sweep_domain(height_bound)]
 
     tally: dict[str, int] = {}
     anomalies = []
@@ -231,9 +267,3 @@ def write_records_csv(out, records: list[ClassificationRecord]) -> None:
                 ";".join(rec.flags),
             ]
         )
-
-
-def records_csv_text(records: list[ClassificationRecord]) -> str:
-    buf = io.StringIO()
-    write_records_csv(buf, records)
-    return buf.getvalue()

@@ -336,7 +336,7 @@ def _cmd_model_trace_check(args, config) -> int:
 
 
 def _cmd_ff_count(args, config) -> int:
-    """Counting honors --jobs by partitioning the outermost variable."""
+    """--jobs N splits the outermost variable's values across N worker processes."""
     model = mdl.model_from_json(Path(args.model).read_text())
     r = fflab.count_points(model, args.p, args.k, config)
     if args.json:
@@ -413,7 +413,7 @@ def _cmd_ff_max_period(args, config) -> int:
 
 def _cmd_classify(args, config) -> int:
     c = parse_rational(args.c)
-    r = cls.classify(c, config)
+    r = cls.classify(c)
     if args.json:
         _emit(
             {
@@ -442,7 +442,7 @@ def _cmd_sweep(args, config) -> int:
         out_path = Path(args.out)
         out_stream = out_path.open("w")
     try:
-        summary = cls.sweep(args.height, out_stream, config)
+        summary = cls.sweep(args.height, out_stream)
     finally:
         if out_stream:
             out_stream.close()
@@ -505,11 +505,11 @@ def _reproduce_trace(config) -> list:
 
 def _reproduce_sweep(config) -> list:
     rows = []
-    r = cls.classify(Fraction(-3, 4), config)
+    r = cls.classify(Fraction(-3, 4))
     _check(rows, "classify(-3/4)", "4(1,1)", r.label)
-    _check(rows, "classify(1)", "empty", cls.classify(Fraction(1), config).label)
-    _check(rows, "classify(-1) generic", False, cls.classify(Fraction(-1), config).generic)
-    summary = cls.sweep(20, None, config)
+    _check(rows, "classify(1)", "empty", cls.classify(Fraction(1)).label)
+    _check(rows, "classify(-1) generic", False, cls.classify(Fraction(-1)).generic)
+    summary = cls.sweep(20)
     _check(rows, "sweep(20) anomalies", 0, len(summary.anomalies))
     return rows
 
@@ -562,10 +562,11 @@ def build_parser() -> argparse.ArgumentParser:
         prog="dynw",
         description="Exact-arithmetic workbench for preperiodic portraits of x^2 + c.",
     )
-    parser.add_argument("--jobs", type=int, default=None, help="worker count for sweeps")
+    parser.add_argument(
+        "--jobs", type=int, default=None, help="worker processes for `ff count` (default 1)"
+    )
     parser.add_argument("--enumeration-cap", type=int, default=None)
     parser.add_argument("--max-dynatomic-n", type=int, default=None)
-    parser.add_argument("--step-budget", type=int, default=None)
     groups = parser.add_subparsers(dest="group", required=True)
 
     def with_json(p):
@@ -686,12 +687,15 @@ def dispatch(argv: list[str]) -> int:
         args = parser.parse_args(_merge_value_flags(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
-    config = from_env(
-        jobs=args.jobs,
-        enumeration_cap=args.enumeration_cap,
-        max_dynatomic_n=args.max_dynatomic_n,
-        step_budget=args.step_budget,
-    )
+    try:
+        config = from_env(
+            jobs=args.jobs,
+            enumeration_cap=args.enumeration_cap,
+            max_dynatomic_n=args.max_dynatomic_n,
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if config.output_format == "json" and hasattr(args, "json"):
         args.json = True
     try:

@@ -5,9 +5,8 @@ reproducible without config files:
 
     DYNW_ENUMERATION_CAP   hard cap on finite-field enumerations (default 10^7)
     DYNW_MAX_DYNATOMIC_N   largest n for dynatomic polynomial construction (12)
-    DYNW_STEP_BUDGET       orbit iteration step budget (512)
-    DYNW_OUTPUT_FORMAT     json | csv | text
-    DYNW_JOBS              worker count for parallel sweeps (1 = deterministic)
+    DYNW_OUTPUT_FORMAT     json | text
+    DYNW_JOBS              worker processes for `ff count` (1 = in-process)
 """
 
 from __future__ import annotations
@@ -15,19 +14,18 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-_FORMATS = ("json", "csv", "text")
+_FORMATS = ("json", "text")
 
 
 @dataclass
 class RunConfig:
     enumeration_cap: int = 10_000_000
     max_dynatomic_n: int = 12
-    step_budget: int = 512
     output_format: str = "text"
     jobs: int = 1
 
     def __post_init__(self) -> None:
-        if self.enumeration_cap <= 0 or self.max_dynatomic_n <= 0 or self.step_budget <= 0:
+        if self.enumeration_cap <= 0 or self.max_dynatomic_n <= 0:
             raise ValueError("all configuration caps must be positive")
         if self.output_format not in _FORMATS:
             raise ValueError(f"output_format must be one of {_FORMATS}")
@@ -36,19 +34,24 @@ class RunConfig:
 
 
 def from_env(**overrides) -> RunConfig:
-    """Build a RunConfig from DYNW_* environment variables plus explicit overrides."""
+    """Build a RunConfig from DYNW_* environment variables plus explicit overrides.
+
+    A malformed value raises ValueError naming the variable.
+    """
     kwargs = {}
     env = os.environ
-    if "DYNW_ENUMERATION_CAP" in env:
-        kwargs["enumeration_cap"] = int(env["DYNW_ENUMERATION_CAP"])
-    if "DYNW_MAX_DYNATOMIC_N" in env:
-        kwargs["max_dynatomic_n"] = int(env["DYNW_MAX_DYNATOMIC_N"])
-    if "DYNW_STEP_BUDGET" in env:
-        kwargs["step_budget"] = int(env["DYNW_STEP_BUDGET"])
+    for key, name in (
+        ("enumeration_cap", "DYNW_ENUMERATION_CAP"),
+        ("max_dynatomic_n", "DYNW_MAX_DYNATOMIC_N"),
+        ("jobs", "DYNW_JOBS"),
+    ):
+        if name in env:
+            try:
+                kwargs[key] = int(env[name])
+            except ValueError:
+                raise ValueError(f"{name} must be an integer, got {env[name]!r}") from None
     if "DYNW_OUTPUT_FORMAT" in env:
         kwargs["output_format"] = env["DYNW_OUTPUT_FORMAT"]
-    if "DYNW_JOBS" in env:
-        kwargs["jobs"] = int(env["DYNW_JOBS"])
     kwargs.update({k: v for k, v in overrides.items() if v is not None})
     return RunConfig(**kwargs)
 

@@ -24,8 +24,8 @@ from fractions import Fraction
 from . import _packed as pk
 from .config import RunConfig, DEFAULT
 from .errors import NonExactDivision
-from .multipoly import MultiPoly, poly_exact_divide
-from .rational import divisors_of
+from .multipoly import MultiPoly
+from .rational import divisors_of, factorize
 
 VAR_C = "c"
 VAR_X = "x"
@@ -37,33 +37,16 @@ VAR_X = "x"
 def moebius(n: int) -> int:
     if n < 1:
         raise ValueError("moebius expects n >= 1")
-    result = 1
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            n //= d
-            if n % d == 0:
-                return 0
-            result = -result
-        d += 1
-    if n > 1:
-        result = -result
-    return result
+    exps = factorize(n).values()
+    return 0 if any(e > 1 for e in exps) else (-1) ** len(exps)
 
 
 def euler_phi(n: int) -> int:
     if n < 1:
         raise ValueError("euler_phi expects n >= 1")
     result = n
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            while n % d == 0:
-                n //= d
-            result -= result // d
-        d += 1
-    if n > 1:
-        result -= result // n
+    for p in factorize(n):
+        result -= result // p
     return result
 
 
@@ -126,20 +109,6 @@ class DynatomicTable:
 _dynatomic_cache: dict[int, list] = {}
 
 
-def _prime_support(n: int) -> list[int]:
-    primes = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            primes.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        primes.append(n)
-    return primes
-
-
 def dynatomic_cx(n: int) -> list:
     """Internal cx form of Phi_n, cached.
 
@@ -157,7 +126,7 @@ def dynatomic_cx(n: int) -> list:
     """
     if n in _dynatomic_cache:
         return pk.cx_copy(_dynatomic_cache[n])
-    primes = _prime_support(n)
+    primes = sorted(factorize(n))
     try:
         if len(primes) <= 1:
             phi = _fn_minus_x(n)
@@ -392,5 +361,4 @@ __all__ = [
     "branch_count",
     "moebius",
     "euler_phi",
-    "poly_exact_divide",
 ]

@@ -33,10 +33,6 @@ class NotGeneric(DynwError):
     """An operation requiring a generic quadratic portrait got a non-generic one."""
 
 
-class NotPIntegral(DynwError):
-    """A rational number was required to be p-integral but is not."""
-
-
 class StepBudgetExceeded(DynwError):
     """Orbit iteration reached the step budget without resolving."""
 

@@ -14,12 +14,11 @@ happen unless one of the strategies is buggy, which is the point.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from multiprocessing import Pool
 from typing import Iterator
 
 from .config import RunConfig, DEFAULT
-from .errors import BudgetExceeded, NotPIntegral
+from .errors import BudgetExceeded
 from .ff import FFContext, FFElement, ff_enumerate
 from .models import CurveModel
 from .multipoly import MultiPoly
@@ -111,27 +110,39 @@ class PointCountReport:
     violations: list[str] = field(default_factory=list)
 
 
+def _is_plane(model: CurveModel) -> bool:
+    return len(model.variables) == 2 and len(model.equations) == 1
+
+
+def _count_range(
+    model: CurveModel, ctx: FFContext, lo: int, hi: int, config: RunConfig
+) -> tuple[int, int]:
+    """(affine, nonsingular) counts over the solutions whose first free
+    variable is one of elements lo..hi-1; nonsingular counts the solutions
+    where some partial derivative is nonzero and is 0 unless the model is a
+    plane curve."""
+    partials = None
+    if _is_plane(model):
+        f = model.equations[0]
+        partials = [_compile(f.partial(v), ctx) for v in model.variables]
+    zero = ctx.zero()
+    affine = 0
+    nonsingular = 0
+    for sol in iter_solutions(model, ctx, config, outer_range=(lo, hi)):
+        affine += 1
+        if partials is not None and any(_eval_compiled(pd, sol) != zero for pd in partials):
+            nonsingular += 1
+    return affine, nonsingular
+
+
 def _count_chunk(args) -> tuple[int, int]:
-    """Worker: count (affine, nonsingular) over one outer-variable slice."""
+    """Worker: _count_range for a model sent as JSON."""
     model_json, p, k, lo, hi, cap = args
     from .models import model_from_json
 
-    model = model_from_json(model_json)
-    ctx = FFContext(p, k)
-    plane = len(model.variables) == 2 and len(model.equations) == 1
-    partials = None
-    if plane:
-        f = model.equations[0]
-        partials = [_compile(f.partial(v), ctx) for v in model.variables]
-    affine = 0
-    nonsingular = 0
-    cfg = RunConfig(enumeration_cap=cap)
-    for sol in iter_solutions(model, ctx, cfg, outer_range=(lo, hi)):
-        affine += 1
-        if partials is not None:
-            if any(_eval_compiled(pd, sol) != ctx.zero() for pd in partials):
-                nonsingular += 1
-    return affine, nonsingular
+    return _count_range(
+        model_from_json(model_json), FFContext(p, k), lo, hi, RunConfig(enumeration_cap=cap)
+    )
 
 
 def count_points(
@@ -147,12 +158,12 @@ def count_points(
     per-x root-counting total (cross_count).
     """
     ctx = FFContext(p, k)
-    plane = len(model.variables) == 2 and len(model.equations) == 1
+    plane = _is_plane(model)
+    q = ctx.q
     if config.jobs > 1:
         from .models import model_to_json
 
         doc = model_to_json(model)
-        q = ctx.q
         step = -(-q // config.jobs)
         chunks = [
             (doc, p, k, lo, min(lo + step, q), config.enumeration_cap)
@@ -163,17 +174,7 @@ def count_points(
         affine = sum(a for a, _ in parts)
         nonsingular = sum(s for _, s in parts)
     else:
-        affine = 0
-        nonsingular = 0
-        partials = None
-        if plane:
-            f = model.equations[0]
-            partials = [_compile(f.partial(v), ctx) for v in model.variables]
-        for sol in iter_solutions(model, ctx, config):
-            affine += 1
-            if partials is not None:
-                if any(_eval_compiled(pd, sol) != ctx.zero() for pd in partials):
-                    nonsingular += 1
+        affine, nonsingular = _count_range(model, ctx, 0, q, config)
     report = PointCountReport(
         model_id=model.name,
         q=ctx.q,
@@ -364,14 +365,3 @@ def _longest_cycle(succ: list[int]) -> int:
         for u in path:
             state[u] = 2
     return best
-
-
-def residue_class_members(x0: Fraction, p: int, count: int) -> list[Fraction]:
-    """The first `count` members x0 + p, x0 + 2p, ... of the mod-p residue
-    class of a p-integral rational."""
-    x0 = Fraction(x0)
-    if x0.denominator % p == 0:
-        raise NotPIntegral(f"{x0} is not {p}-integral")
-    if count < 0:
-        raise ValueError("count must be >= 0")
-    return [x0 + i * p for i in range(1, count + 1)]

@@ -25,8 +25,7 @@ from fractions import Fraction
 from functools import reduce
 from math import gcd
 
-from .errors import MissingVariable, MixedScalarKinds, NonExactDivision, ParseError
-from .rational import divisors_of
+from .errors import MissingVariable, MixedScalarKinds, ParseError
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 
@@ -452,95 +451,3 @@ def _tokenize(text: str) -> list[str]:
             continue
         raise ParseError(f"bad character {ch!r} in polynomial")
     return tokens
-
-
-# --------------------------------------------------------------- exact division
-
-
-def poly_exact_divide(numerator: MultiPoly, denominator: MultiPoly) -> MultiPoly:
-    """Exact quotient numerator / denominator.
-
-    Runs multivariate long division by the leading term in the canonical
-    graded order.  If the division is exact this strips one leading term per
-    step and terminates with remainder zero; otherwise NonExactDivision is
-    raised, which signals a logic error upstream.
-    """
-    if denominator.is_zero():
-        raise ZeroDivisionError("division by the zero polynomial")
-    if numerator.is_zero():
-        return MultiPoly.zero()
-    variables, rem_map, den_map = numerator._align(denominator)
-    den_lead = max(den_map, key=_term_key)
-    den_lead_coef = den_map[den_lead]
-
-    quot: dict[tuple[int, ...], Fraction] = {}
-    rem = dict(rem_map)
-    while rem:
-        lead = max(rem, key=_term_key)
-        q_exp = tuple(a - b for a, b in zip(lead, den_lead))
-        if any(e < 0 for e in q_exp):
-            raise NonExactDivision(f"{denominator} does not divide {numerator}")
-        q_coef = rem[lead] / den_lead_coef
-        quot[q_exp] = quot.get(q_exp, Fraction(0)) + q_coef
-        for e, c in den_map.items():
-            key = tuple(a + b for a, b in zip(q_exp, e))
-            val = rem.get(key, Fraction(0)) - q_coef * c
-            if val:
-                rem[key] = val
-            else:
-                rem.pop(key, None)
-    return MultiPoly(variables, quot)
-
-
-# --------------------------------------------------------------- rational roots
-
-
-def rational_roots(f: MultiPoly) -> set[Fraction]:
-    """All rational roots of a nonzero univariate polynomial.
-
-    Clears denominators, strips the content and the power-of-x factor, then
-    tests every candidate p/q with p dividing the constant term and q
-    dividing the leading coefficient.
-    """
-    if f.is_zero():
-        raise ValueError("rational_roots expects a nonzero polynomial")
-    if len(f.variables) > 1:
-        raise ValueError("rational_roots expects a univariate polynomial")
-    if not f.variables:
-        return set()
-    var = f.variables[0]
-    deg = f.degree(var)
-    coeffs = [f.coefficient_in(var, k).constant_value() for k in range(deg + 1)]
-
-    den_lcm = 1
-    for c in coeffs:
-        den_lcm = den_lcm * c.denominator // gcd(den_lcm, c.denominator)
-    ints = [int(c * den_lcm) for c in coeffs]
-
-    roots: set[Fraction] = set()
-    low = 0
-    while ints[low] == 0:
-        low += 1
-    if low > 0:
-        roots.add(Fraction(0))
-        ints = ints[low:]
-    if len(ints) == 1:
-        return roots
-
-    content = reduce(gcd, (abs(c) for c in ints if c))
-    ints = [c // content for c in ints]
-
-    const, lead = abs(ints[0]), abs(ints[-1])
-    for p in divisors_of(const):
-        for q in divisors_of(lead):
-            if gcd(p, q) != 1:
-                continue
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                if cand in roots:
-                    continue
-                acc = Fraction(0)
-                for c in reversed(ints):
-                    acc = acc * cand + c
-                if acc == 0:
-                    roots.add(cand)
-    return roots

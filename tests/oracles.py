@@ -8,6 +8,9 @@ they can catch completeness bugs in the candidate envelope.
 from fractions import Fraction
 from math import gcd
 
+from dynw.errors import NonExactDivision
+from dynw.multipoly import MultiPoly, _term_key
+
 
 def brute_force_preperiodic(c: Fraction, height: int) -> set[Fraction]:
     """All preperiodic starting points found among x = u/v with
@@ -68,3 +71,38 @@ def brute_force_automorphism_count(image: tuple[int, ...]) -> int:
         return count
 
     return extend(1)
+
+
+def poly_exact_divide(numerator: MultiPoly, denominator: MultiPoly) -> MultiPoly:
+    """Exact quotient numerator / denominator over Q.
+
+    Runs multivariate long division by the leading term in the canonical
+    graded order, on MultiPoly terms rather than the packed Z[c,x] engine.
+    If the division is exact this strips one leading term per step and
+    terminates with remainder zero; otherwise NonExactDivision is raised.
+    """
+    if denominator.is_zero():
+        raise ZeroDivisionError("division by the zero polynomial")
+    if numerator.is_zero():
+        return MultiPoly.zero()
+    variables, rem_map, den_map = numerator._align(denominator)
+    den_lead = max(den_map, key=_term_key)
+    den_lead_coef = den_map[den_lead]
+
+    quot: dict[tuple[int, ...], Fraction] = {}
+    rem = dict(rem_map)
+    while rem:
+        lead = max(rem, key=_term_key)
+        q_exp = tuple(a - b for a, b in zip(lead, den_lead))
+        if any(e < 0 for e in q_exp):
+            raise NonExactDivision(f"{denominator} does not divide {numerator}")
+        q_coef = rem[lead] / den_lead_coef
+        quot[q_exp] = quot.get(q_exp, Fraction(0)) + q_coef
+        for e, c in den_map.items():
+            key = tuple(a + b for a, b in zip(q_exp, e))
+            val = rem.get(key, Fraction(0)) - q_coef * c
+            if val:
+                rem[key] = val
+            else:
+                rem.pop(key, None)
+    return MultiPoly(variables, quot)

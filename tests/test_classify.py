@@ -6,20 +6,24 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from oracles import brute_force_preperiodic
 
 from dynw.classify import (
+    _successors,
+    _sweep_domain,
+    _window,
     classify,
     orbit,
     preperiodic_candidates,
-    records_csv_text,
     sweep,
 )
-from dynw.config import RunConfig
 from dynw.dynatomic import degree_d0
 from dynw.errors import StepBudgetExceeded
-from dynw.portraits import cycle_structure
+from dynw.portraits import Portrait, canonical_form, cycle_structure
+from dynw.rational import perfect_square_root
 
 
 def test_candidates_square_denominator():
@@ -169,10 +173,45 @@ def test_sweep_csv_output():
     assert keys == sorted(keys)
 
 
-def test_sweep_parallel_matches_serial():
-    serial = sweep(6, config=RunConfig(jobs=1))
-    parallel = sweep(6, config=RunConfig(jobs=2))
-    assert records_csv_text(serial.records) == records_csv_text(parallel.records)
+def assert_matches_orbit_oracle(c: Fraction) -> None:
+    """classify(c) against per-candidate Fraction orbits."""
+    rec = classify(c)
+    cands = preperiodic_candidates(c)
+    oracle = [x for x in cands if not orbit(c, x, len(cands) + 4).escaped]
+    assert rec.points == oracle, c
+    index = {x: i + 1 for i, x in enumerate(oracle)}
+    image = tuple(index[x * x + c] for x in oracle)
+    assert rec.portrait == canonical_form(Portrait(len(oracle), image)), c
+    window = _window(c)
+    if window is None:
+        assert rec.points == [] and rec.portrait.n == 0
+        return
+    m, a, u_max = window
+    succ = _successors(m, a, u_max)
+    for x in rec.points:
+        v = succ[int(x * m) + u_max] - u_max
+        assert Fraction(v, m) == x * x + c, (c, x)
+
+
+def test_classify_matches_orbit_oracle_on_sweep_domain():
+    for c in _sweep_domain(60):
+        assert_matches_orbit_oracle(c)
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=st.integers(-10**6, 10**6), m=st.integers(1, 40))
+def test_classify_matches_orbit_oracle_on_square_denominators(a, m):
+    assert_matches_orbit_oracle(Fraction(a, m * m))
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=st.integers(-10**6, 10**6), b=st.integers(2, 1600))
+def test_non_square_denominator_gives_empty_portrait(a, b):
+    c = Fraction(a, b)
+    assume(perfect_square_root(c.denominator) is None)
+    rec = classify(c)
+    assert rec.points == [] and rec.portrait.n == 0 and rec.label == "empty"
+    assert_matches_orbit_oracle(c)
 
 
 def test_step_budget():

@@ -157,6 +157,19 @@ def test_usage_error_exit_code(capsys):
     assert run(capsys, "nonsense")[0] == 2
 
 
+def test_bad_configuration_is_a_usage_error(capsys, monkeypatch):
+    code, out, err = run(capsys, "--jobs", "0", "classify", "--c", "1")
+    assert (code, out) == (2, "") and err == "error: jobs must be >= 1\n"
+    monkeypatch.setenv("DYNW_JOBS", "abc")
+    code, out, err = run(capsys, "classify", "--c", "1")
+    assert (code, out) == (2, "") and err == "error: DYNW_JOBS must be an integer, got 'abc'\n"
+    monkeypatch.delenv("DYNW_JOBS")
+    monkeypatch.setenv("DYNW_OUTPUT_FORMAT", "csv")
+    code, out, err = run(capsys, "classify", "--c", "1")
+    assert (code, out) == (2, "") and err.startswith("error: output_format must be one of")
+    assert err.count("\n") == 1
+
+
 def test_domain_error_exit_code(capsys):
     code, _, err = run(capsys, "dynatomic", "poly", "--n", "0")
     assert code == 1 and "error:" in err

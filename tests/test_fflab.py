@@ -1,12 +1,11 @@
 """Finite-field lab tests: counting, bound checkers, residual period data."""
 
 import random
-from fractions import Fraction
 
 import pytest
 
 from dynw.config import RunConfig
-from dynw.errors import BudgetExceeded, NotPIntegral
+from dynw.errors import BudgetExceeded
 from dynw.ff import FFContext
 from dynw.fflab import (
     CSQuery,
@@ -14,7 +13,6 @@ from dynw.fflab import (
     count_points,
     gonality_lower_bound,
     max_period_mod,
-    residue_class_members,
 )
 from dynw.models import CurveModel, plane_model
 from dynw.multipoly import MultiPoly
@@ -134,16 +132,3 @@ def test_max_period_budget():
     cfg = RunConfig(enumeration_cap=50)
     with pytest.raises(BudgetExceeded):
         max_period_mod(FFContext(11), cfg)
-
-
-def test_residue_class_members():
-    assert residue_class_members(Fraction(0), 3, 3) == [3, 6, 9]
-    got = residue_class_members(Fraction(1, 2), 3, 2)
-    assert got == [Fraction(7, 2), Fraction(13, 2)]
-    for t in got:
-        # t - 1/2 is divisible by 3 as a 3-adic integer
-        diff = t - Fraction(1, 2)
-        assert diff.numerator % 3 == 0 and diff.denominator % 3 != 0
-    with pytest.raises(NotPIntegral):
-        residue_class_members(Fraction(1, 3), 3, 1)
-    assert residue_class_members(Fraction(2), 5, 0) == []

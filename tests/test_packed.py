@@ -89,6 +89,20 @@ def test_divexact_rejects_non_exact():
         pk.cx_divexact(x2_plus_1, [])
 
 
+def test_eq_ignores_trailing_zeros_in_rows():
+    assert pk.cx_eq([[1, 0]], [[1]])
+    assert pk.cx_eq([[1], [0, 0], None], [[1]])
+    assert pk.cx_eq([[1], None], [[1, 0], [0]])
+    assert not pk.cx_eq([[1, 0]], [[1, 1]])
+    assert not pk.cx_eq([[1], [0, 2]], [[1]])
+
+
+def test_divexact_accepts_untrimmed_rows():
+    # (x + 1)(x + 2) with every c-row carrying a trailing zero
+    quot = pk.cx_divexact([[2, 0], [3, 0], [1, 0]], [[1], [1]])
+    assert pk.cx_to_terms(quot) == {(0, 0): 2, (0, 1): 1}
+
+
 def test_divexact_packs_each_row_once(monkeypatch):
     """The windowed division packs each remainder row exactly once: the pack
     call count stays linear in the dividend, never quadratic."""
@@ -245,7 +259,7 @@ def test_divexact_matches_reference_and_rejects_remainders():
         assert pk.cx_to_terms(pk.cx_divexact(N, D)) == pk.cx_to_terms(Q)
         assert pk.cx_to_terms(pk.cx_divexact(N, D, verify=False)) == pk.cx_to_terms(Q)
         R = random_cx(rng, max_x=len(D) - 1, max_c=6, bits=bits)
-        if R:
+        if pk.cx_to_terms(R):  # R can be the zero polynomial, e.g. [[0, 0]]
             with pytest.raises(ArithmeticError):
                 pk.cx_divexact(pk.cx_add(N, R), D)
             checked += 1
