@@ -336,7 +336,8 @@ def _cmd_model_trace_check(args, config) -> int:
 
 
 def _cmd_ff_count(args, config) -> int:
-    """--jobs N splits the outermost variable's values across N worker processes."""
+    """Count serially in this process; the enumeration cap is checked before
+    the field's modulus is searched for."""
     model = mdl.model_from_json(Path(args.model).read_text())
     r = fflab.count_points(model, args.p, args.k, config)
     if args.json:
@@ -390,6 +391,7 @@ def _cmd_ff_cs(args, config) -> int:
 
 
 def _cmd_ff_max_period(args, config) -> int:
+    fflab.check_enumeration_cap(args.p**args.k, 2, config)
     ctx = FFContext(args.p, args.k)
     r = fflab.max_period_mod(ctx, config)
     if args.json:
@@ -562,9 +564,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="dynw",
         description="Exact-arithmetic workbench for preperiodic portraits of x^2 + c.",
     )
-    parser.add_argument(
-        "--jobs", type=int, default=None, help="worker processes for `ff count` (default 1)"
-    )
     parser.add_argument("--enumeration-cap", type=int, default=None)
     parser.add_argument("--max-dynatomic-n", type=int, default=None)
     groups = parser.add_subparsers(dest="group", required=True)
@@ -689,7 +688,6 @@ def dispatch(argv: list[str]) -> int:
         return int(exc.code or 0)
     try:
         config = from_env(
-            jobs=args.jobs,
             enumeration_cap=args.enumeration_cap,
             max_dynatomic_n=args.max_dynatomic_n,
         )

@@ -5,6 +5,13 @@ Counts are affine-model counts; points at infinity and singular-fiber
 corrections are out of scope, so gonality statements derived from them are
 lower bounds computed from (nonsingular) affine points.
 
+Solutions are enumerated in-process over a model's free variables, and
+each equation, inequation and propagation step is applied at the first
+enumeration level where its variables are bound, so a failed condition
+prunes everything below it.  Polynomials are evaluated in the compiled
+Horner form of MultiPoly.horner.  The exhaustive enumeration that checks
+every condition only on complete assignments is the test oracle.
+
 For plane models the affine count is computed twice, by independent
 strategies: straight enumeration of (c, x), and per-x root counting in c
 via gcd(f, z^q - z).  Disagreement is reported as a violation; it cannot
@@ -14,85 +21,68 @@ happen unless one of the strategies is buggy, which is the point.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from multiprocessing import Pool
 from typing import Iterator
 
 from .config import RunConfig, DEFAULT
 from .errors import BudgetExceeded
 from .ff import FFContext, FFElement, ff_enumerate
 from .models import CurveModel
-from .multipoly import MultiPoly
 
 
 # ----------------------------------------------------------- solution iteration
 
 
-def _compile(poly: MultiPoly, ctx: FFContext):
-    """[(coefficient in F_q, exponent map)] for fast pointwise evaluation."""
-    return [
-        (ctx.from_rational(coef), tuple(zip(poly.variables, exps)))
-        for exps, coef in poly.terms.items()
-    ]
-
-
-def _eval_compiled(compiled, values: dict) -> FFElement:
-    acc = None
-    for coef, exps in compiled:
-        term = coef
-        for var, e in exps:
-            if e:
-                term = term * values[var] ** e
-        acc = term if acc is None else acc + term
-    return acc
+def check_enumeration_cap(q: int, dims: int, config: RunConfig = DEFAULT) -> None:
+    """Raise BudgetExceeded when q^dims exceeds the enumeration cap."""
+    total = q**dims
+    if total > config.enumeration_cap:
+        raise BudgetExceeded(
+            f"q^{dims} = {total} exceeds enumeration cap {config.enumeration_cap}"
+        )
 
 
 def iter_solutions(
-    model: CurveModel,
-    ctx: FFContext,
-    config: RunConfig = DEFAULT,
-    outer_range: tuple[int, int] | None = None,
+    model: CurveModel, ctx: FFContext, config: RunConfig = DEFAULT
 ) -> Iterator[dict]:
     """All assignments over F_q satisfying every equation and inequation.
 
-    Enumeration runs over the model's free variables; the remaining
-    variables are filled in by the recorded propagation steps (forward
-    image x -> x^2 + c and sibling negation), then the full system is
-    checked.  `outer_range` restricts the first free variable to a slice of
-    the element enumeration, which is how parallel counting partitions the
-    work.
+    Enumeration runs over the model's free variables, in order; the
+    remaining variables are filled in by the recorded propagation steps
+    (forward image x -> x^2 + c and sibling negation).  Each step runs, and
+    each equation and inequation is checked, at the first enumeration level
+    where every variable it reads is bound, so a failed check prunes every
+    assignment below that level.
     """
     free = model.enumeration_variables()
-    total = ctx.q ** len(free)
-    if total > config.enumeration_cap:
-        raise BudgetExceeded(
-            f"q^{len(free)} = {total} exceeds enumeration cap {config.enumeration_cap}"
-        )
-    eqs = [_compile(e, ctx) for e in model.equations]
-    ineqs = [_compile(e, ctx) for e in model.inequations]
+    check_enumeration_cap(ctx.q, len(free), config)
+    level = {v: i + 1 for i, v in enumerate(free)}
+    steps: list[list] = [[] for _ in range(len(free) + 1)]
+    for kind, target, source in model.steps:
+        reads = (source, "c") if kind == "image" else (source,)
+        level[target] = max(level[v] for v in reads)
+        steps[level[target]].append((kind, target, source))
+    checks: list[list] = [[] for _ in range(len(free) + 1)]
+    for is_equation, polys in ((True, model.equations), (False, model.inequations)):
+        for poly in polys:
+            at = max((level[v] for v in poly.variables), default=0)
+            checks[at].append((poly.horner(ctx.from_rational), is_equation))
     elements = list(ff_enumerate(ctx, config))
-    lo, hi = outer_range if outer_range else (0, len(elements))
     zero = ctx.zero()
 
-    def rec(idx: int, values: dict):
-        if idx == len(free):
-            for kind, target, source in model.steps:
-                s = values[source]
-                if kind == "image":
-                    values[target] = s * s + values["c"]
-                else:
-                    values[target] = -s
-            for compiled in eqs:
-                if _eval_compiled(compiled, values) != zero:
-                    return
-            for compiled in ineqs:
-                if _eval_compiled(compiled, values) == zero:
-                    return
+    def rec(depth: int, values: dict):
+        for kind, target, source in steps[depth]:
+            s = values[source]
+            values[target] = s * s + values["c"] if kind == "image" else -s
+        for poly, is_equation in checks[depth]:
+            if (poly(values) == zero) != is_equation:
+                return
+        if depth == len(free):
             yield dict(values)
             return
-        pool = elements[lo:hi] if idx == 0 else elements
-        for z in pool:
-            values[free[idx]] = z
-            yield from rec(idx + 1, values)
+        var = free[depth]
+        for z in elements:
+            values[var] = z
+            yield from rec(depth + 1, values)
 
     yield from rec(0, {})
 
@@ -114,67 +104,30 @@ def _is_plane(model: CurveModel) -> bool:
     return len(model.variables) == 2 and len(model.equations) == 1
 
 
-def _count_range(
-    model: CurveModel, ctx: FFContext, lo: int, hi: int, config: RunConfig
-) -> tuple[int, int]:
-    """(affine, nonsingular) counts over the solutions whose first free
-    variable is one of elements lo..hi-1; nonsingular counts the solutions
-    where some partial derivative is nonzero and is 0 unless the model is a
-    plane curve."""
-    partials = None
-    if _is_plane(model):
-        f = model.equations[0]
-        partials = [_compile(f.partial(v), ctx) for v in model.variables]
-    zero = ctx.zero()
-    affine = 0
-    nonsingular = 0
-    for sol in iter_solutions(model, ctx, config, outer_range=(lo, hi)):
-        affine += 1
-        if partials is not None and any(_eval_compiled(pd, sol) != zero for pd in partials):
-            nonsingular += 1
-    return affine, nonsingular
-
-
-def _count_chunk(args) -> tuple[int, int]:
-    """Worker: _count_range for a model sent as JSON."""
-    model_json, p, k, lo, hi, cap = args
-    from .models import model_from_json
-
-    return _count_range(
-        model_from_json(model_json), FFContext(p, k), lo, hi, RunConfig(enumeration_cap=cap)
-    )
-
-
 def count_points(
     model: CurveModel, p: int, k: int = 1, config: RunConfig = DEFAULT
 ) -> PointCountReport:
     """Count F_{p^k} assignments satisfying the model.
 
-    With config.jobs > 1 the outermost free variable's value range is
-    partitioned across worker processes and the partial counts are summed;
-    the result does not depend on the partitioning.  For two-variable
-    models the report also carries the count of solutions where some
-    partial derivative is nonzero (nonsingular_count) and the independent
-    per-x root-counting total (cross_count).
+    The enumeration cap is checked before the field is built.  For
+    two-variable models the report also carries the count of solutions
+    where some partial derivative is nonzero (nonsingular_count) and the
+    independent per-x root-counting total (cross_count).
     """
+    check_enumeration_cap(p**k, len(model.enumeration_variables()), config)
     ctx = FFContext(p, k)
     plane = _is_plane(model)
-    q = ctx.q
-    if config.jobs > 1:
-        from .models import model_to_json
-
-        doc = model_to_json(model)
-        step = -(-q // config.jobs)
-        chunks = [
-            (doc, p, k, lo, min(lo + step, q), config.enumeration_cap)
-            for lo in range(0, q, step)
-        ]
-        with Pool(config.jobs) as pool:
-            parts = pool.map(_count_chunk, chunks)
-        affine = sum(a for a, _ in parts)
-        nonsingular = sum(s for _, s in parts)
-    else:
-        affine, nonsingular = _count_range(model, ctx, 0, q, config)
+    partials = []
+    if plane:
+        f = model.equations[0]
+        partials = [f.partial(v).horner(ctx.from_rational) for v in model.variables]
+    zero = ctx.zero()
+    affine = 0
+    nonsingular = 0
+    for sol in iter_solutions(model, ctx, config):
+        affine += 1
+        if any(pd(sol) != zero for pd in partials):
+            nonsingular += 1
     report = PointCountReport(
         model_id=model.name,
         q=ctx.q,
@@ -197,10 +150,10 @@ def _plane_count_by_roots(model: CurveModel, ctx: FFContext) -> int:
     f = model.equations[0]
     first, second = model.variables
     deg = f.degree(first)
-    coeff_polys = [f.coefficient_in(first, i) for i in range(deg + 1)]
+    coeff_polys = [f.coefficient_in(first, i).horner(ctx.from_rational) for i in range(deg + 1)]
     total = 0
     for b in ff_enumerate(ctx):
-        coeffs = [poly.evaluate({second: b}) for poly in coeff_polys]
+        coeffs = [poly({second: b}) for poly in coeff_polys]
         u = _ftrim(coeffs, ctx)
         if not u:
             total += ctx.q
@@ -328,10 +281,7 @@ def max_period_mod(ctx: FFContext, config: RunConfig = DEFAULT) -> MaxPeriodRepo
     The enumeration visits all q^2 pairs (c, z), so q^2 is held to the
     enumeration cap.
     """
-    if ctx.q * ctx.q > config.enumeration_cap:
-        raise BudgetExceeded(
-            f"q^2 = {ctx.q ** 2} exceeds enumeration cap {config.enumeration_cap}"
-        )
+    check_enumeration_cap(ctx.q, 2, config)
     elements = list(ff_enumerate(ctx, config))
     index = {z: i for i, z in enumerate(elements)}
     q = ctx.q

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import reduce
+from functools import partial, reduce
 from math import gcd
 
 from .errors import MissingVariable, MixedScalarKinds, ParseError
@@ -303,22 +303,27 @@ class MultiPoly:
         if len(kinds) > 1:
             raise MixedScalarKinds(f"mixed scalar kinds: {sorted(kinds)}")
         kind = kinds.pop() if kinds else "rational"
-        if kind == "ff" and not values:
-            ctx = probe[0].context
-            return ctx.from_rational(self.constant_value())
         if kind == "ff":
-            ctxs = {v.context for v in values}
+            ctxs = {v.context for v in probe}
             if len(ctxs) > 1:
                 raise MixedScalarKinds("finite-field values from different contexts")
-            ctx = ctxs.pop()
-            coerce = ctx.from_rational
+            coerce = ctxs.pop().from_rational
         else:
             for v in values:
                 if not isinstance(v, (int, Fraction)):
                     raise MixedScalarKinds(f"unsupported scalar {type(v).__name__}")
             coerce = Fraction
+        return self.horner(coerce)(assignment)
 
-        return _horner_eval(self, dict(zip(self.variables, values)), coerce)
+    def horner(self, coerce):
+        """This polynomial as a function of an assignment dict, in Horner form.
+
+        The terms are grouped by variable once and each coefficient is
+        coerced once, by `coerce` (Fraction, or a field's from_rational);
+        the function then evaluates by Horner's rule in the first variable,
+        with coefficients that are Horner forms in the remaining ones.
+        """
+        return partial(_horner_eval, _horner_form(self.variables, self.terms, coerce))
 
 
 def _scalar_kind(v) -> str:
@@ -329,16 +334,34 @@ def _scalar_kind(v) -> str:
     return type(v).__name__
 
 
-def _horner_eval(poly: MultiPoly, values: dict, coerce):
-    """Horner-style accumulation, one variable at a time."""
-    if not poly.variables:
-        return coerce(poly.constant_value())
-    var = poly.variables[0]
+def _horner_form(variables: tuple[str, ...], terms: dict, coerce):
+    """(variable, ((coefficient form, exponent drop to the next part), ...)),
+    parts in descending exponent, the last drop being its own exponent; a
+    constant is (None, coerced value)."""
+    if not variables:
+        return None, coerce(terms.get((), 0))
+    groups: dict[int, dict] = {}
+    for exps, coef in terms.items():
+        groups.setdefault(exps[0], {})[exps[1:]] = coef
+    exps = sorted(groups, reverse=True)
+    drops = [a - b for a, b in zip(exps, exps[1:])] + [exps[-1]]
+    parts = tuple(
+        (_horner_form(variables[1:], groups[e], coerce), drop) for e, drop in zip(exps, drops)
+    )
+    return variables[0], parts
+
+
+def _horner_eval(form, values: dict):
+    var, parts = form
+    if var is None:
+        return parts
     x = values[var]
     acc = None
-    for k in range(poly.degree(var), -1, -1):
-        part = _horner_eval(poly.coefficient_in(var, k), values, coerce)
-        acc = part if acc is None else acc * x + part
+    for sub, drop in parts:
+        value = _horner_eval(sub, values)
+        acc = value if acc is None else acc + value
+        if drop:
+            acc = acc * (x if drop == 1 else x**drop)
     return acc
 
 

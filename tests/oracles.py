@@ -2,13 +2,18 @@
 
 These deliberately avoid the library's own search strategies: they iterate
 raw candidate grids with plain Fraction arithmetic and a blow-up cutoff, so
-they can catch completeness bugs in the candidate envelope.
+they can catch completeness bugs in the candidate envelope.  Over F_q they
+bind every free variable before checking a single condition, and evaluate
+polynomials term by term rather than in Horner form.
 """
 
 from fractions import Fraction
 from math import gcd
 
-from dynw.errors import NonExactDivision
+from dynw.config import DEFAULT, RunConfig
+from dynw.errors import BudgetExceeded, NonExactDivision
+from dynw.ff import FFContext, ff_enumerate
+from dynw.models import CurveModel
 from dynw.multipoly import MultiPoly, _term_key
 
 
@@ -106,3 +111,88 @@ def poly_exact_divide(numerator: MultiPoly, denominator: MultiPoly) -> MultiPoly
             else:
                 rem.pop(key, None)
     return MultiPoly(variables, quot)
+
+
+def compile_terms(poly: MultiPoly, coerce):
+    """[(coefficient, exponent map)] for term-by-term evaluation, each
+    coefficient coerced by `coerce`.  The list starts with a zero term, so
+    the zero polynomial evaluates to zero of the right kind."""
+    return [(coerce(0), ())] + [
+        (coerce(coef), tuple(zip(poly.variables, exps)))
+        for exps, coef in poly.terms.items()
+    ]
+
+
+def eval_terms(compiled, values: dict):
+    """Sum of the compiled terms, each a coefficient times powers."""
+    acc = None
+    for coef, exps in compiled:
+        term = coef
+        for var, e in exps:
+            if e:
+                term = term * values[var] ** e
+        acc = term if acc is None else acc + term
+    return acc
+
+
+def brute_solutions(model: CurveModel, ctx: FFContext, config: RunConfig = DEFAULT):
+    """All assignments over F_q satisfying every equation and inequation.
+
+    Binds every free variable, fills in the remaining variables by the
+    model's propagation steps, and only then checks the whole system,
+    term by term.
+    """
+    free = model.enumeration_variables()
+    total = ctx.q ** len(free)
+    if total > config.enumeration_cap:
+        raise BudgetExceeded(
+            f"q^{len(free)} = {total} exceeds enumeration cap {config.enumeration_cap}"
+        )
+    eqs = [compile_terms(e, ctx.from_rational) for e in model.equations]
+    ineqs = [compile_terms(e, ctx.from_rational) for e in model.inequations]
+    elements = list(ff_enumerate(ctx, config))
+    zero = ctx.zero()
+
+    def rec(idx: int, values: dict):
+        if idx == len(free):
+            for kind, target, source in model.steps:
+                s = values[source]
+                if kind == "image":
+                    values[target] = s * s + values["c"]
+                else:
+                    values[target] = -s
+            for compiled in eqs:
+                if eval_terms(compiled, values) != zero:
+                    return
+            for compiled in ineqs:
+                if eval_terms(compiled, values) == zero:
+                    return
+            yield dict(values)
+            return
+        for z in elements:
+            values[free[idx]] = z
+            yield from rec(idx + 1, values)
+
+    yield from rec(0, {})
+
+
+def brute_counts(model: CurveModel, p: int, k: int = 1) -> tuple:
+    """(affine, nonsingular, cross) as count_points should report them: the
+    brute solution count; for a plane model, the solutions where a partial
+    derivative is nonzero, with the root-counting total equal to the
+    affine count; otherwise None for both."""
+    ctx = FFContext(p, k)
+    zero = ctx.zero()
+    plane = len(model.variables) == 2 and len(model.equations) == 1
+    partials = []
+    if plane:
+        f = model.equations[0]
+        partials = [compile_terms(f.partial(v), ctx.from_rational) for v in model.variables]
+    affine = nonsingular = 0
+    for sol in brute_solutions(model, ctx):
+        affine += 1
+        if any(eval_terms(pd, sol) != zero for pd in partials):
+            nonsingular += 1
+    if not plane:
+        return affine, None, None
+    return affine, nonsingular, affine

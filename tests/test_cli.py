@@ -126,6 +126,24 @@ def test_ff_commands(capsys):
     assert code == 0 and "max_period=3" in out
 
 
+def test_cap_is_checked_before_the_field_is_built(capsys, monkeypatch, tmp_path):
+    from dynw.ff import FFContext
+    from dynw.models import model_to_json, plane_model
+
+    def no_search(self):
+        raise AssertionError("searched for a modulus")
+
+    monkeypatch.setattr(FFContext, "_find_modulus", no_search)
+    model = tmp_path / "plane1.json"
+    model.write_text(model_to_json(plane_model(1)))
+    expected = f"error: q^2 = {2 ** 400} exceeds enumeration cap 10000000\n"
+    for argv in (
+        ("ff", "max-period", "--p", "2", "--k", "200"),
+        ("ff", "count", "--model", str(model), "--p", "2", "--k", "200"),
+    ):
+        assert run(capsys, *argv) == (1, "", expected)
+
+
 def test_classify_and_sweep(capsys, tmp_path):
     code, out, _ = run(capsys, "classify", "--c", "-3/4")
     assert code == 0 and "label=4(1,1)" in out
@@ -158,16 +176,30 @@ def test_usage_error_exit_code(capsys):
 
 
 def test_bad_configuration_is_a_usage_error(capsys, monkeypatch):
-    code, out, err = run(capsys, "--jobs", "0", "classify", "--c", "1")
-    assert (code, out) == (2, "") and err == "error: jobs must be >= 1\n"
-    monkeypatch.setenv("DYNW_JOBS", "abc")
+    code, out, err = run(capsys, "--enumeration-cap", "0", "classify", "--c", "1")
+    assert (code, out) == (2, "") and err == "error: all configuration caps must be positive\n"
+    monkeypatch.setenv("DYNW_ENUMERATION_CAP", "abc")
     code, out, err = run(capsys, "classify", "--c", "1")
-    assert (code, out) == (2, "") and err == "error: DYNW_JOBS must be an integer, got 'abc'\n"
-    monkeypatch.delenv("DYNW_JOBS")
+    assert (code, out) == (2, "")
+    assert err == "error: DYNW_ENUMERATION_CAP must be an integer, got 'abc'\n"
+    monkeypatch.delenv("DYNW_ENUMERATION_CAP")
+    code, out, err = run(capsys, "--jobs", "2", "classify", "--c", "1")
+    assert (code, out) == (2, "") and err.startswith("usage: dynw")
     monkeypatch.setenv("DYNW_OUTPUT_FORMAT", "csv")
     code, out, err = run(capsys, "classify", "--c", "1")
     assert (code, out) == (2, "") and err.startswith("error: output_format must be one of")
     assert err.count("\n") == 1
+
+
+def test_default_config_refuses_level_12_before_building(capsys, monkeypatch):
+    from dynw import _packed
+
+    def no_build(n):
+        raise AssertionError("started building f^n")
+
+    monkeypatch.setattr(_packed, "fc_iterate", no_build)
+    code, out, err = run(capsys, "dynatomic", "poly", "--n", "12")
+    assert (code, out) == (1, "") and err == "error: n = 12 exceeds max_dynatomic_n = 11\n"
 
 
 def test_domain_error_exit_code(capsys):

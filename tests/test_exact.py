@@ -4,8 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import poly_exact_divide
+from oracles import compile_terms, eval_terms, poly_exact_divide
 
 from dynw.errors import (
     BudgetExceeded,
@@ -71,6 +73,54 @@ def test_parse_str_round_trip():
     assert str(MultiPoly.zero()) == "0"
     assert P("-x") == -MultiPoly.var("x")
     assert P("3/2*c*x^2 - 1/2") == P("-1/2 + 3/2*x^2*c")
+
+
+_NAMES = ("c", "x", "y", "x1", "u_2")
+
+
+@st.composite
+def polys(draw):
+    """A MultiPoly over a subset of _NAMES with small exponents and
+    coefficients whose denominators are at most 6."""
+    names = draw(st.lists(st.sampled_from(_NAMES), unique=True, max_size=3))
+    terms = draw(
+        st.dictionaries(
+            st.tuples(*(st.integers(0, 5) for _ in names)),
+            st.fractions(-40, 40, max_denominator=6),
+            max_size=6,
+        )
+    )
+    return MultiPoly(names, terms)
+
+
+@settings(max_examples=100, deadline=None)
+@given(f=polys())
+def test_parse_inverts_str(f):
+    assert MultiPoly.parse(str(f)) == f
+
+
+@settings(max_examples=100, deadline=None)
+@given(f=polys(), values=st.tuples(*(st.fractions(-5, 5, max_denominator=9) for _ in _NAMES)))
+def test_horner_matches_term_oracle_over_q(f, values):
+    assignment = dict(zip(_NAMES, values))
+    expected = eval_terms(compile_terms(f, Fraction), assignment)
+    assert f.horner(Fraction)(assignment) == expected
+    assert f.evaluate(assignment) == expected
+
+
+_FIELDS = {(p, k): FFContext(p, k) for p, k in ((7, 1), (11, 1), (7, 2), (11, 2))}
+
+
+@settings(max_examples=100, deadline=None)
+@given(f=polys(), field=st.sampled_from(sorted(_FIELDS)), data=st.data())
+def test_horner_matches_term_oracle_over_finite_fields(f, field, data):
+    ctx = _FIELDS[field]
+    p, k = field
+    coeffs = st.tuples(*(st.integers(0, p - 1) for _ in range(k)))
+    assignment = {v: ctx.element(data.draw(coeffs)) for v in _NAMES}
+    expected = eval_terms(compile_terms(f, ctx.from_rational), assignment)
+    assert f.horner(ctx.from_rational)(assignment) == expected
+    assert f.evaluate(assignment) == expected
 
 
 def test_parse_errors():

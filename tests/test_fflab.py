@@ -4,6 +4,9 @@ import random
 
 import pytest
 
+from oracles import brute_counts
+
+from dynw.catalog import generic_entries, lookup
 from dynw.config import RunConfig
 from dynw.errors import BudgetExceeded
 from dynw.ff import FFContext
@@ -14,7 +17,15 @@ from dynw.fflab import (
     gonality_lower_bound,
     max_period_mod,
 )
-from dynw.models import CurveModel, plane_model
+from dynw.models import (
+    CurveModel,
+    full_model,
+    model_from_json,
+    model_to_json,
+    multi_level_model,
+    plane_model,
+    reduced_model,
+)
 from dynw.multipoly import MultiPoly
 
 
@@ -60,21 +71,55 @@ def test_count_budget():
         count_points(plane_model(1), 7, config=cfg)
 
 
-def test_parallel_count_matches_serial():
-    from dynw.catalog import lookup
-    from dynw.models import full_model, multi_level_model
-
+def _oracle_cases():
+    """(model, p, k): full models of the small generic portraits, both
+    counting strategies on planes over prime and extension fields, and
+    models with inequations read back from JSON."""
     cases = [
-        (plane_model(3), 19),
-        (multi_level_model((3, 3)), 19),
-        (full_model(lookup("8(2,1,1)").portrait), 7),
+        (full_model(e.portrait), p, 1)
+        for e in generic_entries()
+        if 0 < e.portrait.n <= 10
+        for p in (5, 7)
     ]
-    for model, p in cases:
-        serial = count_points(model, p, config=RunConfig(jobs=1))
-        parallel = count_points(model, p, config=RunConfig(jobs=3))
-        assert parallel.affine_count == serial.affine_count
-        assert parallel.nonsingular_count == serial.nonsingular_count
-        assert parallel.cross_count == serial.cross_count
+    cases += [
+        (multi_level_model((3, 3)), 19, 1),
+        (plane_model(3), 19, 1),
+        (plane_model(3), 7, 2),
+        (plane_model(4), 5, 2),
+    ]
+    for model in (
+        full_model(lookup("8(2,1,1)").portrait),
+        reduced_model(lookup("8(2,1,1)").portrait),
+        reduced_model(lookup("8(2)a").portrait),
+        reduced_model(lookup("10(1,1)b").portrait),
+        multi_level_model((3, 3)),
+    ):
+        assert model.inequations
+        cases.append((model_from_json(model_to_json(model)), 7, 1))
+    return cases
+
+
+def test_count_points_matches_brute_oracle():
+    for model, p, k in _oracle_cases():
+        r = count_points(model, p, k)
+        got = (r.affine_count, r.nonsingular_count, r.cross_count)
+        assert got == brute_counts(model, p, k), (model.name, p, k)
+        assert not r.violations
+
+
+def test_zero_partial_derivative_does_not_make_a_point_nonsingular():
+    # x^2 = 0 is a double line in the (c, x) plane: every point is singular,
+    # though the partial in c is the zero polynomial
+    double_line = CurveModel(
+        name="double-line",
+        variables=("c", "x"),
+        equations=[MultiPoly.parse("x^2")],
+        inequations=[],
+        provenance="plane",
+        free_variables=("c", "x"),
+    )
+    r = count_points(double_line, 5)
+    assert (r.affine_count, r.nonsingular_count, r.cross_count) == (5, 0, 5)
 
 
 def test_gonality_lower_bound():
