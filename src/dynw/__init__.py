@@ -3,7 +3,7 @@
 Modules:
     rational    arbitrary-precision rational scalars and integer helpers
     multipoly   sparse multivariate polynomials over the rationals
-    ff          finite fields F_{p^k} with verified irreducible moduli
+    ff          finite fields F_{p^k} on int codes, verified irreducible moduli
     dynatomic   dynatomic polynomials and degree/branch/genus arithmetic
     portraits   functional-graph portraits, canonical forms, enumeration
     catalog     the built-in named-portrait catalog

@@ -130,6 +130,12 @@ def _cmd_dynatomic_check_bounds(args, config) -> int:
 
 
 def _cmd_dynatomic_asymptotic(args, config) -> int:
+    # every integer of the report is below 2^n, and 2^n < 10^L for n <= 3L
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and args.n > 3 * limit:
+        raise ValueError(
+            f"--n {args.n} gives integers too long to print; use --n <= {3 * limit}"
+        )
     r = dyn.asymptotic_genus_check(args.n)
     if args.json:
         _emit(

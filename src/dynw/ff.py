@@ -1,162 +1,292 @@
-"""Finite fields F_{p^k} as quotients of univariate polynomial rings over F_p.
+"""Finite fields F_{p^k} on integer codes.
+
+An element of F_q, q = p^k, is an int in [0, q): its base-p digits, least
+significant first, are its coefficient vector in F_p[t] / (modulus).  So
+range(q) lists the field in the lexicographic order of coefficient vectors,
+the order ff_enumerate yields.  Prime fields compute with % p.  Extension
+fields compute through tables built once per context from digit arithmetic:
+exp and log for a primitive element g, and Zech logarithms
+zech[n] = log(1 + g^n) for addition, of about q entries each.
 
 The modulus of a context is always verified irreducible at construction (a
 wrong modulus would silently corrupt every point count downstream): a monic
 degree-k polynomial m over F_p is reducible iff it has an irreducible factor
 of degree j <= k/2, iff gcd(m, x^{p^j} - x) is nonconstant for some such j.
+
+FFElement wraps a code with its context, for callers that want operator
+syntax: MultiPoly.evaluate on field values, max_period_mod's witness and
+the tests.
 """
 
 from __future__ import annotations
 
+import operator
+from array import array
 from fractions import Fraction
 from typing import Iterator
 
 from .config import RunConfig, DEFAULT
 from .errors import BudgetExceeded
-from .rational import is_prime
+from .multipoly import Ring
+from .rational import factorize, is_prime
 
-# Dense univariate polynomials over F_p are plain lists of ints, low degree
-# first, with no trailing zeros.
-
-
-def _ptrim(f: list[int]) -> list[int]:
-    while f and f[-1] == 0:
-        f.pop()
-    return f
+# Univariate polynomials over a field are lists of codes, low degree first,
+# with no trailing zeros.  They serve the irreducibility and primitivity
+# tests over F_p and the root counting over F_q in fflab.
 
 
-def _pmul(f: list[int], g: list[int], p: int) -> list[int]:
-    if not f or not g:
+def poly_trim(u: list[int]) -> list[int]:
+    while u and not u[-1]:
+        u.pop()
+    return u
+
+
+def poly_mul(a: list[int], b: list[int], F: "FFContext") -> list[int]:
+    if not a or not b:
         return []
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a == 0:
+    add, mul = F.add, F.mul
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if not x:
             continue
-        for j, b in enumerate(g):
-            out[i + j] = (out[i + j] + a * b) % p
-    return _ptrim(out)
+        for j, y in enumerate(b):
+            out[i + j] = add(out[i + j], mul(x, y))
+    return poly_trim(out)
 
 
-def _pmod(f: list[int], m: list[int], p: int) -> list[int]:
-    f = f[:]
-    dm = len(m) - 1
-    inv_lead = pow(m[-1], p - 2, p)
-    while len(f) - 1 >= dm and f:
-        shift = len(f) - 1 - dm
-        factor = f[-1] * inv_lead % p
+def poly_mod(a: list[int], m: list[int], F: "FFContext") -> list[int]:
+    a = a[:]
+    inv = F.inv(m[-1])
+    mul, sub = F.mul, F.sub
+    while len(a) >= len(m) and a:
+        shift = len(a) - len(m)
+        factor = mul(a[-1], inv)
         for i, c in enumerate(m):
-            f[shift + i] = (f[shift + i] - factor * c) % p
-        _ptrim(f)
-    return f
+            a[shift + i] = sub(a[shift + i], mul(factor, c))
+        poly_trim(a)
+    return a
 
 
-def _pgcd(f: list[int], g: list[int], p: int) -> list[int]:
-    while g:
-        f, g = g, _pmod(f, g, p)
-    if f:
-        inv = pow(f[-1], p - 2, p)
-        f = [c * inv % p for c in f]
-    return f
+def poly_gcd(a: list[int], b: list[int], F: "FFContext") -> list[int]:
+    while b:
+        a, b = b, poly_mod(a, b, F)
+    return a
 
 
-def _ppow_x(e: int, m: list[int], p: int) -> list[int]:
-    """x^e mod m over F_p, by square and multiply."""
+def poly_powmod(f: list[int], e: int, m: list[int], F: "FFContext") -> list[int]:
+    """f^e mod m, by square and multiply."""
     result = [1]
-    base = _pmod([0, 1], m, p)
+    base = poly_mod(f, m, F)
     while e:
         if e & 1:
-            result = _pmod(_pmul(result, base, p), m, p)
-        base = _pmod(_pmul(base, base, p), m, p)
+            result = poly_mod(poly_mul(result, base, F), m, F)
+        base = poly_mod(poly_mul(base, base, F), m, F)
         e >>= 1
     return result
 
 
-def _is_irreducible(m: list[int], p: int) -> bool:
-    k = len(m) - 1
-    if k < 1:
-        return False
-    if k == 1:
-        return True
-    for j in range(1, k // 2 + 1):
-        xq = _ppow_x(p**j, m, p)
-        diff = xq[:]
-        if len(diff) < 2:
-            diff += [0] * (2 - len(diff))
-        diff[1] = (diff[1] - 1) % p
-        g = _pgcd(m, _ptrim(diff), p)
-        if len(g) != 1:
+def _is_irreducible(m: list[int], Fp: "FFContext") -> bool:
+    for j in range(1, (len(m) - 1) // 2 + 1):
+        diff = poly_powmod([0, 1], Fp.p**j, m, Fp) + [0, 0]
+        diff[1] = Fp.sub(diff[1], 1)
+        if len(poly_gcd(m, poly_trim(diff), Fp)) != 1:
             return False
     return True
 
 
+# Powers of at most this many bits print as decimal well inside CPython's
+# default limit of 4300 digits for int-to-str conversion.
+_PRINTABLE_BITS = 12_000
+
+
+def check_enumeration_cap(q: int, dims: int, config: RunConfig = DEFAULT) -> None:
+    """Raise BudgetExceeded when q^dims exceeds the enumeration cap.  The
+    message names q^dims when it is printable and otherwise a power of two
+    below it, which spares computing q^dims when that bound exceeds the cap."""
+    cap = config.enumeration_cap
+    name = "q" if dims == 1 else f"q^{dims}"
+    low_bits = dims * (q.bit_length() - 1)  # q^dims >= 2^low_bits
+    if dims * q.bit_length() > _PRINTABLE_BITS:
+        if low_bits >= cap.bit_length() or q**dims > cap:
+            raise BudgetExceeded(f"{name} >= 2^{low_bits} exceeds enumeration cap {cap}")
+    elif q**dims > cap:
+        raise BudgetExceeded(f"{name} = {q**dims} exceeds enumeration cap {cap}")
+
+
 class FFContext:
-    """The field F_{p^k} = F_p[t] / (modulus)."""
+    """The field F_{p^k} = F_p[t] / (modulus), its elements coded as ints.
 
-    __slots__ = ("p", "k", "modulus", "_zero", "_one")
+    add, sub, neg, mul, inv and pow act on codes.  `ring` carries the
+    operations MultiPoly.horner evaluates with: over a prime field it
+    evaluates over Z and reduces once mod p, which is exact.  An extension
+    field must fit the enumeration cap, q <= config.enumeration_cap,
+    because it keeps tables of about q entries.
+    """
 
-    def __init__(self, p: int, k: int = 1, modulus: tuple[int, ...] | None = None):
+    __slots__ = ("p", "k", "q", "modulus", "ring", "_exp", "_log", "_zech")
+
+    def __init__(
+        self, p: int, k: int = 1, modulus: tuple | None = None, config: RunConfig = DEFAULT
+    ):
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         if k < 1:
             raise ValueError("extension degree must be >= 1")
-        self.p = p
-        self.k = k
+        if k > 1:
+            check_enumeration_cap(p**k, 1, config)  # the tables hold about q entries
+        self.p, self.k, self.q = p, k, p**k
+        self._exp = self._log = self._zech = None
         if modulus is None:
             modulus = self._find_modulus()
         else:
             modulus = tuple(c % p for c in modulus)
             if len(modulus) != k + 1 or modulus[-1] != 1:
                 raise ValueError("modulus must be monic of degree k")
-            if not _is_irreducible(list(modulus), p):
+            if not _is_irreducible(list(modulus), FFContext(p)):
                 raise ValueError("modulus is reducible")
         self.modulus = modulus
-        self._zero = FFElement(self, (0,) * k)
-        self._one = FFElement(self, (1,) + (0,) * (k - 1))
+        if k == 1:
+            self.ring = Ring(self.coerce, operator.add, operator.mul, operator.pow, p)
+        else:
+            self._build_tables()
+            self.ring = Ring(self.coerce, self.add, self.mul, self.pow)
 
     def _find_modulus(self) -> tuple[int, ...]:
         """Smallest monic irreducible of degree k, lexicographic on low coefficients."""
-        p, k = self.p, self.k
-        if k == 1:
+        if self.k == 1:
             return (0, 1)
+        Fp = FFContext(self.p)
         # counter enumerates the k low coefficients in lexicographic order
-        for counter in range(p**k):
-            coeffs = []
-            c = counter
-            for _ in range(k):
-                coeffs.append(c % p)
-                c //= p
-            m = coeffs + [1]
-            if m[0] != 0 and _is_irreducible(m, p):
+        for counter in range(self.q):
+            m = list(self.digits(counter)) + [1]
+            if m[0] != 0 and _is_irreducible(m, Fp):
                 return tuple(m)
         raise RuntimeError("no irreducible modulus found")  # impossible
 
-    @property
-    def q(self) -> int:
-        return self.p**self.k
+    def _build_tables(self) -> None:
+        """exp, log and zech for the first primitive element g in code order.
+
+        exp[n] = g^n for 0 <= n < 2(q - 1), so a sum of two logs indexes it
+        directly; log[exp[n]] = n; zech[n] = log(1 + g^n), or -1 where
+        1 + g^n = 0.  They are arrays of 8-byte ints, 32 bytes per element
+        in all.  The powers of g come from polynomial products over F_p.
+        """
+        p, q, m = self.p, self.q, list(self.modulus)
+        Fp = FFContext(p)
+        cofactors = [(q - 1) // r for r in factorize(q - 1)]
+        # codes below p are the prime field, of order dividing p - 1 < q - 1
+        for code in range(p, q):
+            g = poly_trim(list(self.digits(code)))
+            if all(poly_powmod(g, e, m, Fp) != [1] for e in cofactors):
+                break
+        place = [p**i for i in range(self.k)]
+        exp = array("q", [0]) * (2 * q - 2)
+        log = array("q", [0]) * q
+        power = [1]
+        for n in range(q - 1):
+            code = sum(c * w for c, w in zip(power, place))
+            exp[n] = exp[n + q - 1] = code
+            log[code] = n
+            power = poly_mod(poly_mul(g, power, Fp), m, Fp)
+        zech = array("q", [-1]) * (q - 1)
+        for n in range(q - 1):
+            low = exp[n] % p
+            plus_one = exp[n] - low + (low + 1) % p  # 1 + g^n: only the constant digit moves
+            if plus_one:
+                zech[n] = log[plus_one]
+        self._exp, self._log, self._zech = exp, log, zech
+
+    # ------------------------------------------------------------ codes
+
+    def coerce(self, r) -> int:
+        """The code of an integer or a rational number."""
+        if not isinstance(r, (int, Fraction)):
+            r = Fraction(r)
+        p = self.p
+        if r.denominator % p == 0:
+            raise ZeroDivisionError(f"denominator of {r} vanishes mod {p}")
+        return r.numerator * pow(r.denominator, -1, p) % p
+
+    def digits(self, a: int) -> tuple[int, ...]:
+        """The coefficient vector of a code, low degree first."""
+        out = []
+        for _ in range(self.k):
+            a, digit = divmod(a, self.p)
+            out.append(digit)
+        return tuple(out)
+
+    def add(self, a: int, b: int) -> int:
+        log = self._log
+        if log is None:
+            return (a + b) % self.p
+        if not a:
+            return b
+        if not b:
+            return a
+        la = log[a]
+        # a + b = a (1 + b/a); zech has q - 1 entries, so a negative
+        # difference of logs wraps around to the right entry
+        z = self._zech[log[b] - la]
+        return self._exp[la + z] if z >= 0 else 0
+
+    def neg(self, a: int) -> int:
+        log = self._log
+        if log is None:
+            return -a % self.p
+        if not a or self.p == 2:
+            return a
+        return self._exp[log[a] + (self.q - 1) // 2]  # -1 = g^((q-1)/2)
+
+    def sub(self, a: int, b: int) -> int:
+        return self.add(a, self.neg(b))
+
+    def mul(self, a: int, b: int) -> int:
+        log = self._log
+        if log is None:
+            return a * b % self.p
+        if a and b:
+            return self._exp[log[a] + log[b]]
+        return 0
+
+    def inv(self, a: int) -> int:
+        if not a:
+            raise ZeroDivisionError("inverse of zero")
+        if self._log is None:
+            return pow(a, -1, self.p)
+        return self._exp[self.q - 1 - self._log[a]]
+
+    def pow(self, a: int, e: int) -> int:
+        if not a:
+            if e < 0:
+                raise ZeroDivisionError("inverse of zero")
+            return 0 if e else 1
+        if self._log is None:
+            return pow(a, e, self.p)
+        return self._exp[self._log[a] * e % (self.q - 1)]
+
+    # --------------------------------------------------------- elements
+
+    def wrap(self, a: int) -> "FFElement":
+        """The element with code a."""
+        return FFElement(self, a)
 
     def zero(self) -> "FFElement":
-        return self._zero
+        return FFElement(self, 0)
 
     def one(self) -> "FFElement":
-        return self._one
+        return FFElement(self, 1)
 
     def from_int(self, n: int) -> "FFElement":
-        return FFElement(self, (n % self.p,) + (0,) * (self.k - 1))
+        return FFElement(self, n % self.p)
 
-    def from_rational(self, q) -> "FFElement":
-        q = Fraction(q)
-        if q.denominator % self.p == 0:
-            raise ZeroDivisionError(f"denominator of {q} vanishes mod {self.p}")
-        num = self.from_int(q.numerator)
-        if q.denominator == 1:
-            return num
-        return num * self.from_int(q.denominator).inverse()
+    def from_rational(self, r) -> "FFElement":
+        return FFElement(self, self.coerce(r))
 
     def element(self, coeffs) -> "FFElement":
-        coeffs = tuple(c % self.p for c in coeffs)
+        coeffs = tuple(coeffs)
         if len(coeffs) != self.k:
             raise ValueError("coefficient vector has wrong length")
-        return FFElement(self, coeffs)
+        return FFElement(self, sum(c % self.p * self.p**i for i, c in enumerate(coeffs)))
 
     def __eq__(self, other):
         return (
@@ -172,143 +302,79 @@ class FFContext:
 
 
 class FFElement:
-    __slots__ = ("context", "coeffs")
+    """An element of a field context, with operator syntax."""
 
-    def __init__(self, context: FFContext, coeffs: tuple[int, ...]):
+    __slots__ = ("context", "code")
+
+    def __init__(self, context: FFContext, code: int):
         self.context = context
-        self.coeffs = coeffs
+        self.code = code
 
-    def _check(self, other: "FFElement"):
-        if self.context != other.context:
+    @property
+    def coeffs(self) -> tuple[int, ...]:
+        return self.context.digits(self.code)
+
+    def _check(self, other) -> int:
+        """The code of other, an int or an element of this element's field."""
+        if isinstance(other, int):
+            return other % self.context.p
+        if other.context is not self.context and other.context != self.context:
             raise ValueError("elements of different field contexts")
+        return other.code
 
     def __add__(self, other):
-        if isinstance(other, int):
-            other = self.context.from_int(other)
-        self._check(other)
-        p = self.context.p
-        return FFElement(self.context, tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs)))
+        ctx = self.context
+        return FFElement(ctx, ctx.add(self.code, self._check(other)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        p = self.context.p
-        return FFElement(self.context, tuple(-a % p for a in self.coeffs))
+        return FFElement(self.context, self.context.neg(self.code))
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = self.context.from_int(other)
-        return self + (-other)
+        ctx = self.context
+        return FFElement(ctx, ctx.sub(self.code, self._check(other)))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            other = self.context.from_int(other)
-        self._check(other)
         ctx = self.context
-        p, k = ctx.p, ctx.k
-        if k == 1:
-            return FFElement(ctx, (self.coeffs[0] * other.coeffs[0] % p,))
-        prod = [0] * (2 * k - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                prod[i + j] += a * b
-        m = ctx.modulus
-        for d in range(2 * k - 2, k - 1, -1):
-            c = prod[d] % p
-            if c:
-                for i in range(k):
-                    prod[d - k + i] -= c * m[i]
-            prod[d] = 0
-        return FFElement(ctx, tuple(v % p for v in prod[:k]))
+        return FFElement(ctx, ctx.mul(self.code, self._check(other)))
 
     __rmul__ = __mul__
 
     def __pow__(self, e: int):
-        if e < 0:
-            return self.inverse() ** (-e)
-        result = self.context.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return FFElement(self.context, self.context.pow(self.code, e))
 
     def inverse(self) -> "FFElement":
-        """Multiplicative inverse by the extended Euclidean algorithm."""
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero")
-        ctx = self.context
-        p = ctx.p
-        r0, r1 = list(ctx.modulus), _ptrim(list(self.coeffs))
-        s0, s1 = [], [1]
-        while len(r1) > 1:
-            # one division step: r0 = q*r1 + r
-            q = [0] * (len(r0) - len(r1) + 1)
-            rem = r0[:]
-            inv_lead = pow(r1[-1], p - 2, p)
-            while len(rem) >= len(r1) and rem:
-                shift = len(rem) - len(r1)
-                factor = rem[-1] * inv_lead % p
-                q[shift] = factor
-                for i, c in enumerate(r1):
-                    rem[shift + i] = (rem[shift + i] - factor * c) % p
-                _ptrim(rem)
-            r0, r1 = r1, rem
-            qs1 = _pmul(q, s1, p)
-            news = [0] * max(len(s0), len(qs1))
-            for i, c in enumerate(s0):
-                news[i] = c
-            for i, c in enumerate(qs1):
-                news[i] = (news[i] - c) % p
-            s0, s1 = s1, _ptrim(news)
-        # r1 is a nonzero constant; normalize
-        inv_c = pow(r1[0], p - 2, p)
-        s1 = [c * inv_c % p for c in s1]
-        s1 += [0] * (ctx.k - len(s1))
-        return FFElement(ctx, tuple(s1[: ctx.k]))
+        return FFElement(self.context, self.context.inv(self.code))
 
     def frobenius(self) -> "FFElement":
         return self ** self.context.p
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return self.code == 0
 
     def __eq__(self, other):
         if isinstance(other, int):
-            other = self.context.from_int(other)
+            return self.code == other % self.context.p
         return (
             isinstance(other, FFElement)
-            and self.context == other.context
-            and self.coeffs == other.coeffs
+            and (other.context is self.context or other.context == self.context)
+            and self.code == other.code
         )
 
     def __hash__(self):
-        return hash((self.context.p, self.context.k, self.coeffs))
+        return hash((self.context.p, self.context.k, self.code))
 
     def __repr__(self):
         if self.context.k == 1:
-            return f"ff({self.coeffs[0]} mod {self.context.p})"
+            return f"ff({self.code} mod {self.context.p})"
         return f"ff({list(self.coeffs)} over p={self.context.p},k={self.context.k})"
 
 
 def ff_enumerate(ctx: FFContext, config: RunConfig = DEFAULT) -> Iterator[FFElement]:
     """Yield each element of F_{p^k} exactly once, lexicographic on coeffs."""
-    if ctx.q > config.enumeration_cap:
-        raise BudgetExceeded(f"q = {ctx.q} exceeds enumeration cap {config.enumeration_cap}")
-    p, k = ctx.p, ctx.k
-
-    def rec(prefix: tuple[int, ...]) -> Iterator[FFElement]:
-        if len(prefix) == k:
-            yield FFElement(ctx, prefix)
-            return
-        for c in range(p):
-            yield from rec(prefix + (c,))
-
-    return rec(())
+    check_enumeration_cap(ctx.q, 1, config)
+    return map(ctx.wrap, range(ctx.q))

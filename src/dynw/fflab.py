@@ -5,12 +5,15 @@ Counts are affine-model counts; points at infinity and singular-fiber
 corrections are out of scope, so gonality statements derived from them are
 lower bounds computed from (nonsingular) affine points.
 
+All field arithmetic runs on the int codes of an FFContext, with the
+context's add, mul, neg, sub and inv; elements are the codes in range(q).
 Solutions are enumerated in-process over a model's free variables, and
 each equation, inequation and propagation step is applied at the first
 enumeration level where its variables are bound, so a failed condition
 prunes everything below it.  Polynomials are evaluated in the compiled
-Horner form of MultiPoly.horner.  The exhaustive enumeration that checks
-every condition only on complete assignments is the test oracle.
+Horner form of MultiPoly.horner over the context's ring.  The exhaustive
+enumeration on coefficient-tuple arithmetic that checks every condition
+only on complete assignments is the test oracle.
 
 For plane models the affine count is computed twice, by independent
 strategies: straight enumeration of (c, x), and per-x root counting in c
@@ -24,27 +27,18 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from .config import RunConfig, DEFAULT
-from .errors import BudgetExceeded
-from .ff import FFContext, FFElement, ff_enumerate
+from .ff import FFContext, FFElement, check_enumeration_cap, poly_gcd, poly_powmod, poly_trim
 from .models import CurveModel
 
 
 # ----------------------------------------------------------- solution iteration
 
 
-def check_enumeration_cap(q: int, dims: int, config: RunConfig = DEFAULT) -> None:
-    """Raise BudgetExceeded when q^dims exceeds the enumeration cap."""
-    total = q**dims
-    if total > config.enumeration_cap:
-        raise BudgetExceeded(
-            f"q^{dims} = {total} exceeds enumeration cap {config.enumeration_cap}"
-        )
-
-
 def iter_solutions(
     model: CurveModel, ctx: FFContext, config: RunConfig = DEFAULT
 ) -> Iterator[dict]:
-    """All assignments over F_q satisfying every equation and inequation.
+    """All assignments over F_q satisfying every equation and inequation,
+    as dicts from variable names to codes.
 
     Enumeration runs over the model's free variables, in order; the
     remaining variables are filled in by the recorded propagation steps
@@ -65,22 +59,22 @@ def iter_solutions(
     for is_equation, polys in ((True, model.equations), (False, model.inequations)):
         for poly in polys:
             at = max((level[v] for v in poly.variables), default=0)
-            checks[at].append((poly.horner(ctx.from_rational), is_equation))
-    elements = list(ff_enumerate(ctx, config))
-    zero = ctx.zero()
+            checks[at].append((poly.horner(ctx.ring), is_equation))
+    codes = range(ctx.q)
+    add, mul, neg = ctx.add, ctx.mul, ctx.neg
 
     def rec(depth: int, values: dict):
         for kind, target, source in steps[depth]:
             s = values[source]
-            values[target] = s * s + values["c"] if kind == "image" else -s
+            values[target] = add(mul(s, s), values["c"]) if kind == "image" else neg(s)
         for poly, is_equation in checks[depth]:
-            if (poly(values) == zero) != is_equation:
+            if (poly(values) == 0) != is_equation:
                 return
         if depth == len(free):
             yield dict(values)
             return
         var = free[depth]
-        for z in elements:
+        for z in codes:
             values[var] = z
             yield from rec(depth + 1, values)
 
@@ -115,18 +109,17 @@ def count_points(
     independent per-x root-counting total (cross_count).
     """
     check_enumeration_cap(p**k, len(model.enumeration_variables()), config)
-    ctx = FFContext(p, k)
+    ctx = FFContext(p, k, config=config)
     plane = _is_plane(model)
     partials = []
     if plane:
         f = model.equations[0]
-        partials = [f.partial(v).horner(ctx.from_rational) for v in model.variables]
-    zero = ctx.zero()
+        partials = [f.partial(v).horner(ctx.ring) for v in model.variables]
     affine = 0
     nonsingular = 0
     for sol in iter_solutions(model, ctx, config):
         affine += 1
-        if any(pd(sol) != zero for pd in partials):
+        if any(pd(sol) for pd in partials):
             nonsingular += 1
     report = PointCountReport(
         model_id=model.name,
@@ -150,73 +143,18 @@ def _plane_count_by_roots(model: CurveModel, ctx: FFContext) -> int:
     f = model.equations[0]
     first, second = model.variables
     deg = f.degree(first)
-    coeff_polys = [f.coefficient_in(first, i).horner(ctx.from_rational) for i in range(deg + 1)]
+    coeff_polys = [f.coefficient_in(first, i).horner(ctx.ring) for i in range(deg + 1)]
     total = 0
-    for b in ff_enumerate(ctx):
-        coeffs = [poly({second: b}) for poly in coeff_polys]
-        u = _ftrim(coeffs, ctx)
+    for b in range(ctx.q):
+        u = poly_trim([poly({second: b}) for poly in coeff_polys])
         if not u:
             total += ctx.q
             continue
-        if len(u) == 1:
-            continue
-        total += _distinct_root_count(u, ctx)
+        # the distinct roots of u are those of gcd(u, c^q - c)
+        diff = poly_powmod([0, 1], ctx.q, u, ctx) + [0, 0]
+        diff[1] = ctx.sub(diff[1], 1)
+        total += len(poly_gcd(u, poly_trim(diff), ctx)) - 1
     return total
-
-
-def _ftrim(u: list[FFElement], ctx: FFContext) -> list[FFElement]:
-    while u and u[-1] == ctx.zero():
-        u.pop()
-    return u
-
-
-def _fmod(a: list[FFElement], m: list[FFElement], ctx: FFContext) -> list[FFElement]:
-    a = a[:]
-    inv = m[-1].inverse()
-    while len(a) >= len(m) and a:
-        shift = len(a) - len(m)
-        factor = a[-1] * inv
-        for i, c in enumerate(m):
-            a[shift + i] = a[shift + i] - factor * c
-        _ftrim(a, ctx)
-    return a
-
-
-def _fgcd(a: list[FFElement], b: list[FFElement], ctx: FFContext) -> list[FFElement]:
-    while b:
-        a, b = b, _fmod(a, b, ctx)
-    return a
-
-
-def _distinct_root_count(u: list[FFElement], ctx: FFContext) -> int:
-    """deg gcd(u, z^q - z), the number of distinct roots of u in F_q."""
-    # z^q mod u by square-and-multiply on [0, 1]
-    zq = [ctx.one()]
-    base = _fmod([ctx.zero(), ctx.one()], u, ctx)
-    e = ctx.q
-    while e:
-        if e & 1:
-            zq = _fmod(_fmul(zq, base, ctx), u, ctx)
-        base = _fmod(_fmul(base, base, ctx), u, ctx)
-        e >>= 1
-    # z^q - z
-    need = max(len(zq), 2)
-    diff = zq + [ctx.zero()] * (need - len(zq))
-    diff[1] = diff[1] - ctx.one()
-    g = _fgcd(u, _ftrim(diff, ctx), ctx)
-    return len(g) - 1 if g else len(u) - 1
-
-
-def _fmul(a: list[FFElement], b: list[FFElement], ctx: FFContext) -> list[FFElement]:
-    if not a or not b:
-        return []
-    out = [ctx.zero()] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == ctx.zero():
-            continue
-        for j, y in enumerate(b):
-            out[i + j] = out[i + j] + x * y
-    return _ftrim(out, ctx)
 
 
 # ------------------------------------------------------------ bound calculators
@@ -282,36 +220,33 @@ def max_period_mod(ctx: FFContext, config: RunConfig = DEFAULT) -> MaxPeriodRepo
     enumeration cap.
     """
     check_enumeration_cap(ctx.q, 2, config)
-    elements = list(ff_enumerate(ctx, config))
-    index = {z: i for i, z in enumerate(elements)}
     q = ctx.q
-    best, witness = 0, elements[0]
-    squares = [z * z for z in elements]
-    for c in elements:
-        succ = [index[squares[i] + c] for i in range(q)]
-        longest = _longest_cycle(succ)
+    add, mul = ctx.add, ctx.mul
+    squares = [mul(z, z) for z in range(q)]
+    best, witness = 0, 0
+    for c in range(q):
+        longest = _longest_cycle([add(s, c) for s in squares])
         if longest > best:
             best, witness = longest, c
-    return MaxPeriodReport(p=ctx.p, k=ctx.k, q=q, max_period=best, witness_c=witness)
+    return MaxPeriodReport(p=ctx.p, k=ctx.k, q=q, max_period=best, witness_c=ctx.wrap(witness))
 
 
 def _longest_cycle(succ: list[int]) -> int:
-    n = len(succ)
-    state = [0] * n  # 0 new, 1 in progress, 2 done
+    """Longest cycle of v -> succ[v].  Each walk stamps the nodes it meets
+    with its start and step count and stops at the first stamped node; a
+    node stamped by the same walk closes a cycle."""
+    walk = [-1] * len(succ)
+    step = [0] * len(succ)
     best = 0
-    for start in range(n):
-        if state[start]:
+    for start in range(len(succ)):
+        if walk[start] >= 0:
             continue
-        path = []
-        pos = {}
-        v = start
-        while state[v] == 0:
-            state[v] = 1
-            pos[v] = len(path)
-            path.append(v)
+        v, t = start, 0
+        while walk[v] < 0:
+            walk[v] = start
+            step[v] = t
+            t += 1
             v = succ[v]
-        if state[v] == 1:
-            best = max(best, len(path) - pos[v])
-        for u in path:
-            state[u] = 2
+        if walk[v] == start and t - step[v] > best:
+            best = t - step[v]
     return best

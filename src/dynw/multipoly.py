@@ -20,10 +20,11 @@ Text grammar (round-trips with str()):
 
 from __future__ import annotations
 
+import operator
 import re
 from fractions import Fraction
-from functools import partial, reduce
-from math import gcd
+from functools import partial
+from typing import Callable, NamedTuple
 
 from .errors import MissingVariable, MixedScalarKinds, ParseError
 
@@ -32,6 +33,21 @@ _IDENT = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 
 def _term_key(exps: tuple[int, ...]) -> tuple:
     return (sum(exps), tuple(reversed(exps)))
+
+
+class Ring(NamedTuple):
+    """The scalar operations MultiPoly.horner evaluates with; coerce maps a
+    rational coefficient into the ring.  With a modulus, evaluation runs over
+    Z and reduces the result once, which is exact: Z -> Z/m is a ring map."""
+
+    coerce: Callable
+    add: Callable
+    mul: Callable
+    power: Callable
+    modulus: int | None = None
+
+
+RATIONALS = Ring(Fraction, operator.add, operator.mul, operator.pow)
 
 
 class MultiPoly:
@@ -95,14 +111,6 @@ class MultiPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_constant(self) -> bool:
-        return not self.variables
-
-    def constant_value(self) -> Fraction:
-        if self.variables:
-            raise ValueError("not a constant polynomial")
-        return self.terms.get((), Fraction(0))
-
     def copy_with_variables(self, variables: tuple[str, ...]) -> dict:
         """Exponent map of self over a larger variable tuple (sorted superset)."""
         pos = {v: i for i, v in enumerate(variables)}
@@ -121,17 +129,8 @@ class MultiPoly:
         i = self.variables.index(var)
         return max((e[i] for e in self.terms), default=-1)
 
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=-1)
-
     def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
         return sorted(self.terms.items(), key=lambda t: _term_key(t[0]), reverse=True)
-
-    def leading_term(self) -> tuple[tuple[int, ...], Fraction]:
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        e = max(self.terms, key=_term_key)
-        return e, self.terms[e]
 
     # -------------------------------------------------------------- arithmetic
 
@@ -243,14 +242,6 @@ class MultiPoly:
             acc = acc * value + self.coefficient_in(var, k)
         return acc
 
-    def content(self) -> Fraction:
-        """gcd of coefficients: gcd of numerators over lcm of denominators."""
-        if not self.terms:
-            return Fraction(0)
-        num = reduce(gcd, (abs(c.numerator) for c in self.terms.values()))
-        den = reduce(lambda a, b: a * b // gcd(a, b), (c.denominator for c in self.terms.values()))
-        return Fraction(num, den)
-
     # --------------------------------------------------------------- printing
 
     def __str__(self) -> str:
@@ -307,61 +298,69 @@ class MultiPoly:
             ctxs = {v.context for v in probe}
             if len(ctxs) > 1:
                 raise MixedScalarKinds("finite-field values from different contexts")
-            coerce = ctxs.pop().from_rational
-        else:
-            for v in values:
-                if not isinstance(v, (int, Fraction)):
-                    raise MixedScalarKinds(f"unsupported scalar {type(v).__name__}")
-            coerce = Fraction
-        return self.horner(coerce)(assignment)
+            ctx = ctxs.pop()
+            codes = {v: assignment[v].code for v in self.variables}
+            return ctx.wrap(self.horner(ctx.ring)(codes))
+        for v in values:
+            if not isinstance(v, (int, Fraction)):
+                raise MixedScalarKinds(f"unsupported scalar {type(v).__name__}")
+        return self.horner()(assignment)
 
-    def horner(self, coerce):
+    def horner(self, ring: Ring = RATIONALS):
         """This polynomial as a function of an assignment dict, in Horner form.
 
         The terms are grouped by variable once and each coefficient is
-        coerced once, by `coerce` (Fraction, or a field's from_rational);
-        the function then evaluates by Horner's rule in the first variable,
-        with coefficients that are Horner forms in the remaining ones.
+        coerced once, by ring.coerce; the function then evaluates by
+        Horner's rule in the first variable that occurs, with coefficients
+        that are Horner forms in the later ones, using the ring's add, mul
+        and power.
         """
-        return partial(_horner_eval, _horner_form(self.variables, self.terms, coerce))
+        form = _horner_form(self.variables, self.terms, ring.coerce)
+        if type(form) is not tuple:
+            return lambda values: form
+        evaluate = partial(_horner_eval, form, ring.add, ring.mul, ring.power)
+        if ring.modulus is None:
+            return evaluate
+        modulus = ring.modulus
+        return lambda values: evaluate(values) % modulus
 
 
 def _scalar_kind(v) -> str:
     if isinstance(v, (int, Fraction)):
         return "rational"
-    if hasattr(v, "context") and hasattr(v, "coeffs"):
+    if hasattr(v, "context") and hasattr(v, "code"):
         return "ff"
     return type(v).__name__
 
 
 def _horner_form(variables: tuple[str, ...], terms: dict, coerce):
-    """(variable, ((coefficient form, exponent drop to the next part), ...)),
-    parts in descending exponent, the last drop being its own exponent; a
-    constant is (None, coerced value)."""
-    if not variables:
-        return None, coerce(terms.get((), 0))
+    """A coerced constant, or (variable, ((coefficient form, exponent drop
+    to the next part), ...)) for the first variable that occurs in terms,
+    parts in descending exponent, the last drop being its own exponent."""
+    used = [i for i in range(len(variables)) if any(e[i] for e in terms)]
+    if not used:
+        return coerce(sum(terms.values()))  # the constant term, if any
+    first = used[0]
     groups: dict[int, dict] = {}
     for exps, coef in terms.items():
-        groups.setdefault(exps[0], {})[exps[1:]] = coef
+        groups.setdefault(exps[first], {})[exps[first + 1:]] = coef
     exps = sorted(groups, reverse=True)
     drops = [a - b for a, b in zip(exps, exps[1:])] + [exps[-1]]
-    parts = tuple(
-        (_horner_form(variables[1:], groups[e], coerce), drop) for e, drop in zip(exps, drops)
-    )
-    return variables[0], parts
+    rest = variables[first + 1:]
+    parts = tuple((_horner_form(rest, groups[e], coerce), drop) for e, drop in zip(exps, drops))
+    return variables[first], parts
 
 
-def _horner_eval(form, values: dict):
+def _horner_eval(form, add, mul, power, values: dict):
     var, parts = form
-    if var is None:
-        return parts
     x = values[var]
     acc = None
     for sub, drop in parts:
-        value = _horner_eval(sub, values)
-        acc = value if acc is None else acc + value
+        if type(sub) is tuple:
+            sub = _horner_eval(sub, add, mul, power, values)
+        acc = sub if acc is None else add(acc, sub)
         if drop:
-            acc = acc * (x if drop == 1 else x**drop)
+            acc = mul(acc, x if drop == 1 else power(x, drop))
     return acc
 
 

@@ -34,12 +34,6 @@ def format_rational(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
-def isqrt_floor(n: int) -> int:
-    if n < 0:
-        raise ValueError("negative argument")
-    return math.isqrt(n)
-
-
 def isqrt_ceil(n: int) -> int:
     if n < 0:
         raise ValueError("negative argument")

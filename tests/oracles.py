@@ -3,16 +3,19 @@
 These deliberately avoid the library's own search strategies: they iterate
 raw candidate grids with plain Fraction arithmetic and a blow-up cutoff, so
 they can catch completeness bugs in the candidate envelope.  Over F_q they
-bind every free variable before checking a single condition, and evaluate
-polynomials term by term rather than in Horner form.
+compute on coefficient tuples (schoolbook products reduced by the modulus,
+inverses by the extended Euclidean algorithm) rather than on the library's
+int codes and tables, bind every free variable before checking a single
+condition, and evaluate polynomials term by term rather than in Horner form.
 """
 
 from fractions import Fraction
+from itertools import product
 from math import gcd
 
 from dynw.config import DEFAULT, RunConfig
 from dynw.errors import BudgetExceeded, NonExactDivision
-from dynw.ff import FFContext, ff_enumerate
+from dynw.ff import FFContext
 from dynw.models import CurveModel
 from dynw.multipoly import MultiPoly, _term_key
 
@@ -113,6 +116,202 @@ def poly_exact_divide(numerator: MultiPoly, denominator: MultiPoly) -> MultiPoly
     return MultiPoly(variables, quot)
 
 
+# ------------------------------------------------- F_q on coefficient tuples
+
+
+def _trim(f: list[int]) -> list[int]:
+    while f and f[-1] == 0:
+        f.pop()
+    return f
+
+
+def _polymul(f: list[int], g: list[int], p: int) -> list[int]:
+    if not f or not g:
+        return []
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] = (out[i + j] + a * b) % p
+    return _trim(out)
+
+
+def _remainder(f: list[int], monic: list[int], p: int) -> list[int]:
+    f = f[:]
+    while len(f) >= len(monic):
+        lead, shift = f[-1], len(f) - len(monic)
+        for i, c in enumerate(monic):
+            f[shift + i] = (f[shift + i] - lead * c) % p
+        _trim(f)
+    return f
+
+
+class TupleField:
+    """F_{p^k} = F_p[t] / (modulus) with elements as coefficient tuples,
+    low degree first."""
+
+    def __init__(self, p: int, k: int, modulus: tuple[int, ...]):
+        self.p, self.k, self.modulus = p, k, tuple(modulus)
+        self.q = p**k
+
+    @classmethod
+    def like(cls, ctx: FFContext) -> "TupleField":
+        """The field of a context, on the same modulus."""
+        return cls(ctx.p, ctx.k, ctx.modulus)
+
+    @classmethod
+    def of_order(cls, p: int, k: int) -> "TupleField":
+        """F_{p^k} on the first monic modulus, in lexicographic order of its
+        coefficients from the top, that no monic polynomial of degree 1 to
+        k/2 divides."""
+        for high_first in product(range(p), repeat=k):
+            modulus = list(reversed(high_first)) + [1]
+            if not any(
+                not _remainder(modulus, list(reversed(low)) + [1], p)
+                for d in range(1, k // 2 + 1)
+                for low in product(range(p), repeat=d)
+            ):
+                return cls(p, k, tuple(modulus))
+        raise AssertionError("no irreducible modulus")
+
+    def element(self, coeffs) -> "TupleElement":
+        coeffs = tuple(c % self.p for c in coeffs)
+        if len(coeffs) != self.k:
+            raise ValueError("coefficient vector has wrong length")
+        return TupleElement(self, coeffs)
+
+    def zero(self) -> "TupleElement":
+        return self.element((0,) * self.k)
+
+    def one(self) -> "TupleElement":
+        return self.from_int(1)
+
+    def from_int(self, n: int) -> "TupleElement":
+        return self.element((n,) + (0,) * (self.k - 1))
+
+    def from_rational(self, r) -> "TupleElement":
+        r = Fraction(r)
+        if r.denominator % self.p == 0:
+            raise ZeroDivisionError(f"denominator of {r} vanishes mod {self.p}")
+        return self.from_int(r.numerator) * self.from_int(r.denominator).inverse()
+
+    def elements(self) -> list["TupleElement"]:
+        """Every element, lexicographic on the coefficient tuple with the
+        constant coefficient varying fastest."""
+        return [
+            self.element(reversed(high_first))
+            for high_first in product(range(self.p), repeat=self.k)
+        ]
+
+
+class TupleElement:
+    __slots__ = ("field", "coeffs")
+
+    def __init__(self, field: TupleField, coeffs: tuple[int, ...]):
+        self.field = field
+        self.coeffs = coeffs
+
+    def _other(self, other) -> "TupleElement":
+        if isinstance(other, int):
+            return self.field.from_int(other)
+        if other.field is not self.field:
+            raise ValueError("elements of different fields")
+        return other
+
+    def __add__(self, other):
+        other = self._other(other)
+        p = self.field.p
+        return TupleElement(
+            self.field, tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs))
+        )
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        p = self.field.p
+        return TupleElement(self.field, tuple(-a % p for a in self.coeffs))
+
+    def __sub__(self, other):
+        return self + (-self._other(other))
+
+    def __mul__(self, other):
+        """Schoolbook product, then reduction of the top coefficients by the
+        modulus."""
+        other = self._other(other)
+        field = self.field
+        p, k, m = field.p, field.k, field.modulus
+        prod = [0] * (2 * k - 1)
+        for i, a in enumerate(self.coeffs):
+            for j, b in enumerate(other.coeffs):
+                prod[i + j] += a * b
+        for d in range(2 * k - 2, k - 1, -1):
+            c = prod[d] % p
+            for i in range(k):
+                prod[d - k + i] -= c * m[i]
+            prod[d] = 0
+        return TupleElement(field, tuple(v % p for v in prod[:k]))
+
+    __rmul__ = __mul__
+
+    def __pow__(self, e: int):
+        if e < 0:
+            return self.inverse() ** (-e)
+        result = self.field.one()
+        for _ in range(e):
+            result = result * self
+        return result
+
+    def inverse(self) -> "TupleElement":
+        """Multiplicative inverse by the extended Euclidean algorithm on
+        (modulus, self)."""
+        if self.is_zero():
+            raise ZeroDivisionError("inverse of zero")
+        field = self.field
+        p = field.p
+        r0, r1 = list(field.modulus), _trim(list(self.coeffs))
+        s0, s1 = [], [1]
+        while len(r1) > 1:
+            # one division step: r0 = quot*r1 + rem
+            quot = [0] * (len(r0) - len(r1) + 1)
+            rem = r0[:]
+            inv_lead = pow(r1[-1], p - 2, p)
+            while len(rem) >= len(r1):
+                shift = len(rem) - len(r1)
+                factor = rem[-1] * inv_lead % p
+                quot[shift] = factor
+                for i, c in enumerate(r1):
+                    rem[shift + i] = (rem[shift + i] - factor * c) % p
+                _trim(rem)
+            r0, r1 = r1, rem
+            qs1 = _polymul(quot, s1, p)
+            news = [0] * max(len(s0), len(qs1))
+            for i, c in enumerate(s0):
+                news[i] = c
+            for i, c in enumerate(qs1):
+                news[i] = (news[i] - c) % p
+            s0, s1 = s1, _trim(news)
+        # r1 is a nonzero constant; normalize
+        inv_c = pow(r1[0], p - 2, p)
+        s1 = [c * inv_c % p for c in s1] + [0] * field.k
+        return TupleElement(field, tuple(s1[: field.k]))
+
+    def is_zero(self) -> bool:
+        return not any(self.coeffs)
+
+    def __eq__(self, other):
+        if isinstance(other, int):
+            other = self.field.from_int(other)
+        return isinstance(other, TupleElement) and self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash(self.coeffs)
+
+    def __repr__(self):
+        return f"TupleElement({list(self.coeffs)} over p={self.field.p})"
+
+
+# ------------------------------------------------------ brute point counting
+
+
 def compile_terms(poly: MultiPoly, coerce):
     """[(coefficient, exponent map)] for term-by-term evaluation, each
     coefficient coerced by `coerce`.  The list starts with a zero term, so
@@ -135,23 +334,24 @@ def eval_terms(compiled, values: dict):
     return acc
 
 
-def brute_solutions(model: CurveModel, ctx: FFContext, config: RunConfig = DEFAULT):
-    """All assignments over F_q satisfying every equation and inequation.
+def brute_solutions(model: CurveModel, field: TupleField, config: RunConfig = DEFAULT):
+    """All assignments over F_q satisfying every equation and inequation,
+    as dicts from variable names to TupleElements.
 
     Binds every free variable, fills in the remaining variables by the
     model's propagation steps, and only then checks the whole system,
     term by term.
     """
     free = model.enumeration_variables()
-    total = ctx.q ** len(free)
+    total = field.q ** len(free)
     if total > config.enumeration_cap:
         raise BudgetExceeded(
             f"q^{len(free)} = {total} exceeds enumeration cap {config.enumeration_cap}"
         )
-    eqs = [compile_terms(e, ctx.from_rational) for e in model.equations]
-    ineqs = [compile_terms(e, ctx.from_rational) for e in model.inequations]
-    elements = list(ff_enumerate(ctx, config))
-    zero = ctx.zero()
+    eqs = [compile_terms(e, field.from_rational) for e in model.equations]
+    ineqs = [compile_terms(e, field.from_rational) for e in model.inequations]
+    elements = field.elements()
+    zero = field.zero()
 
     def rec(idx: int, values: dict):
         if idx == len(free):
@@ -180,16 +380,18 @@ def brute_counts(model: CurveModel, p: int, k: int = 1) -> tuple:
     """(affine, nonsingular, cross) as count_points should report them: the
     brute solution count; for a plane model, the solutions where a partial
     derivative is nonzero, with the root-counting total equal to the
-    affine count; otherwise None for both."""
-    ctx = FFContext(p, k)
-    zero = ctx.zero()
+    affine count; otherwise None for both.  The field is found by trial
+    division, independently of FFContext; counts do not depend on the
+    modulus."""
+    field = TupleField.of_order(p, k)
+    zero = field.zero()
     plane = len(model.variables) == 2 and len(model.equations) == 1
     partials = []
     if plane:
         f = model.equations[0]
-        partials = [compile_terms(f.partial(v), ctx.from_rational) for v in model.variables]
+        partials = [compile_terms(f.partial(v), field.from_rational) for v in model.variables]
     affine = nonsingular = 0
-    for sol in brute_solutions(model, ctx):
+    for sol in brute_solutions(model, field):
         affine += 1
         if any(eval_terms(pd, sol) != zero for pd in partials):
             nonsingular += 1

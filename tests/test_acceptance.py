@@ -192,7 +192,7 @@ def test_criterion_07_pair_system_decomposition():
             diagonal = 0
             off_orbit = 0
             for sol in iter_solutions(eqs_only, ctx):
-                c0, x0, y0 = sol["c"], sol["x"], sol["y"]
+                c0, x0, y0 = (ctx.wrap(sol[v]) for v in ("c", "x", "y"))
                 fx = x0 * x0 + c0
                 orbit_set = {x0, fx, fx * fx + c0}
                 in_orbit = y0 in orbit_set
@@ -261,9 +261,9 @@ def test_criterion_10_model_consistency():
                 zero = ctx.zero()
                 for sol in iter_solutions(fm, ctx):
                     projected += 1
-                    assign = {"c": sol["c"]}
+                    assign = {"c": ctx.wrap(sol["c"])}
                     for g, var in gv.items():
-                        assign[var] = sol[f"x{g}"]
+                        assign[var] = ctx.wrap(sol[f"x{g}"])
                     for eq in rm.equations:
                         assert eq.evaluate(assign) == zero, (e.label, p)
                     for iq in rm.inequations:

@@ -224,3 +224,17 @@ def test_env_override(capsys, monkeypatch):
     assert code == 1 and "max_dynatomic_n" in err
     monkeypatch.delenv("DYNW_MAX_DYNATOMIC_N")
     assert run(capsys, "dynatomic", "poly", "--n", "3")[0] == 0
+
+
+def test_oversized_numbers_are_named_not_printed(capsys):
+    for argv in (
+        ("ff", "max-period", "--p", "2", "--k", "10000"),
+        ("ff", "max-period", "--p", "2", "--k", "10000", "--json"),
+        ("dynatomic", "asymptotic", "--n", "15000"),
+        ("dynatomic", "asymptotic", "--n", "15000", "--json"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code != 0 and out == "", argv
+        assert err.startswith("error: ") and err.count("\n") == 1, argv
+        assert "4300" not in err, argv
+    assert "enumeration cap 10000000" in run(capsys, "ff", "max-period", "--p", "2", "--k", "10000")[2]

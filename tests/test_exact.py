@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import compile_terms, eval_terms, poly_exact_divide
+from oracles import TupleField, compile_terms, eval_terms, poly_exact_divide
 
 from dynw.errors import (
     BudgetExceeded,
@@ -104,7 +104,7 @@ def test_parse_inverts_str(f):
 def test_horner_matches_term_oracle_over_q(f, values):
     assignment = dict(zip(_NAMES, values))
     expected = eval_terms(compile_terms(f, Fraction), assignment)
-    assert f.horner(Fraction)(assignment) == expected
+    assert f.horner()(assignment) == expected
     assert f.evaluate(assignment) == expected
 
 
@@ -115,12 +115,14 @@ _FIELDS = {(p, k): FFContext(p, k) for p, k in ((7, 1), (11, 1), (7, 2), (11, 2)
 @given(f=polys(), field=st.sampled_from(sorted(_FIELDS)), data=st.data())
 def test_horner_matches_term_oracle_over_finite_fields(f, field, data):
     ctx = _FIELDS[field]
-    p, k = field
-    coeffs = st.tuples(*(st.integers(0, p - 1) for _ in range(k)))
-    assignment = {v: ctx.element(data.draw(coeffs)) for v in _NAMES}
-    expected = eval_terms(compile_terms(f, ctx.from_rational), assignment)
-    assert f.horner(ctx.from_rational)(assignment) == expected
-    assert f.evaluate(assignment) == expected
+    oracle = TupleField.like(ctx)
+    codes = {v: data.draw(st.integers(0, ctx.q - 1)) for v in _NAMES}
+    expected = eval_terms(
+        compile_terms(f, oracle.from_rational),
+        {v: oracle.element(ctx.digits(a)) for v, a in codes.items()},
+    )
+    assert ctx.digits(f.horner(ctx.ring)(codes)) == expected.coeffs
+    assert f.evaluate({v: ctx.wrap(a) for v, a in codes.items()}).coeffs == expected.coeffs
 
 
 def test_parse_errors():
@@ -268,3 +270,55 @@ def test_ff_arithmetic_consistency():
         for b in sample:
             assert (a + b).frobenius() == a.frobenius() + b.frobenius()
             assert (a * b).frobenius() == a.frobenius() * b.frobenius()
+
+
+def test_elements_mix_only_within_equal_contexts():
+    a, b = FFContext(7, 2).wrap(10), FFContext(7, 2).wrap(20)  # equal, not identical
+    assert (a * b).code == a.context.mul(10, 20) == b.context.mul(10, 20)
+    assert a + b == b + a and a - a == 0
+    with pytest.raises(ValueError):
+        FFContext(7).one() + FFContext(5).one()
+
+
+def test_context_refuses_a_field_over_the_cap():
+    with pytest.raises(BudgetExceeded, match="q = 27 exceeds enumeration cap 26"):
+        FFContext(3, 3, config=RunConfig(enumeration_cap=26))
+
+
+# Characteristic 2 (F_2, F_8), where -1 = 1, and odd characteristic in prime
+# fields and extensions of degree 2, 3 and 5.
+_ORACLE_FIELDS = {
+    (p, k): FFContext(p, k) for p, k in ((2, 1), (2, 3), (7, 1), (7, 2), (11, 2), (3, 5), (7, 3))
+}
+
+
+def test_code_order_is_the_lexicographic_enumeration():
+    for ctx in _ORACLE_FIELDS.values():
+        lexicographic = [e.coeffs for e in TupleField.like(ctx).elements()]
+        assert [ctx.digits(a) for a in range(ctx.q)] == lexicographic
+        assert [e.coeffs for e in ff_enumerate(ctx)] == lexicographic
+        for a in range(ctx.q):
+            assert ctx.add(a, ctx.neg(a)) == 0 and ctx.sub(a, a) == 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(field=st.sampled_from(sorted(_ORACLE_FIELDS)), data=st.data())
+def test_field_operations_match_tuple_oracle(field, data):
+    ctx = _ORACLE_FIELDS[field]
+    oracle = TupleField.like(ctx)
+    a, b = (data.draw(st.integers(0, ctx.q - 1)) for _ in range(2))
+    e = data.draw(st.integers(-2 * ctx.q, 2 * ctx.q))
+    ta, tb = oracle.element(ctx.digits(a)), oracle.element(ctx.digits(b))
+    assert ctx.digits(ctx.add(a, b)) == (ta + tb).coeffs
+    assert ctx.digits(ctx.sub(a, b)) == (ta - tb).coeffs
+    assert ctx.digits(ctx.neg(a)) == (-ta).coeffs
+    assert ctx.digits(ctx.mul(a, b)) == (ta * tb).coeffs
+    if a:
+        assert ctx.digits(ctx.inv(a)) == ta.inverse().coeffs
+        assert ctx.digits(ctx.pow(a, e)) == (ta**e).coeffs
+    else:
+        with pytest.raises(ZeroDivisionError):
+            ctx.inv(a)
+        assert ctx.pow(a, abs(e)) == (0 if e else 1)
+    wrapped = ctx.wrap(a) * ctx.wrap(b) + 3
+    assert wrapped.coeffs == (ta * tb + 3).coeffs

@@ -1,10 +1,13 @@
 """Finite-field lab tests: counting, bound checkers, residual period data."""
 
 import random
+from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import brute_counts
+from oracles import TupleElement, TupleField, brute_counts, brute_solutions
 
 from dynw.catalog import generic_entries, lookup
 from dynw.config import RunConfig
@@ -27,6 +30,7 @@ from dynw.models import (
     reduced_model,
 )
 from dynw.multipoly import MultiPoly
+from dynw.portraits import CycleStructure, enumerate_generic
 
 
 def test_plane_counts_small():
@@ -105,6 +109,49 @@ def test_count_points_matches_brute_oracle():
         got = (r.affine_count, r.nonsingular_count, r.cross_count)
         assert got == brute_counts(model, p, k), (model.name, p, k)
         assert not r.violations
+
+
+def _small_generic_portraits() -> list:
+    """Every generic portrait with at most 8 vertices."""
+    structures = {
+        CycleStructure.of(lengths)
+        for size in range(1, 5)
+        for lengths in combinations_with_replacement(range(1, 5), size)
+        if sum(lengths) <= 4  # 8 vertices hold at most 4 periodic points
+    }
+    return [
+        P
+        for sigma in sorted(structures, key=lambda s: s.lengths)
+        if sigma.admissible()
+        for n in (2, 4, 6, 8)
+        for P in enumerate_generic(n, sigma)
+    ]
+
+
+_SMALL_PORTRAITS = _small_generic_portraits()
+_SMALL_FIELDS = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (5, 1), (5, 2), (7, 1)]
+
+
+def _production_arithmetic(*args):
+    raise AssertionError("the oracle used the field's int arithmetic")
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_full_model_counts_match_tuple_oracle(data):
+    model = full_model(data.draw(st.sampled_from(_SMALL_PORTRAITS)))
+    dims = len(model.enumeration_variables())
+    # the oracle visits all q^dims assignments; 2000 of them keep it fast
+    fields = [(p, k) for p, k in _SMALL_FIELDS if p ** (k * dims) <= 2000]
+    p, k = data.draw(st.sampled_from(fields))
+    r = count_points(model, p, k)
+    with pytest.MonkeyPatch.context() as patch:
+        for op in ("add", "sub", "neg", "mul", "inv", "pow"):
+            patch.setattr(FFContext, op, _production_arithmetic)
+        expected = brute_counts(model, p, k)
+        solution = next(brute_solutions(model, TupleField.of_order(p, k)), {})
+    assert (r.affine_count, r.nonsingular_count, r.cross_count) == expected, (model.name, p, k)
+    assert all(isinstance(v, TupleElement) for v in solution.values())
 
 
 def test_zero_partial_derivative_does_not_make_a_point_nonsingular():

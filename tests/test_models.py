@@ -154,9 +154,9 @@ def test_full_solutions_project_to_reduced(sample_primes=(3, 5, 7)):
             zero = ctx.zero()
             for sol in iter_solutions(fm, ctx):
                 projected += 1
-                assign = {"c": sol["c"]}
+                assign = {"c": ctx.wrap(sol["c"])}
                 for g, var in gv.items():
-                    assign[var] = sol[f"x{g}"]
+                    assign[var] = ctx.wrap(sol[f"x{g}"])
                 assert all(eq.evaluate(assign) == zero for eq in rm.equations)
                 assert all(iq.evaluate(assign) != zero for iq in rm.inequations)
     assert projected > 0  # the check must not be vacuous
@@ -181,7 +181,7 @@ def test_pair_system_decomposition():
         diag = 0
         off = 0
         for sol in all_pairs:
-            c0, x0, y0 = sol["c"], sol["x"], sol["y"]
+            c0, x0, y0 = (ctx.wrap(sol[v]) for v in ("c", "x", "y"))
             orbit = {x0, x0 * x0 + c0, (x0 * x0 + c0) * (x0 * x0 + c0) + c0}
             if y0 in orbit:
                 diag += 1
