@@ -36,8 +36,9 @@ from __future__ import annotations
 
 import decimal
 import operator
-import sys
 from typing import Callable, NamedTuple
+
+from .rational import int_str_digits
 
 # The engine's big-integer type, reported by callers that record the
 # backend; the engine runs on the standard library alone.
@@ -252,11 +253,6 @@ def _dec_unpack(M: decimal.Decimal, w: int, stride: int, n_rows: int) -> list:
     return _split_rows(flat, stride, n_rows)
 
 
-def _int_str_limit() -> int:
-    """Largest digit count int and str convert, 0 for no limit (Python >= 3.10.7)."""
-    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
-
-
 class _Codec(NamedTuple):
     pack: Callable
     unpack: Callable
@@ -283,7 +279,7 @@ def _kronecker(A: list, B: list, bits: int) -> list:
     stride = _nc(A) + _nc(B) - 1
     n_rows = len(A) + len(B) - 1
     w = _digits_for(bits)
-    limit = _int_str_limit()  # int <-> str conversions of a slot
+    limit = int_str_digits()  # int <-> str conversions of a slot
     if max(len(A), len(B)) * stride * w >= DECIMAL_MIN_DIGITS and (not limit or w < limit):
         codec, width = _DECIMAL, w
     else:

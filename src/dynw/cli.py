@@ -37,7 +37,7 @@ from .portraits import (
     minimal_extensions,
     validate_generic,
 )
-from .rational import format_rational, parse_rational
+from .rational import format_rational, int_str_digits, parse_rational
 
 SCHEMA_VERSION = 1
 
@@ -131,7 +131,7 @@ def _cmd_dynatomic_check_bounds(args, config) -> int:
 
 def _cmd_dynatomic_asymptotic(args, config) -> int:
     # every integer of the report is below 2^n, and 2^n < 10^L for n <= 3L
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    limit = int_str_digits()
     if limit and args.n > 3 * limit:
         raise ValueError(
             f"--n {args.n} gives integers too long to print; use --n <= {3 * limit}"
@@ -398,7 +398,7 @@ def _cmd_ff_cs(args, config) -> int:
 
 def _cmd_ff_max_period(args, config) -> int:
     fflab.check_enumeration_cap(args.p**args.k, 2, config)
-    ctx = FFContext(args.p, args.k)
+    ctx = FFContext(args.p, args.k, config=config)
     r = fflab.max_period_mod(ctx, config)
     if args.json:
         _emit(

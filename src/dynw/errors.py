@@ -22,7 +22,8 @@ class MissingVariable(DynwError):
 
 
 class MixedScalarKinds(DynwError):
-    """An evaluation mixed rational scalars with finite-field scalars."""
+    """MultiPoly.evaluate got a scalar that is not rational (an int or a
+    Fraction); finite-field values are codes evaluated by MultiPoly.horner."""
 
 
 class InadmissibleCycleStructure(DynwError):

@@ -2,20 +2,22 @@
 
 An element of F_q, q = p^k, is an int in [0, q): its base-p digits, least
 significant first, are its coefficient vector in F_p[t] / (modulus).  So
-range(q) lists the field in the lexicographic order of coefficient vectors,
-the order ff_enumerate yields.  Prime fields compute with % p.  Extension
-fields compute through tables built once per context from digit arithmetic:
-exp and log for a primitive element g, and Zech logarithms
-zech[n] = log(1 + g^n) for addition, of about q entries each.
+range(q) lists the field in the lexicographic order of coefficient vectors.
+Prime fields compute with % p.  Extension fields compute through tables
+built once per context from digit arithmetic: exp and log for a primitive
+element g, and Zech logarithms zech[n] = log(1 + g^n) for addition, of
+about q entries each.
+
+Codes and the context's add, sub, neg, mul, inv, pow, coerce and digits are
+the one field API; polynomials over F_q are evaluated on codes by
+MultiPoly.horner(ctx.ring).  FFElement only pairs a code with its context,
+so that a report such as max_period_mod's witness can print its
+coefficient vector; it has no arithmetic.
 
 The modulus of a context is always verified irreducible at construction (a
 wrong modulus would silently corrupt every point count downstream): a monic
 degree-k polynomial m over F_p is reducible iff it has an irreducible factor
 of degree j <= k/2, iff gcd(m, x^{p^j} - x) is nonconstant for some such j.
-
-FFElement wraps a code with its context, for callers that want operator
-syntax: MultiPoly.evaluate on field values, max_period_mod's witness and
-the tests.
 """
 
 from __future__ import annotations
@@ -23,12 +25,11 @@ from __future__ import annotations
 import operator
 from array import array
 from fractions import Fraction
-from typing import Iterator
 
 from .config import RunConfig, DEFAULT
 from .errors import BudgetExceeded
 from .multipoly import Ring
-from .rational import factorize, is_prime
+from .rational import factorize, int_str_digits, is_prime
 
 # Univariate polynomials over a field are lists of codes, low degree first,
 # with no trailing zeros.  They serve the irreducibility and primitivity
@@ -94,11 +95,6 @@ def _is_irreducible(m: list[int], Fp: "FFContext") -> bool:
     return True
 
 
-# Powers of at most this many bits print as decimal well inside CPython's
-# default limit of 4300 digits for int-to-str conversion.
-_PRINTABLE_BITS = 12_000
-
-
 def check_enumeration_cap(q: int, dims: int, config: RunConfig = DEFAULT) -> None:
     """Raise BudgetExceeded when q^dims exceeds the enumeration cap.  The
     message names q^dims when it is printable and otherwise a power of two
@@ -106,7 +102,10 @@ def check_enumeration_cap(q: int, dims: int, config: RunConfig = DEFAULT) -> Non
     cap = config.enumeration_cap
     name = "q" if dims == 1 else f"q^{dims}"
     low_bits = dims * (q.bit_length() - 1)  # q^dims >= 2^low_bits
-    if dims * q.bit_length() > _PRINTABLE_BITS:
+    # print at most 4300 digits, and no more than the live limit allows:
+    # q^dims < 2^(dims * bits), and 2^(3 * digits) < 10^digits
+    digits = min(int_str_digits() or 4300, 4300)
+    if dims * q.bit_length() > 3 * digits:
         if low_bits >= cap.bit_length() or q**dims > cap:
             raise BudgetExceeded(f"{name} >= 2^{low_bits} exceeds enumeration cap {cap}")
     elif q**dims > cap:
@@ -264,30 +263,6 @@ class FFContext:
             return pow(a, e, self.p)
         return self._exp[self._log[a] * e % (self.q - 1)]
 
-    # --------------------------------------------------------- elements
-
-    def wrap(self, a: int) -> "FFElement":
-        """The element with code a."""
-        return FFElement(self, a)
-
-    def zero(self) -> "FFElement":
-        return FFElement(self, 0)
-
-    def one(self) -> "FFElement":
-        return FFElement(self, 1)
-
-    def from_int(self, n: int) -> "FFElement":
-        return FFElement(self, n % self.p)
-
-    def from_rational(self, r) -> "FFElement":
-        return FFElement(self, self.coerce(r))
-
-    def element(self, coeffs) -> "FFElement":
-        coeffs = tuple(coeffs)
-        if len(coeffs) != self.k:
-            raise ValueError("coefficient vector has wrong length")
-        return FFElement(self, sum(c % self.p * self.p**i for i, c in enumerate(coeffs)))
-
     def __eq__(self, other):
         return (
             isinstance(other, FFContext)
@@ -302,7 +277,7 @@ class FFContext:
 
 
 class FFElement:
-    """An element of a field context, with operator syntax."""
+    """A code with its field, for reports that print a coefficient vector."""
 
     __slots__ = ("context", "code")
 
@@ -313,68 +288,3 @@ class FFElement:
     @property
     def coeffs(self) -> tuple[int, ...]:
         return self.context.digits(self.code)
-
-    def _check(self, other) -> int:
-        """The code of other, an int or an element of this element's field."""
-        if isinstance(other, int):
-            return other % self.context.p
-        if other.context is not self.context and other.context != self.context:
-            raise ValueError("elements of different field contexts")
-        return other.code
-
-    def __add__(self, other):
-        ctx = self.context
-        return FFElement(ctx, ctx.add(self.code, self._check(other)))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return FFElement(self.context, self.context.neg(self.code))
-
-    def __sub__(self, other):
-        ctx = self.context
-        return FFElement(ctx, ctx.sub(self.code, self._check(other)))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        ctx = self.context
-        return FFElement(ctx, ctx.mul(self.code, self._check(other)))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, e: int):
-        return FFElement(self.context, self.context.pow(self.code, e))
-
-    def inverse(self) -> "FFElement":
-        return FFElement(self.context, self.context.inv(self.code))
-
-    def frobenius(self) -> "FFElement":
-        return self ** self.context.p
-
-    def is_zero(self) -> bool:
-        return self.code == 0
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            return self.code == other % self.context.p
-        return (
-            isinstance(other, FFElement)
-            and (other.context is self.context or other.context == self.context)
-            and self.code == other.code
-        )
-
-    def __hash__(self):
-        return hash((self.context.p, self.context.k, self.code))
-
-    def __repr__(self):
-        if self.context.k == 1:
-            return f"ff({self.code} mod {self.context.p})"
-        return f"ff({list(self.coeffs)} over p={self.context.p},k={self.context.k})"
-
-
-def ff_enumerate(ctx: FFContext, config: RunConfig = DEFAULT) -> Iterator[FFElement]:
-    """Yield each element of F_{p^k} exactly once, lexicographic on coeffs."""
-    check_enumeration_cap(ctx.q, 1, config)
-    return map(ctx.wrap, range(ctx.q))

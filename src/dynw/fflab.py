@@ -6,7 +6,9 @@ corrections are out of scope, so gonality statements derived from them are
 lower bounds computed from (nonsingular) affine points.
 
 All field arithmetic runs on the int codes of an FFContext, with the
-context's add, mul, neg, sub and inv; elements are the codes in range(q).
+context's add, mul, neg, sub and inv; elements are the codes in range(q),
+and the only FFElement is max_period_mod's witness, kept for its
+coefficient vector.
 Solutions are enumerated in-process over a model's free variables, and
 each equation, inequation and propagation step is applied at the first
 enumeration level where its variables are bound, so a failed condition
@@ -228,7 +230,7 @@ def max_period_mod(ctx: FFContext, config: RunConfig = DEFAULT) -> MaxPeriodRepo
         longest = _longest_cycle([add(s, c) for s in squares])
         if longest > best:
             best, witness = longest, c
-    return MaxPeriodReport(p=ctx.p, k=ctx.k, q=q, max_period=best, witness_c=ctx.wrap(witness))
+    return MaxPeriodReport(ctx.p, ctx.k, q, best, FFElement(ctx, witness))
 
 
 def _longest_cycle(succ: list[int]) -> int:

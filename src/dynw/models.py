@@ -32,11 +32,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from .config import RunConfig, DEFAULT
-from .dynatomic import degree_d0, dynatomic, generalized_dynatomic
+from .dynatomic import degree_d0, dynatomic, generalized_dynatomic, iterate_fc
 from .errors import InadmissibleCycleStructure, NotGeneric, ParseError
+from .ff import FFContext, check_enumeration_cap
 from .multipoly import MultiPoly
 from .portraits import Portrait, find_cycles, preimages, validate_generic, vertex_depths
-from .rational import is_prime
 
 _NAME_POOL = ("x", "y", "z", "u", "v", "w", "s", "t")
 
@@ -47,11 +47,7 @@ def _point_var(i: int) -> str:
 
 def fc_power(var: str, e: int) -> MultiPoly:
     """The e-th iterate of x^2 + c evaluated at the named variable."""
-    q = MultiPoly.var(var)
-    c = MultiPoly.var("c")
-    for _ in range(e):
-        q = q * q + c
-    return q
+    return iterate_fc(e).rename({"x": var})
 
 
 @dataclass
@@ -371,27 +367,24 @@ def trace_relation_check(p: int, config: RunConfig = DEFAULT) -> TraceReport:
     evaluates the normalized relation at every solution and reports
     violations (there should be none at any odd prime).
     """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
     if p == 2:
         raise ValueError("the trace normalization degenerates at p = 2")
-    if p * p > config.enumeration_cap:
-        raise ValueError(f"p^2 exceeds enumeration cap {config.enumeration_cap}")
+    check_enumeration_cap(p, 2, config)
+    ctx = FFContext(p)  # refuses a p that is not prime
     phi3 = dynatomic(3, config).phi
-    terms = [
-        (coef.numerator % p, e[phi3.variables.index("c")], e[phi3.variables.index("x")])
-        for e, coef in phi3.terms.items()
+    # Phi_3 by Horner's rule in x over Z, its coefficients in c evaluated
+    # on codes, highest degree first; one reduction mod p is exact
+    coeff_polys = [
+        phi3.coefficient_in("x", i).horner(ctx.ring) for i in range(phi3.degree("x"), -1, -1)
     ]
     points = 0
     violations = []
     for c0 in range(p):
-        cpow = [1] * 4
-        for i in range(1, 4):
-            cpow[i] = cpow[i - 1] * c0 % p
+        coeffs = [poly({"c": c0}) for poly in coeff_polys]
         for x0 in range(p):
             acc = 0
-            for coef, ec, ex in terms:
-                acc += coef * cpow[ec] * pow(x0, ex, p)
+            for a in coeffs:
+                acc = acc * x0 + a
             if acc % p:
                 continue
             points += 1

@@ -10,6 +10,11 @@ The canonical term order is graded: higher total degree first, ties broken
 so that the alphabetically last variable is most significant.  That is the
 order used for printing, and it makes `x^2 + x + c + 1` read the usual way.
 
+horner(ring) compiles a polynomial into a Horner-form function of an
+assignment over any Ring: RATIONALS, or an FFContext's ring on int codes,
+which is the one way polynomials are evaluated over F_q.  evaluate is the
+rational case with its input checked.
+
 Text grammar (round-trips with str()):
 
     poly   := term (('+' | '-') term)*
@@ -280,28 +285,14 @@ class MultiPoly:
     # -------------------------------------------------------------- evaluation
 
     def evaluate(self, assignment: dict):
-        """Exact evaluation at a full assignment of scalars.
-
-        All values must be rational, or all must be finite-field elements of
-        one context; coefficients are coerced into that field.
+        """Exact evaluation at a full assignment of rational scalars (ints or
+        Fractions).  Over a finite field, evaluate codes with
+        horner(ctx.ring) instead.
         """
         missing = [v for v in self.variables if v not in assignment]
         if missing:
             raise MissingVariable(f"no value for {', '.join(missing)}")
-        values = [assignment[v] for v in self.variables]
-        probe = values if values else list(assignment.values())
-        kinds = {_scalar_kind(v) for v in probe}
-        if len(kinds) > 1:
-            raise MixedScalarKinds(f"mixed scalar kinds: {sorted(kinds)}")
-        kind = kinds.pop() if kinds else "rational"
-        if kind == "ff":
-            ctxs = {v.context for v in probe}
-            if len(ctxs) > 1:
-                raise MixedScalarKinds("finite-field values from different contexts")
-            ctx = ctxs.pop()
-            codes = {v: assignment[v].code for v in self.variables}
-            return ctx.wrap(self.horner(ctx.ring)(codes))
-        for v in values:
+        for v in assignment.values():
             if not isinstance(v, (int, Fraction)):
                 raise MixedScalarKinds(f"unsupported scalar {type(v).__name__}")
         return self.horner()(assignment)
@@ -323,14 +314,6 @@ class MultiPoly:
             return evaluate
         modulus = ring.modulus
         return lambda values: evaluate(values) % modulus
-
-
-def _scalar_kind(v) -> str:
-    if isinstance(v, (int, Fraction)):
-        return "rational"
-    if hasattr(v, "context") and hasattr(v, "code"):
-        return "ff"
-    return type(v).__name__
 
 
 def _horner_form(variables: tuple[str, ...], terms: dict, coerce):

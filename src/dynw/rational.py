@@ -9,11 +9,19 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from fractions import Fraction
 
 from .errors import ParseError
 
 Rational = Fraction
+
+
+def int_str_digits() -> int:
+    """The interpreter's live limit on the decimal digits of an int <-> str
+    conversion (sys.set_int_max_str_digits, PYTHONINTMAXSTRDIGITS); 0 for none."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
 
 _RAT_RE = re.compile(r"^\s*(-?\d+)\s*(?:/\s*(\d+)\s*)?$")
 

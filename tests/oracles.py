@@ -7,10 +7,11 @@ compute on coefficient tuples (schoolbook products reduced by the modulus,
 inverses by the extended Euclidean algorithm) rather than on the library's
 int codes and tables, bind every free variable before checking a single
 condition, and evaluate polynomials term by term rather than in Horner form.
+generic_classes lists the inputs that several property tests range over.
 """
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, product
 from math import gcd
 
 from dynw.config import DEFAULT, RunConfig
@@ -18,6 +19,26 @@ from dynw.errors import BudgetExceeded, NonExactDivision
 from dynw.ff import FFContext
 from dynw.models import CurveModel
 from dynw.multipoly import MultiPoly, _term_key
+from dynw.portraits import CycleStructure, Portrait, enumerate_generic
+
+
+def generic_classes(max_n: int) -> list[Portrait]:
+    """Every generic class with at most max_n vertices, from the library's
+    enumeration; a generic portrait has at most n/2 periodic points."""
+    half = max_n // 2
+    structures = {
+        CycleStructure.of(lengths)
+        for size in range(1, half + 1)
+        for lengths in combinations_with_replacement(range(1, half + 1), size)
+        if sum(lengths) <= half
+    }
+    return [
+        P
+        for sigma in sorted(structures, key=lambda s: s.lengths)
+        if sigma.admissible()
+        for n in range(2, max_n + 1, 2)
+        for P in enumerate_generic(n, sigma)
+    ]
 
 
 def brute_force_preperiodic(c: Fraction, height: int) -> set[Fraction]:

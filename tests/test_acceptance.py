@@ -192,9 +192,9 @@ def test_criterion_07_pair_system_decomposition():
             diagonal = 0
             off_orbit = 0
             for sol in iter_solutions(eqs_only, ctx):
-                c0, x0, y0 = (ctx.wrap(sol[v]) for v in ("c", "x", "y"))
-                fx = x0 * x0 + c0
-                orbit_set = {x0, fx, fx * fx + c0}
+                c0, x0, y0 = (sol[v] for v in ("c", "x", "y"))
+                fx = ctx.add(ctx.mul(x0, x0), c0)
+                orbit_set = {x0, fx, ctx.add(ctx.mul(fx, fx), c0)}
                 in_orbit = y0 in orbit_set
                 ineqs_hold = all(y0 != v for v in orbit_set)
                 assert in_orbit != ineqs_hold  # exactly one side of the split
@@ -258,16 +258,17 @@ def test_criterion_10_model_consistency():
             gv = rm.meta["generator_vars"]
             for p in (3, 5, 7):
                 ctx = FFContext(p)
-                zero = ctx.zero()
+                equations = [eq.horner(ctx.ring) for eq in rm.equations]
+                inequations = [iq.horner(ctx.ring) for iq in rm.inequations]
                 for sol in iter_solutions(fm, ctx):
                     projected += 1
-                    assign = {"c": ctx.wrap(sol["c"])}
+                    assign = {"c": sol["c"]}
                     for g, var in gv.items():
-                        assign[var] = ctx.wrap(sol[f"x{g}"])
-                    for eq in rm.equations:
-                        assert eq.evaluate(assign) == zero, (e.label, p)
-                    for iq in rm.inequations:
-                        assert iq.evaluate(assign) != zero, (e.label, p)
+                        assign[var] = sol[f"x{g}"]
+                    for eq in equations:
+                        assert eq(assign) == 0, (e.label, p)
+                    for iq in inequations:
+                        assert iq(assign) != 0, (e.label, p)
         assert projected > 0
 
         red = reduced_model(lookup("12(3,3)").portrait)

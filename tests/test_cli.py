@@ -1,6 +1,9 @@
 """Command-line interface tests: golden outputs, exit codes, determinism."""
 
 import json
+import sys
+
+import pytest
 
 from dynw.cli import dispatch
 
@@ -112,7 +115,12 @@ def test_model_commands(capsys, tmp_path):
     assert doc["inequations"] == ["y - x", "-x^2 + y - c", "-x^4 - 2*c*x^2 - c^2 + y - c"]
 
     code, out, _ = run(capsys, "model", "trace-check", "--p", "7")
-    assert code == 0 and "violations=0" in out
+    assert (code, out) == (0, "p=7 points=5 violations=0\n")
+    code, out, _ = run(capsys, "model", "trace-check", "--p", "101")
+    assert (code, out) == (0, "p=101 points=99 violations=0\n")
+    code, out, _ = run(capsys, "model", "trace-check", "--p", "101", "--json")
+    assert code == 0
+    assert json.loads(out) == {"p": 101, "points": 99, "schema_version": 1, "violations": []}
 
 
 def test_ff_commands(capsys):
@@ -123,7 +131,29 @@ def test_ff_commands(capsys):
     )
     assert code == 0 and "fails" in out
     code, out, _ = run(capsys, "ff", "max-period", "--p", "3", "--k", "2")
-    assert code == 0 and "max_period=3" in out
+    assert (code, out) == (0, "q=9 max_period=3 witness_c=[2, 1]\n")
+    code, out, _ = run(capsys, "ff", "max-period", "--p", "3", "--k", "3")
+    assert (code, out) == (0, "q=27 max_period=12 witness_c=[0, 0, 0]\n")
+    code, out, _ = run(capsys, "ff", "max-period", "--p", "7", "--k", "3", "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["q"], doc["max_period"], doc["witness_c"]) == (343, 57, [2, 0, 0])
+
+
+def test_max_period_builds_the_field_under_the_configured_cap(monkeypatch):
+    from dynw.ff import FFContext
+
+    class ModulusSearch(Exception):
+        pass
+
+    def no_search(self):
+        raise ModulusSearch  # past the context's cap check; no 2^24 table is built
+
+    monkeypatch.setattr(FFContext, "_find_modulus", no_search)
+    with pytest.raises(ModulusSearch):
+        dispatch(
+            ["--enumeration-cap", str(10**15), "ff", "max-period", "--p", "2", "--k", "24"]
+        )
 
 
 def test_cap_is_checked_before_the_field_is_built(capsys, monkeypatch, tmp_path):
@@ -238,3 +268,20 @@ def test_oversized_numbers_are_named_not_printed(capsys):
         assert err.startswith("error: ") and err.count("\n") == 1, argv
         assert "4300" not in err, argv
     assert "enumeration cap 10000000" in run(capsys, "ff", "max-period", "--p", "2", "--k", "10000")[2]
+
+
+def test_size_errors_follow_the_live_digit_limit(capsys):
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        max_period = run(capsys, "ff", "max-period", "--p", "2", "--k", "5000")
+        asymptotic = run(capsys, "dynatomic", "asymptotic", "--n", "2000")
+        sys.set_int_max_str_digits(0)  # no limit: the message still names a power of two
+        unlimited = run(capsys, "ff", "max-period", "--p", "2", "--k", "10000")
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert max_period == (1, "", "error: q^2 >= 2^10000 exceeds enumeration cap 10000000\n")
+    assert unlimited == (1, "", "error: q^2 >= 2^20000 exceeds enumeration cap 10000000\n")
+    assert asymptotic == (
+        1, "", "error: --n 2000 gives integers too long to print; use --n <= 1920\n"
+    )

@@ -1,13 +1,12 @@
 """Finite-field lab tests: counting, bound checkers, residual period data."""
 
 import random
-from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import TupleElement, TupleField, brute_counts, brute_solutions
+from oracles import TupleElement, TupleField, brute_counts, brute_solutions, generic_classes
 
 from dynw.catalog import generic_entries, lookup
 from dynw.config import RunConfig
@@ -30,7 +29,6 @@ from dynw.models import (
     reduced_model,
 )
 from dynw.multipoly import MultiPoly
-from dynw.portraits import CycleStructure, enumerate_generic
 
 
 def test_plane_counts_small():
@@ -111,24 +109,7 @@ def test_count_points_matches_brute_oracle():
         assert not r.violations
 
 
-def _small_generic_portraits() -> list:
-    """Every generic portrait with at most 8 vertices."""
-    structures = {
-        CycleStructure.of(lengths)
-        for size in range(1, 5)
-        for lengths in combinations_with_replacement(range(1, 5), size)
-        if sum(lengths) <= 4  # 8 vertices hold at most 4 periodic points
-    }
-    return [
-        P
-        for sigma in sorted(structures, key=lambda s: s.lengths)
-        if sigma.admissible()
-        for n in (2, 4, 6, 8)
-        for P in enumerate_generic(n, sigma)
-    ]
-
-
-_SMALL_PORTRAITS = _small_generic_portraits()
+_SMALL_PORTRAITS = generic_classes(8)
 _SMALL_FIELDS = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (5, 1), (5, 2), (7, 1)]
 
 
@@ -193,7 +174,7 @@ def test_cs_obstruction():
 def test_max_period_small_fields():
     r = max_period_mod(FFContext(2))
     assert r.max_period == 2  # c = 1 swaps 0 and 1
-    assert r.witness_c == FFContext(2).from_int(1)
+    assert r.witness_c.context == FFContext(2) and r.witness_c.code == 1
     r = max_period_mod(FFContext(3))
     assert r.max_period == 2
     r9 = max_period_mod(FFContext(3, 2))
@@ -208,13 +189,13 @@ def test_max_period_agrees_with_orbit_walks():
         ctx = FFContext(p, k)
         report = max_period_mod(ctx)
         for _ in range(10):
-            c = ctx.element(tuple(rng.randrange(p) for _ in range(k)))
-            z = ctx.element(tuple(rng.randrange(p) for _ in range(k)))
+            c = sum(rng.randrange(p) * p**i for i in range(k))
+            z = sum(rng.randrange(p) * p**i for i in range(k))
             seen = {}
             steps = 0
             while z not in seen:
                 seen[z] = steps
-                z = z * z + c
+                z = ctx.add(ctx.mul(z, z), c)
                 steps += 1
             cycle_len = steps - seen[z]
             assert cycle_len <= report.max_period

@@ -151,14 +151,15 @@ def test_full_solutions_project_to_reduced(sample_primes=(3, 5, 7)):
         gv = rm.meta["generator_vars"]
         for p in sample_primes:
             ctx = FFContext(p)
-            zero = ctx.zero()
+            equations = [eq.horner(ctx.ring) for eq in rm.equations]
+            inequations = [iq.horner(ctx.ring) for iq in rm.inequations]
             for sol in iter_solutions(fm, ctx):
                 projected += 1
-                assign = {"c": ctx.wrap(sol["c"])}
+                assign = {"c": sol["c"]}
                 for g, var in gv.items():
-                    assign[var] = ctx.wrap(sol[f"x{g}"])
-                assert all(eq.evaluate(assign) == zero for eq in rm.equations)
-                assert all(iq.evaluate(assign) != zero for iq in rm.inequations)
+                    assign[var] = sol[f"x{g}"]
+                assert all(eq(assign) == 0 for eq in equations)
+                assert all(iq(assign) != 0 for iq in inequations)
     assert projected > 0  # the check must not be vacuous
 
 
@@ -181,8 +182,9 @@ def test_pair_system_decomposition():
         diag = 0
         off = 0
         for sol in all_pairs:
-            c0, x0, y0 = (ctx.wrap(sol[v]) for v in ("c", "x", "y"))
-            orbit = {x0, x0 * x0 + c0, (x0 * x0 + c0) * (x0 * x0 + c0) + c0}
+            c0, x0, y0 = (sol[v] for v in ("c", "x", "y"))
+            fx = ctx.add(ctx.mul(x0, x0), c0)
+            orbit = {x0, fx, ctx.add(ctx.mul(fx, fx), c0)}
             if y0 in orbit:
                 diag += 1
             else:

@@ -4,6 +4,10 @@ embeddings, enumeration, minimal extensions, and the catalog."""
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import generic_classes
 
 from dynw.catalog import (
     catalog,
@@ -78,6 +82,19 @@ def test_canonical_form_properties():
             perm = list(range(1, n + 1))
             rng.shuffle(perm)
             assert canonical_form(relabel(Q, tuple(perm))) == C
+
+
+_GENERIC_UP_TO_14 = generic_classes(14)
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_canonical_form_properties_on_generic_classes(data):
+    assert len(_GENERIC_UP_TO_14) == 131 and max(Q.n for Q in _GENERIC_UP_TO_14) == 14
+    for Q in _GENERIC_UP_TO_14:
+        perm = tuple(data.draw(st.permutations(range(1, Q.n + 1))))
+        assert canonical_form(Q) == Q  # enumerate_generic returns canonical forms
+        assert canonical_form(relabel(Q, perm)) == Q
 
 
 def test_canonical_form_separates_classes():
