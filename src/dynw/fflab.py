@@ -9,13 +9,25 @@ All field arithmetic runs on the int codes of an FFContext, with the
 context's add, mul, neg, sub and inv; elements are the codes in range(q),
 and the only FFElement is max_period_mod's witness, kept for its
 coefficient vector.
-Solutions are enumerated in-process over a model's free variables, and
-each equation, inequation and propagation step is applied at the first
-enumeration level where its variables are bound, so a failed condition
-prunes everything below it.  Polynomials are evaluated in the compiled
-Horner form of MultiPoly.horner over the context's ring.  The exhaustive
-enumeration on coefficient-tuple arithmetic that checks every condition
-only on complete assignments is the test oracle.
+
+Which way a model is counted depends on what it is:
+
+* A full model (provenance "full") that is exactly full_model(P), for the
+  portrait P its name gives, is counted on the functional graph G_c of
+  z -> z^2 + c, one fiber c at a time: its points are the injective
+  edge-preserving maps of P into G_c.  Each fiber costs O(q), so the
+  enumeration cap bounds q^2.  max_period_mod walks the same graphs.
+* Every other model, reduced, multilevel, plane or a full model edited by
+  hand, is solved by iter_solutions.  Solutions are enumerated in-process
+  over the model's free variables, and each equation, inequation and
+  propagation step is applied at the first enumeration level where its
+  variables are bound, so a failed condition prunes everything below it.
+  Polynomials are evaluated in the compiled Horner form of
+  MultiPoly.horner over the context's ring.  The enumeration cap bounds
+  q^(free variables).
+
+The exhaustive enumeration on coefficient-tuple arithmetic that checks every
+condition only on complete assignments is the test oracle of both.
 
 For plane models the affine count is computed twice, by independent
 strategies: straight enumeration of (c, x), and per-x root counting in c
@@ -29,8 +41,10 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from .config import RunConfig, DEFAULT
+from .errors import NotGeneric, ParseError
 from .ff import FFContext, FFElement, check_enumeration_cap, poly_gcd, poly_powmod, poly_trim
-from .models import CurveModel
+from .models import CurveModel, full_system
+from .portraits import Portrait, find_cycles, preimages
 
 
 # ----------------------------------------------------------- solution iteration
@@ -105,13 +119,22 @@ def count_points(
 ) -> PointCountReport:
     """Count F_{p^k} assignments satisfying the model.
 
-    The enumeration cap is checked before the field is built.  For
-    two-variable models the report also carries the count of solutions
-    where some partial derivative is nonzero (nonsingular_count) and the
-    independent per-x root-counting total (cross_count).
+    A model that is exactly full_model(P) for the portrait P its name
+    gives is counted on the graph of z -> z^2 + c, one fiber at a time
+    (_count_full), with q^2 held to the enumeration cap.  Every other
+    model, reduced, multilevel, plane or edited, runs through
+    iter_solutions, with q^(free variables) held to the cap.  Either cap
+    is checked before the field is built.  For two-variable models the
+    report also carries the count of solutions where some partial
+    derivative is nonzero (nonsingular_count) and the independent per-x
+    root-counting total (cross_count).
     """
-    check_enumeration_cap(p**k, len(model.enumeration_variables()), config)
+    P = _full_portrait(model)
+    dims = 2 if P is not None else len(model.enumeration_variables())
+    check_enumeration_cap(p**k, dims, config)
     ctx = FFContext(p, k, config=config)
+    if P is not None:
+        return PointCountReport(model_id=model.name, q=ctx.q, affine_count=_count_full(P, ctx))
     plane = _is_plane(model)
     partials = []
     if plane:
@@ -222,33 +245,148 @@ def max_period_mod(ctx: FFContext, config: RunConfig = DEFAULT) -> MaxPeriodRepo
     enumeration cap.
     """
     check_enumeration_cap(ctx.q, 2, config)
-    q = ctx.q
-    add, mul = ctx.add, ctx.mul
-    squares = [mul(z, z) for z in range(q)]
     best, witness = 0, 0
-    for c in range(q):
-        longest = _longest_cycle([add(s, c) for s in squares])
+    for c, succ in _fiber_successors(ctx):
+        longest = max(map(len, _cycles(succ)))
         if longest > best:
             best, witness = longest, c
-    return MaxPeriodReport(ctx.p, ctx.k, q, best, FFElement(ctx, witness))
+    return MaxPeriodReport(ctx.p, ctx.k, ctx.q, best, FFElement(ctx, witness))
 
 
-def _longest_cycle(succ: list[int]) -> int:
-    """Longest cycle of v -> succ[v].  Each walk stamps the nodes it meets
-    with its start and step count and stops at the first stamped node; a
-    node stamped by the same walk closes a cycle."""
+# ------------------------------------------------- the graph of z -> z^2 + c
+
+
+def _fiber_successors(ctx: FFContext) -> Iterator[tuple[int, list[int]]]:
+    """(c, succ) for every code c in order, succ[z] the code of z^2 + c.
+
+    Adding c moves each base-p digit of a code independently, so the table
+    of z -> z + c is built digit by digit from rotations of range(p), and
+    succ indexes it by the list of squares."""
+    p = ctx.p
+    squares = [ctx.mul(z, z) for z in range(ctx.q)]
+    for c in range(ctx.q):
+        shift = [0]
+        place = 1
+        for d in ctx.digits(c):
+            digit = [(j + d) % p * place for j in range(p)]
+            shift = [h + t for h in digit for t in shift]
+            place *= p
+        yield c, [shift[s] for s in squares]
+
+
+def _cycles(succ: list[int]) -> list[list[int]]:
+    """The cycles of v -> succ[v], each in successor order.  Each walk
+    stamps the nodes it meets with its start and stops at the first stamped
+    node; a node stamped by the same walk lies on a new cycle."""
     walk = [-1] * len(succ)
-    step = [0] * len(succ)
-    best = 0
+    cycles = []
     for start in range(len(succ)):
         if walk[start] >= 0:
             continue
-        v, t = start, 0
+        v = start
         while walk[v] < 0:
             walk[v] = start
-            step[v] = t
-            t += 1
             v = succ[v]
-        if walk[v] == start and t - step[v] > best:
-            best = t - step[v]
-    return best
+        if walk[v] == start:
+            cycle = [v]
+            u = succ[v]
+            while u != v:
+                cycle.append(u)
+                u = succ[u]
+            cycles.append(cycle)
+    return cycles
+
+
+def _full_portrait(model: CurveModel) -> Portrait | None:
+    """The portrait P when the model is exactly full_model(P) for the P its
+    name gives: same variables, equations and inequations.  None otherwise."""
+    if model.provenance != "full" or not model.name.startswith("full:"):
+        return None
+    try:
+        P = Portrait.from_text(model.name[5:])
+        system = full_system(P)
+    except (ParseError, NotGeneric, ValueError):
+        return None
+    return P if system == (model.variables, model.equations, model.inequations) else None
+
+
+def _count_full(P: Portrait, ctx: FFContext) -> int:
+    """The F_q points of full_model(P): the injective maps phi of the
+    portrait into the graph G_c of z -> z^2 + c on F_q with
+    phi(v)^2 + c = phi(succ v), summed over c.
+
+    phi sends each P-cycle onto a G_c-cycle of the same length, distinct
+    P-cycles to distinct G_c-cycles, and trees into the non-periodic points.
+    If v_j is sent to the cycle point whose cycle predecessor is w, the tail
+    vertex above v_j, its preimage off the cycle, must go to -w, the other
+    square root; so a G_c-cycle through 0, or any cycle in characteristic 2,
+    takes no P-cycle.  Below that, a vertex with preimages a, b over a point
+    y with square roots r, -r of y - c has
+    maps(a, r) maps(b, -r) + maps(a, -r) maps(b, r) maps of its tree: a 2x2
+    permanent, since in-degrees are at most 2 on both sides.  In-trees of
+    distinct points are disjoint, so these choices keep phi injective.
+    """
+    add, neg = ctx.add, ctx.neg
+    root = [-1] * ctx.q  # a square root of each square
+    for z in range(ctx.q):
+        root[ctx.mul(z, z)] = z
+    pre = preimages(P)
+    cycles = find_cycles(P)
+    tails = [[next(u for u in pre[v - 1] if u != cyc[j - 1]) for j, v in enumerate(cyc)]
+             for cyc in cycles]
+    lengths = {len(cyc) for cyc in cycles}
+
+    def maps(u: int, y: int, minus_c: int) -> int:
+        """Injective maps of the in-tree above u to the one above y."""
+        kids = pre[u - 1]
+        if not kids:
+            return 1
+        r = root[add(y, minus_c)]
+        if r < 0:
+            return 0
+        s = neg(r)
+        if s == r:
+            return 0
+        a, b = kids
+        return maps(a, r, minus_c) * maps(b, s, minus_c) + maps(a, s, minus_c) * maps(b, r, minus_c)
+
+    def assign(rows: list, i: int, used: frozenset) -> int:
+        """The sum, over injective choices of a G_c-cycle g for each P-cycle
+        from the i-th on, of the product of their weights rows[i] = [(g, w)]."""
+        if i == len(rows):
+            return 1
+        return sum(w * assign(rows, i + 1, used | {g}) for g, w in rows[i] if g not in used)
+
+    total = 0
+    for c, succ in _fiber_successors(ctx):
+        minus_c = neg(c)
+        # under rotation r, v_j goes to image[j + r + 1] and its tail to -image[j + r]
+        found = []
+        for image in _cycles(succ):
+            if len(image) in lengths:
+                others = [neg(y) for y in image]
+                if all(o != y for o, y in zip(others, image)):
+                    found.append(others)
+        rows = []
+        for cyc, tail in zip(cycles, tails):
+            n = len(cyc)
+            row = []
+            for g, others in enumerate(found):
+                if len(others) != n:
+                    continue
+                weight = 0
+                for r in range(n):
+                    term = 1
+                    for j in range(n):
+                        term *= maps(tail[j], others[(j + r) % n], minus_c)
+                        if not term:
+                            break
+                    weight += term
+                if weight:
+                    row.append((g, weight))
+            if not row:
+                break
+            rows.append(row)
+        else:
+            total += assign(rows, 0, frozenset())
+    return total

@@ -25,12 +25,17 @@ descending order, matching the usual presentation (c, z, y, x) for levels
 
 Models are bookkeeping objects for counting and projection only; no
 normalization, genus computation, or projective closure happens here.
+fflab.count_points counts a model that is exactly full_model(P) on the
+graph of z -> z^2 + c, fiber by fiber, and solves every other model,
+reduced, multilevel, plane or edited, with its pruned enumeration.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from fractions import Fraction
+
 from .config import RunConfig, DEFAULT
 from .dynatomic import degree_d0, dynatomic, generalized_dynatomic, iterate_fc
 from .errors import InadmissibleCycleStructure, NotGeneric, ParseError
@@ -182,34 +187,61 @@ def generator_set(P: Portrait) -> GeneratorSet:
 
 def full_model(P: Portrait) -> CurveModel:
     """The affine model with one variable per vertex: N edge equations
-    x_i^2 + c = x_j and all pairwise distinctness conditions."""
-    report = validate_generic(P)
-    if not report.is_generic:
-        raise NotGeneric(f"portrait is not generic: {report.violations[0].detail}")
-    if P.n < 1:
-        raise ValueError("full_model needs at least one vertex")
-    variables = ("c",) + tuple(f"x{i}" for i in range(1, P.n + 1))
-    c = MultiPoly.var("c")
-    xs = {i: MultiPoly.var(f"x{i}") for i in range(1, P.n + 1)}
-    equations = [xs[i] * xs[i] + c - xs[P.successor(i)] for i in range(1, P.n + 1)]
-    inequations = [
-        xs[i] - xs[j] for i in range(1, P.n + 1) for j in range(i + 1, P.n + 1)
-    ]
+    x_i^2 + c = x_j and all pairwise distinctness conditions.
+
+    fflab.count_points counts a model that is exactly full_model(P) on the
+    graph of z -> z^2 + c, one fiber in c at a time; see fflab.
+    """
+    variables, equations, inequations = full_system(P)
+    names = variables[1:]
     gens = generator_set(P)
-    free = ("c",) + tuple(f"x{g}" for g in gens.generators)
-    steps = [
-        (s.kind, f"x{s.vertex}", f"x{s.source}") for s in gens.closure_trace
-    ]
     return CurveModel(
         name=f"full:{P.to_text()}",
         variables=variables,
         equations=equations,
         inequations=inequations,
         provenance="full",
-        free_variables=free,
-        steps=steps,
+        free_variables=("c",) + tuple(names[g - 1] for g in gens.generators),
+        steps=[(s.kind, names[s.vertex - 1], names[s.source - 1]) for s in gens.closure_trace],
         meta={"generators": gens.generators},
     )
+
+
+def full_system(P: Portrait) -> tuple[tuple[str, ...], list[MultiPoly], list[MultiPoly]]:
+    """The variables (c, x1, ..., xN), edge equations and inequations of
+    full_model(P), without its generators."""
+    report = validate_generic(P)
+    if not report.is_generic:
+        raise NotGeneric(f"portrait is not generic: {report.violations[0].detail}")
+    if P.n < 1:
+        raise ValueError("full_model needs at least one vertex")
+    names = [f"x{i}" for i in range(1, P.n + 1)]
+    equations = [_edge_equation(names[i - 1], names[j - 1]) for i, j in enumerate(P.image, 1)]
+    inequations = [_difference(a, b) for i, a in enumerate(names) for b in names[i + 1:]]
+    return ("c",) + tuple(names), equations, inequations
+
+
+# The full system is built from its terms, in MultiPoly's normal form:
+# variables sorted as strings (so x10 comes before x2), coefficients Fractions.
+_ONE, _MINUS_ONE = Fraction(1), Fraction(-1)
+
+
+def _edge_equation(a: str, b: str) -> MultiPoly:
+    """a^2 + c - b; a fixed point a = b gives a^2 - a + c."""
+    if a == b:
+        return MultiPoly._normalized(("c", a), {(0, 2): _ONE, (0, 1): _MINUS_ONE, (1, 0): _ONE})
+    if a < b:
+        terms = {(0, 2, 0): _ONE, (1, 0, 0): _ONE, (0, 0, 1): _MINUS_ONE}
+        return MultiPoly._normalized(("c", a, b), terms)
+    terms = {(0, 0, 2): _ONE, (1, 0, 0): _ONE, (0, 1, 0): _MINUS_ONE}
+    return MultiPoly._normalized(("c", b, a), terms)
+
+
+def _difference(a: str, b: str) -> MultiPoly:
+    """a - b for distinct variables."""
+    if a < b:
+        return MultiPoly._normalized((a, b), {(1, 0): _ONE, (0, 1): _MINUS_ONE})
+    return MultiPoly._normalized((b, a), {(0, 1): _ONE, (1, 0): _MINUS_ONE})
 
 
 # --------------------------------------------------------------- reduced model

@@ -8,6 +8,8 @@ inverses by the extended Euclidean algorithm) rather than on the library's
 int codes and tables, bind every free variable before checking a single
 condition, and evaluate polynomials term by term rather than in Horner form.
 generic_classes lists the inputs that several property tests range over.
+arithmetic_full_system builds the full model's system by MultiPoly
+arithmetic, against which the library's term-by-term construction is checked.
 """
 
 from fractions import Fraction
@@ -39,6 +41,18 @@ def generic_classes(max_n: int) -> list[Portrait]:
         for n in range(2, max_n + 1, 2)
         for P in enumerate_generic(n, sigma)
     ]
+
+
+def arithmetic_full_system(P: Portrait) -> tuple[list, list]:
+    """The edge equations x_i^2 + c - x_j and the inequations x_i - x_j
+    (i < j) of full_model(P), by MultiPoly arithmetic on the variables."""
+    c = MultiPoly.var("c")
+    xs = {i: MultiPoly.var(f"x{i}") for i in range(1, P.n + 1)}
+    equations = [xs[i] * xs[i] + c - xs[P.successor(i)] for i in range(1, P.n + 1)]
+    inequations = [
+        xs[i] - xs[j] for i in range(1, P.n + 1) for j in range(i + 1, P.n + 1)
+    ]
+    return equations, inequations
 
 
 def brute_force_preperiodic(c: Fraction, height: int) -> set[Fraction]:

@@ -158,7 +158,8 @@ def test_max_period_builds_the_field_under_the_configured_cap(monkeypatch):
 
 def test_cap_is_checked_before_the_field_is_built(capsys, monkeypatch, tmp_path):
     from dynw.ff import FFContext
-    from dynw.models import model_to_json, plane_model
+    from dynw.models import full_model, model_to_json, plane_model
+    from dynw.portraits import Portrait
 
     def no_search(self):
         raise AssertionError("searched for a modulus")
@@ -166,12 +167,64 @@ def test_cap_is_checked_before_the_field_is_built(capsys, monkeypatch, tmp_path)
     monkeypatch.setattr(FFContext, "_find_modulus", no_search)
     model = tmp_path / "plane1.json"
     model.write_text(model_to_json(plane_model(1)))
+    full = tmp_path / "full.json"
+    full.write_text(model_to_json(full_model(Portrait.from_text("4:1,1,3,3"))))
     expected = f"error: q^2 = {2 ** 400} exceeds enumeration cap 10000000\n"
     for argv in (
         ("ff", "max-period", "--p", "2", "--k", "200"),
         ("ff", "count", "--model", str(model), "--p", "2", "--k", "200"),
+        ("ff", "count", "--model", str(full), "--p", "2", "--k", "200"),
     ):
         assert run(capsys, *argv) == (1, "", expected)
+
+
+def _full_model_file(capsys, tmp_path, portrait):
+    code, text, _ = run(capsys, "model", "full", "--portrait", portrait)
+    assert code == 0
+    path = tmp_path / "full.json"
+    path.write_text(text)
+    return str(path)
+
+
+def test_ff_count_takes_the_fiber_path_on_full_models(capsys, monkeypatch, tmp_path):
+    from dynw import fflab
+
+    def no_solver(*args, **kwargs):
+        raise AssertionError("the solver ran")
+
+    monkeypatch.setattr(fflab, "iter_solutions", no_solver)
+    path = _full_model_file(capsys, tmp_path, "12:2,3,1,1,2,3,8,9,7,7,8,9")
+    name = "full:12:2,3,1,1,2,3,8,9,7,7,8,9"
+    assert run(capsys, "ff", "count", "--model", path, "--p", "5", "--k", "2") == (
+        0, f"model={name} q=25 affine=36\n", ""
+    )
+    code, out, _ = run(capsys, "ff", "count", "--model", path, "--p", "13", "--json")
+    assert code == 0 and json.loads(out) == {
+        "affine_count": 0, "cross_count": None, "model": name, "nonsingular_count": None,
+        "q": 13, "schema_version": 1, "violations": [],
+    }
+    # q^5 > 10^7 for this model, but the fiber count only needs q^2 <= 10^7;
+    # iter_solutions under a raised cap also finds 96 points
+    path = _full_model_file(capsys, tmp_path, "12:2,1,1,3,3,2,6,6,9,9,11,11")
+    assert run(capsys, "ff", "count", "--model", path, "--p", "101") == (
+        0, "model=full:12:2,1,1,3,3,2,6,6,9,9,11,11 q=101 affine=96\n", ""
+    )
+
+
+def test_full_count_cap_bounds_q_squared(capsys, monkeypatch, tmp_path):
+    from dynw.ff import FFContext
+
+    def no_search(self):
+        raise AssertionError("searched for a modulus")
+
+    monkeypatch.setattr(FFContext, "_find_modulus", no_search)
+    path = _full_model_file(capsys, tmp_path, "4:1,1,3,3")
+    assert run(capsys, "ff", "count", "--model", path, "--p", "3163") == (
+        1, "", "error: q^2 = 10004569 exceeds enumeration cap 10000000\n"
+    )
+    assert run(capsys, "--enumeration-cap", "10000", "ff", "count", "--model", path, "--p", "101") == (
+        1, "", "error: q^2 = 10201 exceeds enumeration cap 10000\n"
+    )
 
 
 def test_classify_and_sweep(capsys, tmp_path):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from oracles import TupleElement, TupleField, brute_counts, brute_solutions, generic_classes
 
+from dynw import fflab
 from dynw.catalog import generic_entries, lookup
 from dynw.config import RunConfig
 from dynw.errors import BudgetExceeded
@@ -17,6 +18,7 @@ from dynw.fflab import (
     cs_obstruction,
     count_points,
     gonality_lower_bound,
+    iter_solutions,
     max_period_mod,
 )
 from dynw.models import (
@@ -29,6 +31,7 @@ from dynw.models import (
     reduced_model,
 )
 from dynw.multipoly import MultiPoly
+from dynw.portraits import Portrait
 
 
 def test_plane_counts_small():
@@ -107,6 +110,100 @@ def test_count_points_matches_brute_oracle():
         got = (r.affine_count, r.nonsingular_count, r.cross_count)
         assert got == brute_counts(model, p, k), (model.name, p, k)
         assert not r.violations
+
+
+_CATALOG_FULL_MODELS = [
+    full_model(e.portrait) for e in generic_entries() if 0 < e.portrait.n <= 12
+]
+
+
+@pytest.mark.parametrize("p, k", [(13, 1), (5, 2), (2, 2), (2, 3), (3, 2)])
+def test_fiber_count_matches_solver_and_brute_oracle(p, k):
+    assert len(_CATALOG_FULL_MODELS) == 35
+    ctx = FFContext(p, k)
+    counts = []
+    for model in _CATALOG_FULL_MODELS:
+        got = count_points(model, p, k).affine_count
+        assert got == sum(1 for _ in iter_solutions(model, ctx)), (model.name, p, k)
+        # the brute oracle visits all q^dims assignments; 2000 keep it fast
+        if ctx.q ** len(model.enumeration_variables()) <= 2000:
+            assert (got, None, None) == brute_counts(model, p, k), (model.name, p, k)
+        counts.append(got)
+    if p > 2:
+        assert any(counts), (p, k)  # the agreement is not all zeros
+    if (p, k) in ((13, 1), (5, 2)):
+        assert sum(1 for n in counts if n) == {13: 21, 25: 27}[ctx.q]
+
+
+def test_fiber_count_follows_the_cycle_orientation():
+    # mirror images around a 3-cycle: the tail at its second vertex has two
+    # leaves and the tail at its third a depth-2 tree, or the other way round
+    counts = {}
+    for text in ("12:2,3,1,1,2,5,5,3,8,8,10,10", "12:2,3,1,1,2,5,5,7,7,3,10,10"):
+        model = full_model(Portrait.from_text(text))
+        for p in (31, 37):
+            counts[p] = counts.get(p, ()) + (count_points(model, p).affine_count,)
+            assert counts[p][-1] == sum(1 for _ in iter_solutions(model, FFContext(p)))
+    assert counts == {31: (20, 16), 37: (16, 8)}
+
+
+def _no_solver(*args, **kwargs):
+    raise AssertionError("the solver ran")
+
+
+def test_full_models_are_recognized_in_memory_and_from_json(monkeypatch):
+    model = full_model(lookup("12(3,3)").portrait)
+    monkeypatch.setattr(fflab, "iter_solutions", _no_solver)
+    assert count_points(model, 5, 2).affine_count == 36
+    assert count_points(model_from_json(model_to_json(model)), 5, 2).affine_count == 36
+    assert fflab._full_portrait(model) == lookup("12(3,3)").portrait
+
+
+def test_edited_full_models_go_to_the_solver(monkeypatch):
+    model = full_model(lookup("8(2,1,1)").portrait)
+    fiber = count_points(model, 7).affine_count
+    solver_calls = []
+
+    def spy(*args, **kwargs):
+        solver_calls.append(args[0].name)
+        return iter_solutions(*args, **kwargs)
+
+    monkeypatch.setattr(fflab, "iter_solutions", spy)
+    dropped = model_from_json(model_to_json(model))
+    dropped.inequations.remove(MultiPoly.parse("x5 - x6"))  # fixed point 5 and its twin
+    renamed = model_from_json(model_to_json(model).replace('"full:', '"edited:'))
+    for edited in (dropped, renamed):
+        assert fflab._full_portrait(edited) is None
+        got = count_points(edited, 7).affine_count
+        assert got == sum(1 for _ in iter_solutions(edited, FFContext(7)))
+        assert got == brute_counts(edited, 7)[0]
+    assert solver_calls == [dropped.name, renamed.name]
+    # x5 = x6 = 0 is now allowed: at c = 0, the fixed point 0 with the
+    # 2-cycle of cube roots of unity mod 7 adds points
+    assert count_points(dropped, 7).affine_count > fiber
+    assert count_points(renamed, 7).affine_count == fiber
+
+
+def test_fiber_successors_match_field_arithmetic():
+    for p, k in ((2, 3), (3, 4), (101, 1), (7, 3), (19, 2)):
+        ctx = FFContext(p, k)
+        for c, succ in fflab._fiber_successors(ctx):
+            assert succ == [ctx.add(ctx.mul(z, z), c) for z in range(ctx.q)], (p, k, c)
+        assert c == ctx.q - 1
+
+
+def test_cycles_are_the_periodic_points_in_successor_order():
+    for p, k in ((13, 1), (3, 4)):
+        ctx = FFContext(p, k)
+        for c, succ in fflab._fiber_successors(ctx):
+            cycles = fflab._cycles(succ)
+            # after q steps every orbit is on its cycle
+            image = list(range(ctx.q))
+            for _ in range(ctx.q):
+                image = [succ[v] for v in image]
+            assert sorted(v for cyc in cycles for v in cyc) == sorted(set(image))
+            for cyc in cycles:
+                assert [succ[v] for v in cyc] == cyc[1:] + cyc[:1]
 
 
 _SMALL_PORTRAITS = generic_classes(8)

@@ -1,6 +1,10 @@
 """Curve-model construction and consistency tests."""
 
+from dataclasses import replace
+
 import pytest
+
+from oracles import arithmetic_full_system
 
 from dynw.catalog import generic_entries, lookup
 from dynw.dynatomic import dynatomic, generalized_dynatomic, iterate_fc
@@ -33,6 +37,19 @@ def test_full_model_shape():
     assert len(m4.equations) == 4
     with pytest.raises(NotGeneric):
         full_model(Portrait(2, (1, 1)))
+
+
+def test_full_model_matches_arithmetic_construction():
+    portraits = [e.portrait for e in generic_entries() if e.portrait.n > 0]
+    assert any(P.n >= 10 for P in portraits)  # x10 sorts before x2
+    assert any(P.successor(v) == v for P in portraits for v in range(1, P.n + 1))
+    for P in portraits:
+        model = full_model(P)
+        equations, inequations = arithmetic_full_system(P)
+        assert model.equations == equations, P
+        assert model.inequations == inequations, P
+        oracle = replace(model, equations=equations, inequations=inequations)
+        assert model_to_json(model) == model_to_json(oracle), P
 
 
 def test_full_model_equation_count_matches_vertex_count():
