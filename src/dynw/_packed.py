@@ -25,8 +25,7 @@ model in ``_termwise_is_cheaper`` expects to be faster:
 * 2-D Kronecker: each factor becomes one number, x-row i starting at slot
   i*stride.  Below DECIMAL_MIN_DIGITS the number is a Python int (Karatsuba);
   from there on it is a decimal.Decimal, which libmpdec multiplies with a
-  number-theoretic transform.  Operands above MAX_PACK_BYTES are multiplied
-  in x-blocks so peak memory stays bounded.
+  number-theoretic transform.
 
 Exact division is long division over packed c-rows that applies the
 divisor term by term, verified by re-multiplication.
@@ -257,18 +256,14 @@ class _Codec(NamedTuple):
     pack: Callable
     unpack: Callable
     mul: Callable
-    slot_bytes: Callable  # packed bytes per slot, from the slot width
 
 
-_INT = _Codec(_pack2d, _unpack2d, operator.mul, lambda W: W // 8)
-_DECIMAL = _Codec(_dec_pack, _dec_unpack, _DEC.multiply, lambda w: w)
+_INT = _Codec(_pack2d, _unpack2d, operator.mul)
+_DECIMAL = _Codec(_dec_pack, _dec_unpack, _DEC.multiply)
 
 # packed operand size, in decimal digits, from which libmpdec's transform
 # multiplies faster than int's Karatsuba (measured crossover about 20k)
 DECIMAL_MIN_DIGITS = 20_000
-# ceiling on the byte size of a single packed operand; larger inputs are
-# multiplied in x-blocks so peak memory stays bounded
-MAX_PACK_BYTES = 192 * 1024 * 1024
 
 
 def _kronecker(A: list, B: list, bits: int) -> list:
@@ -284,48 +279,9 @@ def _kronecker(A: list, B: list, bits: int) -> list:
         codec, width = _DECIMAL, w
     else:
         codec, width = _INT, _width_for(bits)
-    row_bytes = stride * codec.slot_bytes(width)
-    if max(len(A), len(B)) * row_bytes > MAX_PACK_BYTES:
-        return _kronecker_blocked(A, B, codec, width, stride, n_rows)
     pa = codec.pack(A, width, stride)
     pb = pa if B is A else codec.pack(B, width, stride)
     return codec.unpack(codec.mul(pa, pb), width, stride, n_rows)
-
-
-def _kronecker_blocked(A: list, B: list, codec: _Codec, width: int, stride: int, n_rows: int) -> list:
-    """Kronecker product of x-blocks small enough to pack whole."""
-    per = max(1, MAX_PACK_BYTES // (stride * codec.slot_bytes(width)))
-    square = B is A
-
-    def blocks(X):
-        return [(codec.pack(X[lo : lo + per], width, stride), lo, min(lo + per, len(X)))
-                for lo in range(0, len(X), per)]
-
-    b_blocks = blocks(B)
-    a_blocks = b_blocks if square else blocks(A)
-    out: list = [None] * n_rows
-    for k, (pa, lo_a, hi_a) in enumerate(a_blocks):
-        for pb, lo_b, hi_b in (b_blocks[k:] if square else b_blocks):
-            chunk = codec.unpack(
-                codec.mul(pa, pb), width, stride, (hi_a - lo_a) + (hi_b - lo_b) - 1
-            )
-            _acc_rows(out, chunk, lo_a + lo_b, 2 if square and lo_a != lo_b else 1)
-    return cx_trim(out)
-
-
-def _acc_rows(out: list, chunk: list, offset: int, scale: int = 1) -> None:
-    for r, slot in enumerate(chunk):
-        if not slot:
-            continue
-        tgt = out[offset + r]
-        if tgt is None:
-            out[offset + r] = [scale * v for v in slot]
-            continue
-        if len(tgt) < len(slot):
-            tgt += [0] * (len(slot) - len(tgt))
-        for j, coef in enumerate(slot):
-            tgt[j] += scale * coef
-        _trim(tgt)
 
 
 # ------------------------------------------------------------ term by term

@@ -188,7 +188,11 @@ def generalized_dynatomic(m: int, n: int, config: RunConfig = DEFAULT) -> MultiP
     """Dynatomic polynomial of preperiod m and eventual period n.
 
     For m = 0 this is Phi_n; for m >= 1 it is
-    Phi_n(c, f^m(x)) / Phi_n(c, f^{m-1}(x)), with the division exact.
+    Phi_n(c, f^m(x)) / Phi_n(c, f^{m-1}(x)).  That quotient is
+    Phi_{m-1,n}(c, f(x)), so Phi_{m,n} = Phi_{1,n} o f^{m-1}: the one exact
+    division is Phi_{1,n} = Phi_n(c, x^2 + c) / Phi_n(c, x), whose dividend
+    has x-degree 2*D1(n) whatever m is, and f^{m-1} is composed in after.
+    The result must have x-degree 2^{m-1}*D1(n) and be monic in x.
     """
     if m < 0 or n < 1:
         raise ValueError("need m >= 0 and n >= 1")
@@ -197,12 +201,17 @@ def generalized_dynatomic(m: int, n: int, config: RunConfig = DEFAULT) -> MultiP
     phi = dynatomic_cx(n)
     if m == 0:
         return _cx_to_multipoly(phi)
-    numer = _compose_x(phi, pk.fc_iterate(m))
-    denom = _compose_x(phi, pk.fc_iterate(m - 1))
     try:
-        quot = pk.cx_divexact(numer, denom)
+        quot = pk.cx_divexact(_compose_x(phi, pk.fc_iterate(1)), phi)
     except ArithmeticError as exc:
         raise NonExactDivision(f"generalized dynatomic ({m}, {n}): {exc}") from exc
+    if m > 1:
+        quot = _compose_x(quot, pk.fc_iterate(m - 1))
+    deg, want = pk.cx_deg_x(quot), degree_d1(n) << (m - 1)
+    if deg != want or quot[-1] != [1]:
+        raise NonExactDivision(
+            f"generalized dynatomic ({m}, {n}): x-degree {deg}, want {want}, monic in x"
+        )
     return _cx_to_multipoly(quot)
 
 

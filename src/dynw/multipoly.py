@@ -234,8 +234,14 @@ class MultiPoly:
         return MultiPoly(self.variables, terms)
 
     def rename(self, mapping: dict[str, str]) -> "MultiPoly":
-        variables = tuple(mapping.get(v, v) for v in self.variables)
-        return MultiPoly(variables, dict(self.terms))
+        """Rename variables; the exponent vectors are permuted into the sorted
+        order of the new names, and the coefficients are kept as they are."""
+        names = [mapping.get(v, v) for v in self.variables]
+        if len(set(names)) != len(names):
+            raise ValueError("duplicate variable names")
+        order = sorted(range(len(names)), key=names.__getitem__)
+        terms = {tuple(e[j] for j in order): c for e, c in self.terms.items()}
+        return MultiPoly._normalized(tuple(names[j] for j in order), terms)
 
     def substitute(self, var: str, value: "MultiPoly") -> "MultiPoly":
         """Replace var by a polynomial, via Horner's scheme in var."""

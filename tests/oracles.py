@@ -10,13 +10,17 @@ condition, and evaluate polynomials term by term rather than in Horner form.
 generic_classes lists the inputs that several property tests range over.
 arithmetic_full_system builds the full model's system by MultiPoly
 arithmetic, against which the library's term-by-term construction is checked.
+quotient_generalized_dynatomic builds Phi_{m,n} by the one big division of
+its definition, against which the library's composition form is checked.
 """
 
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from math import gcd
 
+from dynw import _packed as pk
 from dynw.config import DEFAULT, RunConfig
+from dynw.dynatomic import _compose_x, _cx_to_multipoly, dynatomic_cx
 from dynw.errors import BudgetExceeded, NonExactDivision
 from dynw.ff import FFContext
 from dynw.models import CurveModel
@@ -53,6 +57,16 @@ def arithmetic_full_system(P: Portrait) -> tuple[list, list]:
         xs[i] - xs[j] for i in range(1, P.n + 1) for j in range(i + 1, P.n + 1)
     ]
     return equations, inequations
+
+
+def quotient_generalized_dynatomic(m: int, n: int) -> MultiPoly:
+    """Phi_{m,n} for m >= 1 as its definition reads: Phi_n composed with
+    f^m, exactly divided by Phi_n composed with f^(m-1), on the packed
+    engine with the division's re-multiplication check."""
+    phi = dynatomic_cx(n)
+    numer = _compose_x(phi, pk.fc_iterate(m))
+    denom = _compose_x(phi, pk.fc_iterate(m - 1))
+    return _cx_to_multipoly(pk.cx_divexact(numer, denom))
 
 
 def brute_force_preperiodic(c: Fraction, height: int) -> set[Fraction]:

@@ -1,12 +1,15 @@
 """Dynatomic polynomial and degree-arithmetic tests."""
 
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 
-from oracles import poly_exact_divide
+from oracles import poly_exact_divide, quotient_generalized_dynatomic
 
+import dynw._packed as pk
+import dynw.dynatomic as dyn
 from dynw.config import RunConfig
 from dynw.dynatomic import (
     asymptotic_genus_check,
@@ -21,6 +24,7 @@ from dynw.dynatomic import (
     moebius,
     product_identity_holds,
 )
+from dynw.errors import NonExactDivision
 from dynw.multipoly import MultiPoly
 
 P = MultiPoly.parse
@@ -93,12 +97,85 @@ def test_generalized_dynatomic():
 
 
 def test_generalized_dynatomic_identity_grid():
-    fpow = {m: iterate_fc(m) for m in range(0, 4)}
+    """Phi_{m,n} * Phi_n(f^(m-1)) = Phi_n(f^m) in MultiPoly arithmetic, which
+    shares no code with the packed engine.  Where m + n <= 7 the identity is
+    checked in Z[c, x]; the three larger cells, whose MultiPoly products take
+    8 to 124 s, are checked with c specialized to three values."""
     for n in range(1, 5):
-        phi = dynatomic(n).phi
-        for m in range(1, 4):
-            lhs = generalized_dynatomic(m, n) * phi.substitute("x", fpow[m - 1])
-            assert lhs == phi.substitute("x", fpow[m])
+        for m in range(1, 6):
+            cases = [None] if m + n <= 7 else [-2, Fraction(1, 3), 5]
+            for c0 in cases:
+                def at(f):
+                    return f if c0 is None else f.substitute("c", MultiPoly.constant(c0))
+
+                phi, inner = at(dynatomic(n).phi), at(iterate_fc(m - 1))
+                outer = inner.substitute("x", at(iterate_fc(1)))
+                lhs = at(generalized_dynatomic(m, n)) * phi.substitute("x", inner)
+                assert lhs == phi.substitute("x", outer), (m, n, c0)
+    f1, f2 = iterate_fc(1), iterate_fc(2)
+    phi5 = dynatomic(5).phi
+    quotient = poly_exact_divide(phi5.substitute("x", f2), phi5.substitute("x", f1))
+    assert generalized_dynatomic(2, 5) == quotient
+
+
+# the benchmark's orbit types, and the grid below them
+ORBIT_TYPES = ((2, 6), (3, 5), (4, 4), (5, 3), (6, 2), (7, 2))
+GRID = [(m, n) for m in range(1, 6) for n in range(1, 5)]
+
+
+@pytest.mark.parametrize("m,n", GRID + [t for t in ORBIT_TYPES if t not in GRID])
+def test_generalized_dynatomic_matches_quotient_oracle(m, n):
+    assert generalized_dynatomic(m, n) == quotient_generalized_dynatomic(m, n)
+
+
+def test_generalized_dynatomic_8_2_matches_recorded_oracle():
+    """quotient_generalized_dynatomic(8, 2) takes about 15 s, so the sha256
+    of its text, computed once, is recorded here."""
+    g = generalized_dynatomic(8, 2)
+    assert dynatomic(2).degree_x << 7 == 256 == g.degree("x")
+    digest = hashlib.sha256(str(g).encode()).hexdigest()
+    assert digest == "4af14b8799eff6ce785dc4908ba3df0742757b30f7d83c47eed44d5bc100ded2"
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_generalized_dynatomic_divides_once(monkeypatch, n):
+    """Besides building Phi_n, Phi_{m,n} makes one exact division, whose
+    dividend has x-degree 2*D1(n) whatever m is."""
+    dividends = []
+    real = pk.cx_divexact
+
+    def spy(N, D, *args):
+        dividends.append(pk.cx_deg_x(N))
+        return real(N, D, *args)
+
+    dynatomic(n)  # Phi_n is built and cached before the spy goes in
+    monkeypatch.setattr(pk, "cx_divexact", spy)
+    for m in range(1, 7):
+        dividends.clear()
+        generalized_dynatomic(m, n)
+        assert dividends == [2 * degree_d1(n)], m
+
+
+@pytest.mark.parametrize("damage", ["drop the top row", "double the top row"])
+def test_generalized_dynatomic_checks_degree_and_leading_term(monkeypatch, damage):
+    """Composing f^(m-1) into Phi_{1,n} runs after the one division, so the
+    result's x-degree 2^(m-1)*D1(n) and monic leading term are checked."""
+    real = dyn._compose_x
+    calls = []
+
+    def damaged(A, g):
+        out = real(A, g)
+        calls.append(1)
+        if len(calls) == 1:  # Phi_n(x^2 + c), the dividend, stays intact
+            return out
+        if damage == "drop the top row":
+            return out[:-1]
+        return out[:-1] + [[2 * v for v in out[-1]]]
+
+    monkeypatch.setattr(dyn, "_compose_x", damaged)
+    with pytest.raises(NonExactDivision, match=r"\(3, 2\): x-degree"):
+        generalized_dynatomic(3, 2)
+    assert len(calls) == 2
 
 
 def test_degree_report_values():

@@ -124,6 +124,25 @@ def test_horner_matches_term_oracle_over_finite_fields(f, field, data):
     assert ctx.digits(f.horner(ctx.ring)(codes)) == expected.coeffs
 
 
+@settings(max_examples=100, deadline=None)
+@given(f=polys(), data=st.data())
+def test_rename_matches_construction_from_terms(f, data):
+    """rename permutes exponents into the new sorted order; building the
+    polynomial afresh from the renamed variable tuple must agree, also when
+    the new names reorder the variables (x -> a)."""
+    targets = data.draw(st.lists(st.sampled_from(("a", "b", "x", "z9")), unique=True,
+                                 min_size=len(f.variables), max_size=len(f.variables)))
+    mapping = dict(zip(f.variables, targets))
+    renamed = [mapping.get(v, v) for v in f.variables]
+    assert f.rename(mapping) == MultiPoly(renamed, f.terms)
+
+
+def test_rename_refuses_to_merge_variables():
+    with pytest.raises(ValueError, match="duplicate variable names"):
+        P("x*y + c").rename({"x": "y"})
+    assert P("x^2*c + x").rename({"x": "a"}).variables == ("a", "c")
+
+
 def test_parse_errors():
     for bad in ("", "x +", "1/0", "x^", "x$y"):
         with pytest.raises(ParseError):

@@ -54,18 +54,6 @@ def test_square_matches_reference():
         assert pk.cx_to_terms(pk.cx_square(A)) == reference_mul(A, A)
 
 
-def test_blocked_paths_match_plain(monkeypatch):
-    """A tiny block ceiling forces the blocked multiply/square code paths."""
-    rng = random.Random(4)
-    cases = [(random_cx(rng, max_x=40, max_c=20), random_cx(rng, max_x=40, max_c=20))
-             for _ in range(20)]
-    plain = [(pk.cx_mul(A, B), pk.cx_square(A)) for A, B in cases]
-    monkeypatch.setattr(pk, "MAX_PACK_BYTES", 256)
-    for (A, B), (prod, square) in zip(cases, plain):
-        assert pk.cx_eq(pk.cx_mul(A, B), prod)
-        assert pk.cx_eq(pk.cx_square(A), square)
-
-
 def test_divexact_random_products():
     rng = random.Random(5)
     for _ in range(100):
@@ -126,8 +114,8 @@ def test_divexact_packs_each_row_once(monkeypatch):
 
 
 # ------------------------------------------------- one test per engine path
-# Each path below is forced with the module's own switches, the way the
-# blocked test lowers MAX_PACK_BYTES, and checked against reference_mul.
+# Each path below is forced with the module's own switches (the decimal
+# threshold, the term-wise cost model) and checked against reference_mul.
 
 
 def random_even_cx(rng, max_x=12, max_c=8, bits=64):
@@ -193,20 +181,6 @@ def test_decimal_kronecker_matches_reference(monkeypatch):
         assert pk.cx_to_terms(pk.cx_mul(A, B)) == reference_mul(A, B)
         assert pk.cx_to_terms(pk.cx_square(A)) == reference_mul(A, A)
     assert len(products) >= 150
-
-
-def test_blocked_decimal_matches_reference(monkeypatch):
-    monkeypatch.setattr(pk, "DECIMAL_MIN_DIGITS", 0)
-    monkeypatch.setattr(pk, "MAX_PACK_BYTES", 256)
-    monkeypatch.setattr(pk, "_termwise_is_cheaper", lambda *args: False)
-    blocked = spy_on(monkeypatch, "_kronecker_blocked")
-    rng = random.Random(9)
-    for _ in range(20):
-        A = random_cx(rng, max_x=30, max_c=12)
-        B = random_cx(rng, max_x=30, max_c=12)
-        assert pk.cx_to_terms(pk.cx_mul(A, B)) == reference_mul(A, B)
-        assert pk.cx_to_terms(pk.cx_square(A)) == reference_mul(A, A)
-    assert blocked and all(args[2] is pk._DECIMAL for args in blocked)
 
 
 def test_termwise_matches_reference(monkeypatch):
