@@ -29,6 +29,12 @@ model in ``_termwise_is_cheaper`` expects to be faster:
 
 Exact division is long division over packed c-rows that applies the
 divisor term by term, verified by re-multiplication.
+
+Composition with f = x^2 + c is a Taylor shift: A(c, x^2 + c) = Q(c, x^2)
+with Q(c, y) = A(c, y + c).  Horner in y on packed c-rows makes each step
+acc*(y + c) + A_k a row move plus a one-slot shift, with no products; the
+slots hold ||A o f||_1 <= ||A||_1 * 2^deg_x(A), which bounds every partial
+Horner sum as well.
 """
 
 from __future__ import annotations
@@ -96,9 +102,9 @@ def _unpack(packed: int, W: int) -> list[int]:
 
 
 def cx_trim(A: list) -> list:
-    while A and not A[-1]:
-        A.pop()
-    return [slot if slot else None for slot in A]
+    """A without its trailing zero rows and with None for each empty row;
+    the rows themselves are shared, not copied."""
+    return [slot if slot else None for slot in A[: cx_deg_x(A) + 1]]
 
 
 def cx_bits(A: list) -> int:
@@ -287,9 +293,9 @@ def _kronecker(A: list, B: list, bits: int) -> list:
 # ------------------------------------------------------------ term by term
 
 
-def _shifts(q: int, W: int, terms: list) -> list[int]:
-    """q * c^l for every c-degree l up to the largest in terms: slot shifts."""
-    return [q << (l * W) for l in range(max(l for _, l, _ in terms) + 1)]
+def _shifts(q: int, W: int, top: int) -> list[int]:
+    """q * c^l for every c-degree l up to top: slot shifts."""
+    return [q << (l * W) for l in range(top + 1)]
 
 
 def _add_terms(rows: list, shifted: list[int], terms: list, offset: int) -> None:
@@ -306,10 +312,11 @@ def _add_terms(rows: list, shifted: list[int], terms: list, offset: int) -> None
 def _termwise(A: list, B: list, W: int) -> list:
     """A*B, adding the terms of B to the packed rows of A."""
     terms = _terms(B)
+    top = max((l for _, l, _ in terms), default=0)
     out = [0] * (len(A) + len(B) - 1)
     for i, s in enumerate(A):
         if s:
-            _add_terms(out, _shifts(_pack(s, W), W, terms), terms, i)
+            _add_terms(out, _shifts(_pack(s, W), W, top), terms, i)
     return cx_trim([_unpack(p, W) if p else None for p in out])
 
 
@@ -340,13 +347,13 @@ def _spread(C: list) -> list:
 
 def cx_mul(A: list, B: list) -> list:
     """Exact product."""
-    A = cx_trim(cx_copy(A))
-    B = cx_trim(cx_copy(B))
+    A = cx_trim(A)
+    B = cx_trim(B)
     return _product(A, B) if A and B else []
 
 
 def cx_square(A: list) -> list:
-    A = cx_trim(cx_copy(A))
+    A = cx_trim(A)
     return _product(A, A) if A else []
 
 
@@ -376,8 +383,8 @@ def cx_divexact(N: list, D: list, verify: bool = True) -> list:
     regardless, and a failed check retries with doubled width before
     concluding the division is not exact.
     """
-    N = cx_trim(cx_copy(N))
-    D = cx_trim(cx_copy(D))
+    N = cx_trim(N)
+    D = cx_trim(D)
     if not D:
         raise ZeroDivisionError("division by zero polynomial")
     if D[-1] != [1]:
@@ -419,6 +426,7 @@ def _div_packed(N: list, negated: list, deg_d: int, W: int):
     for i in range(len(N) - deg_d - 1, len(N)):
         row(i)  # the rows the first quotient row reaches
     quot: list = [None] * (len(N) - deg_d)
+    top = max((l for _, l, _ in negated), default=0)
     try:
         for xd in range(len(N) - 1, deg_d - 1, -1):
             q = row(xd)
@@ -426,7 +434,7 @@ def _div_packed(N: list, negated: list, deg_d: int, W: int):
             row(xd - deg_d)
             if q:
                 if negated:
-                    _add_terms(rows, _shifts(q, W, negated), negated, xd - deg_d)
+                    _add_terms(rows, _shifts(q, W, top), negated, xd - deg_d)
                 quot[xd - deg_d] = _unpack(q, W)
         if any(row(i) for i in range(deg_d)):
             return None
@@ -455,8 +463,11 @@ def cx_eq(A: list, B: list) -> bool:
 
 
 def cx_deg_x(A: list) -> int:
-    A = cx_trim(cx_copy(A))
-    return len(A) - 1
+    """Index of the last row with a nonzero coefficient; -1 for zero."""
+    i = len(A) - 1
+    while i >= 0 and not any(A[i] or ()):
+        i -= 1
+    return i
 
 
 def cx_deg_c(A: list) -> int:
@@ -477,20 +488,31 @@ def cx_to_terms(A: list) -> dict:
 
 # ------------------------------------------------------- iterates of x^2 + c
 
-_fc_cache: list = []
+_fc_cache: list = [[None, [1]]]  # f^0 = x
 
 
 def fc_iterate(n: int) -> list:
     """cx form of the n-th iterate of x^2 + c (f^0 = x), cached."""
-    if not _fc_cache:
-        _fc_cache.append([None, [1]])  # f^0 = x
     while len(_fc_cache) <= n:
-        prev = _fc_cache[-1]
-        nxt = cx_square(prev)
-        nxt = cx_add(nxt, [[0, 1]])  # + c
-        _fc_cache.append(nxt)
+        _fc_cache.append(cx_add(cx_square(_fc_cache[-1]), [[0, 1]]))  # + c
     return cx_copy(_fc_cache[n])
 
 
+def cx_compose_f(A: list, times: int) -> list:
+    """A(c, f^times(x)) for f = x^2 + c, by ``times`` Taylor shifts: each
+    pass is Q(c, y) = A(c, y + c) by Horner in y, then y = x^2."""
+    A = cx_trim(A)
+    for _ in range(times):
+        W = _width_for(sum(abs(v) for s in A if s for v in s).bit_length() + len(A) - 1)
+        acc: list[int] = []
+        for s in reversed(A):
+            acc.append(0)
+            for i in range(len(acc) - 1, 0, -1):  # acc * (y + c)
+                acc[i] = acc[i - 1] + (acc[i] << W)
+            acc[0] = (acc[0] << W) + (_pack(s, W) if s else 0)
+        A = _spread([_unpack(p, W) or None for p in acc])
+    return cx_trim(A)
+
+
 def clear_caches() -> None:
-    _fc_cache.clear()
+    del _fc_cache[1:]

@@ -112,48 +112,32 @@ _dynatomic_cache: dict[int, list] = {}
 def dynatomic_cx(n: int) -> list:
     """Internal cx form of Phi_n, cached.
 
-    For one or two prime factors the Moebius product is evaluated as a
-    chain of single-dividend exact divisions, which keeps the largest
+    The Moebius product is evaluated as a chain of single-dividend exact
+    divisions over the prime factors of n, which keeps the largest
     intermediate close to f^n itself:
 
-        one prime p:     (f^n - x) / (f^(n/p) - x)
-        two primes p,q:  [(f^n - x)/(f^(n/p) - x)] / [(f^(n/q) - x)/(f^(n/pq) - x)]
+        M(n, {}) = f^n - x,    M(n, S + {p}) = M(n, S) / M(n/p, S),
 
-    (Every factor of the inner quotients is a full dynatomic level with the
-    right p-adic valuation, so each division is exact.)  Three or more prime
-    factors fall back to the two-product form; the smallest such level is 30,
-    far beyond the construction cap.
+    Phi_n = M(n, all primes); for two primes p < q that is
+    [(f^n - x)/(f^(n/p) - x)] / [(f^(n/q) - x)/(f^(n/pq) - x)].
+    M(n, S) is the product of the Phi_e, e | n, for which no prime in S
+    divides n/e, so each division is exact.
     """
     if n in _dynatomic_cache:
         return pk.cx_copy(_dynatomic_cache[n])
-    primes = sorted(factorize(n))
     try:
-        if len(primes) <= 1:
-            phi = _fn_minus_x(n)
-            if primes:
-                phi = pk.cx_divexact(phi, _fn_minus_x(n // primes[0]))
-        elif len(primes) == 2:
-            p, q = primes
-            numer = pk.cx_divexact(_fn_minus_x(n), _fn_minus_x(n // p))
-            denom = pk.cx_divexact(_fn_minus_x(n // q), _fn_minus_x(n // (p * q)))
-            phi = pk.cx_divexact(numer, denom)
-        else:
-            numer = None
-            denom = None
-            for d in divisors_of(n):
-                m = moebius(n // d)
-                if m == 0:
-                    continue
-                factor = _fn_minus_x(d)
-                if m == 1:
-                    numer = factor if numer is None else pk.cx_mul(numer, factor)
-                else:
-                    denom = factor if denom is None else pk.cx_mul(denom, factor)
-            phi = pk.cx_divexact(numer, denom)
+        phi = _moebius_chain(n, sorted(factorize(n)))
     except ArithmeticError as exc:  # pragma: no cover - internal invariant
         raise NonExactDivision(f"dynatomic quotient at n = {n}: {exc}") from exc
     _dynatomic_cache[n] = pk.cx_copy(phi)
     return phi
+
+
+def _moebius_chain(n: int, primes: list) -> list:
+    if not primes:
+        return _fn_minus_x(n)
+    *rest, p = primes
+    return pk.cx_divexact(_moebius_chain(n, rest), _moebius_chain(n // p, rest))
 
 
 def dynatomic(n: int, config: RunConfig = DEFAULT) -> DynatomicTable:
@@ -192,6 +176,9 @@ def generalized_dynatomic(m: int, n: int, config: RunConfig = DEFAULT) -> MultiP
     Phi_{m-1,n}(c, f(x)), so Phi_{m,n} = Phi_{1,n} o f^{m-1}: the one exact
     division is Phi_{1,n} = Phi_n(c, x^2 + c) / Phi_n(c, x), whose dividend
     has x-degree 2*D1(n) whatever m is, and f^{m-1} is composed in after.
+    Both compositions are Taylor shifts (pk.cx_compose_f): A(c, x^2 + c) =
+    Q(c, x^2) with Q(c, y) = A(c, y + c), by Horner in y on packed c-rows,
+    shifts and adds only, in slots holding ||A o f||_1 <= ||A||_1 * 2^deg_x(A).
     The result must have x-degree 2^{m-1}*D1(n) and be monic in x.
     """
     if m < 0 or n < 1:
@@ -202,28 +189,16 @@ def generalized_dynatomic(m: int, n: int, config: RunConfig = DEFAULT) -> MultiP
     if m == 0:
         return _cx_to_multipoly(phi)
     try:
-        quot = pk.cx_divexact(_compose_x(phi, pk.fc_iterate(1)), phi)
+        quot = pk.cx_divexact(pk.cx_compose_f(phi, 1), phi)
     except ArithmeticError as exc:
         raise NonExactDivision(f"generalized dynatomic ({m}, {n}): {exc}") from exc
-    if m > 1:
-        quot = _compose_x(quot, pk.fc_iterate(m - 1))
+    quot = pk.cx_compose_f(quot, m - 1)
     deg, want = pk.cx_deg_x(quot), degree_d1(n) << (m - 1)
     if deg != want or quot[-1] != [1]:
         raise NonExactDivision(
             f"generalized dynatomic ({m}, {n}): x-degree {deg}, want {want}, monic in x"
         )
     return _cx_to_multipoly(quot)
-
-
-def _compose_x(A: list, g: list) -> list:
-    """Substitute x -> g(c, x) in the cx form A, by Horner in x."""
-    acc: list = []
-    for xd in range(pk.cx_deg_x(A), -1, -1):
-        acc = pk.cx_mul(acc, g) if acc else []
-        slot = A[xd] if xd < len(A) and A[xd] else None
-        if slot:
-            acc = pk.cx_add(acc, [slot[:]])
-    return acc
 
 
 # --------------------------------------------------------------- degree reports

@@ -11,7 +11,9 @@ generic_classes lists the inputs that several property tests range over.
 arithmetic_full_system builds the full model's system by MultiPoly
 arithmetic, against which the library's term-by-term construction is checked.
 quotient_generalized_dynatomic builds Phi_{m,n} by the one big division of
-its definition, against which the library's composition form is checked.
+its definition, against which the library's composition form is checked;
+its compositions go through oracle_compose, Horner in x with the packed
+engine's products, which shares no code with the library's Taylor shifts.
 """
 
 from fractions import Fraction
@@ -20,7 +22,7 @@ from math import gcd
 
 from dynw import _packed as pk
 from dynw.config import DEFAULT, RunConfig
-from dynw.dynatomic import _compose_x, _cx_to_multipoly, dynatomic_cx
+from dynw.dynatomic import _cx_to_multipoly, dynatomic_cx
 from dynw.errors import BudgetExceeded, NonExactDivision
 from dynw.ff import FFContext
 from dynw.models import CurveModel
@@ -64,9 +66,19 @@ def quotient_generalized_dynatomic(m: int, n: int) -> MultiPoly:
     f^m, exactly divided by Phi_n composed with f^(m-1), on the packed
     engine with the division's re-multiplication check."""
     phi = dynatomic_cx(n)
-    numer = _compose_x(phi, pk.fc_iterate(m))
-    denom = _compose_x(phi, pk.fc_iterate(m - 1))
+    numer = oracle_compose(phi, pk.fc_iterate(m))
+    denom = oracle_compose(phi, pk.fc_iterate(m - 1))
     return _cx_to_multipoly(pk.cx_divexact(numer, denom))
+
+
+def oracle_compose(A: list, g: list) -> list:
+    """Substitute x -> g(c, x) in the cx form A, by Horner in x."""
+    acc: list = []
+    for xd in range(pk.cx_deg_x(A), -1, -1):
+        acc = pk.cx_mul(acc, g) if acc else []
+        if A[xd]:
+            acc = pk.cx_add(acc, [A[xd][:]])
+    return acc
 
 
 def brute_force_preperiodic(c: Fraction, height: int) -> set[Fraction]:

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -26,6 +27,7 @@ from dynw.dynatomic import (
 )
 from dynw.errors import NonExactDivision
 from dynw.multipoly import MultiPoly
+from dynw.rational import factorize
 
 P = MultiPoly.parse
 
@@ -81,6 +83,24 @@ def test_product_identity_direct():
 def test_product_identity_engine():
     for n in range(1, 9):
         assert product_identity_holds(n)
+
+
+@pytest.mark.parametrize("n", [8, 12, 30, 210])
+def test_moebius_chain_divides_exactly(monkeypatch, n):
+    """Levels with three or more prime factors (30 and up) are far too large
+    to build, so the division chain runs here on multisets of factors:
+    f^d - x is the product of the Phi_e with e | d.  Every division must
+    take out only factors its dividend has, and the chain must end at Phi_n."""
+    def fn_minus_x(d):
+        return Counter(e for e in range(1, d + 1) if d % e == 0)
+
+    def divexact(N, D):
+        assert not D - N, (N, D)
+        return N - D
+
+    monkeypatch.setattr(dyn, "_fn_minus_x", fn_minus_x)
+    monkeypatch.setattr(pk, "cx_divexact", divexact)
+    assert dyn._moebius_chain(n, sorted(factorize(n))) == Counter({n: 1})
 
 
 def test_generalized_dynatomic():
@@ -160,22 +180,54 @@ def test_generalized_dynatomic_divides_once(monkeypatch, n):
 def test_generalized_dynatomic_checks_degree_and_leading_term(monkeypatch, damage):
     """Composing f^(m-1) into Phi_{1,n} runs after the one division, so the
     result's x-degree 2^(m-1)*D1(n) and monic leading term are checked."""
-    real = dyn._compose_x
+    real = pk.cx_compose_f
     calls = []
 
-    def damaged(A, g):
-        out = real(A, g)
-        calls.append(1)
+    def damaged(A, times):
+        out = real(A, times)
+        calls.append(times)
         if len(calls) == 1:  # Phi_n(x^2 + c), the dividend, stays intact
             return out
         if damage == "drop the top row":
             return out[:-1]
         return out[:-1] + [[2 * v for v in out[-1]]]
 
-    monkeypatch.setattr(dyn, "_compose_x", damaged)
+    monkeypatch.setattr(pk, "cx_compose_f", damaged)
     with pytest.raises(NonExactDivision, match=r"\(3, 2\): x-degree"):
         generalized_dynatomic(3, 2)
-    assert len(calls) == 2
+    assert calls == [1, 2]
+
+
+def test_generalized_dynatomic_composes_without_products(monkeypatch):
+    """Once Phi_n is cached, the only products Phi_{m,n} makes are the
+    re-multiplication check inside its one exact division: both
+    compositions are Taylor shifts, not Horner products with f^(m-1)."""
+    real_mul, real_square, real_div = pk.cx_mul, pk.cx_square, pk.cx_divexact
+    depth, inside, outside = [0], [], []
+
+    def mul(A, B):
+        (inside if depth[0] else outside).append(1)
+        return real_mul(A, B)
+
+    def divexact(N, D, *args):
+        depth[0] += 1
+        try:
+            return real_div(N, D, *args)
+        finally:
+            depth[0] -= 1
+
+    def square(A):
+        outside.append(1)
+        return real_square(A)
+
+    dynatomic(3)  # Phi_n is built and cached before the spies go in
+    monkeypatch.setattr(pk, "cx_mul", mul)
+    monkeypatch.setattr(pk, "cx_square", square)
+    monkeypatch.setattr(pk, "cx_divexact", divexact)
+    for m in range(1, 7):
+        generalized_dynatomic(m, 3)
+    assert outside == []
+    assert len(inside) == 6  # one check per division
 
 
 def test_degree_report_values():

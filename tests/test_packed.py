@@ -4,6 +4,10 @@ import decimal
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import oracle_compose
 
 import dynw._packed as pk
 
@@ -238,3 +242,24 @@ def test_divexact_matches_reference_and_rejects_remainders():
                 pk.cx_divexact(pk.cx_add(N, R), D)
             checked += 1
     assert checked >= 30
+
+
+# signed cx forms with absent rows, odd and even x-degrees and coefficients
+# up to 2^200; an all-None draw is the zero polynomial
+cx_forms = st.lists(
+    st.one_of(st.none(), st.lists(st.integers(-(2**200), 2**200), min_size=1, max_size=5)),
+    min_size=1,
+    max_size=8,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(A=cx_forms, times=st.integers(0, 4))
+def test_compose_f_matches_horner_oracle(A, times):
+    """Taylor shifts agree with Horner in x by products with f^times."""
+    got = pk.cx_compose_f(A, times)
+    want = oracle_compose(A, pk.fc_iterate(times))
+    assert pk.cx_to_terms(got) == pk.cx_to_terms(want)
+    deg = pk.cx_deg_x(A)
+    assert pk.cx_deg_x(got) == (deg << times if deg >= 0 else -1)
+    assert got == pk.cx_trim(got)
