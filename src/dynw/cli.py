@@ -47,14 +47,8 @@ def _emit(doc) -> None:
 
 
 def _load_portrait(arg: str) -> Portrait:
-    text = arg
-    if ":" not in arg:
-        path = Path(arg)
-        if path.exists():
-            text = path.read_text().strip()
-    elif Path(arg).exists():
-        text = Path(arg).read_text().strip()
-    return Portrait.from_text(text)
+    path = Path(arg)
+    return Portrait.from_text(path.read_text().strip() if path.exists() else arg)
 
 
 def _fraction_str(q) -> str:

@@ -4,9 +4,10 @@ All knobs can be set through DYNW_* environment variables so batch runs are
 reproducible without config files:
 
     DYNW_ENUMERATION_CAP   hard cap on finite-field enumerations (default 10^7)
-    DYNW_MAX_DYNATOMIC_N   largest n for dynatomic polynomial construction (11;
-                           level 11 takes about 40 s and 1.1 GB, level 12 more
-                           memory than a 7 GB machine has)
+    DYNW_MAX_DYNATOMIC_N   largest n for dynatomic polynomial construction
+                           (at most 11, the default: level 11 takes about 40 s
+                           and 1.1 GB, level 12 more memory than a 7 GB machine
+                           has)
     DYNW_OUTPUT_FORMAT     json | text
 """
 
@@ -16,17 +17,22 @@ import os
 from dataclasses import dataclass
 
 _FORMATS = ("json", "text")
+MAX_DYNATOMIC_N = 11
 
 
 @dataclass
 class RunConfig:
     enumeration_cap: int = 10_000_000
-    max_dynatomic_n: int = 11
+    max_dynatomic_n: int = MAX_DYNATOMIC_N
     output_format: str = "text"
 
     def __post_init__(self) -> None:
         if self.enumeration_cap <= 0 or self.max_dynatomic_n <= 0:
             raise ValueError("all configuration caps must be positive")
+        if self.max_dynatomic_n > MAX_DYNATOMIC_N:
+            raise ValueError(
+                f"max_dynatomic_n must be at most {MAX_DYNATOMIC_N}, got {self.max_dynatomic_n}"
+            )
         if self.output_format not in _FORMATS:
             raise ValueError(f"output_format must be one of {_FORMATS}")
 

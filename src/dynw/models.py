@@ -14,7 +14,9 @@ Three constructions:
 
 Generators are a greedy closure basis: a known vertex propagates forward
 along its edge, and a known vertex reveals its sibling (the second preimage
-of its image) as a negation.  Ties between equally productive starting
+of its image) as a negation.  Both rules derive one vertex from one known
+vertex, so a set's closure is the union of its vertices' closures, and each
+vertex's closure is computed once.  Ties between equally productive starting
 vertices prefer periodic vertices, so the classical small models come out
 in their textbook shape.
 
@@ -41,7 +43,7 @@ from .dynatomic import degree_d0, dynatomic, generalized_dynatomic, iterate_fc
 from .errors import InadmissibleCycleStructure, NotGeneric, ParseError
 from .ff import FFContext, check_enumeration_cap
 from .multipoly import MultiPoly
-from .portraits import Portrait, find_cycles, preimages, validate_generic, vertex_depths
+from .portraits import Portrait, find_cycles, indegrees, preimages, validate_generic, vertex_depths
 
 _NAME_POOL = ("x", "y", "z", "u", "v", "w", "s", "t")
 
@@ -86,84 +88,25 @@ class CurveModel:
 # ------------------------------------------------------------- generator sets
 
 
-def _orbit_data(P: Portrait) -> dict[int, tuple[int, int]]:
-    """(preperiod, eventual period) of each vertex."""
+def _orbit_data(P: Portrait) -> dict[int, tuple[int, int, int]]:
+    """(preperiod, eventual period, index within find_cycles of the cycle it
+    enters) of each vertex, walking the vertices by increasing depth."""
     depth = vertex_depths(P)
-    period = {}
-    for cyc in find_cycles(P):
-        for v in cyc:
-            period[v] = len(cyc)
-    out = {}
-    for v in range(1, P.n + 1):
-        u = v
-        while u not in period:
-            u = P.successor(u)
-        out[v] = (depth[v], period[u])
-    return out
+    cycles = find_cycles(P)
+    entry = {v: i for i, cyc in enumerate(cycles) for v in cyc}
+    for v in sorted(range(1, P.n + 1), key=depth.__getitem__):
+        if v not in entry:
+            entry[v] = entry[P.successor(v)]
+    return {v: (depth[v], len(cycles[entry[v]]), entry[v]) for v in range(1, P.n + 1)}
 
 
-def _close(P: Portrait, known: set[int]) -> set[int]:
-    """Closure under forward images and sibling negation."""
+def _propagate(P: Portrait, start) -> tuple[set[int], list[PropagationStep]]:
+    """The closure of the start vertices under forward images and sibling
+    negation, with the steps that derive it: image steps first in each
+    round, then negations, each in increasing order of the source."""
     pre = preimages(P)
-    known = set(known)
-    changed = True
-    while changed:
-        changed = False
-        for v in sorted(known):
-            w = P.successor(v)
-            if w not in known:
-                known.add(w)
-                changed = True
-            for u in pre[P.successor(v) - 1]:
-                if u != v and u not in known:
-                    known.add(u)
-                    changed = True
-    return known
-
-
-def generator_set(P: Portrait) -> GeneratorSet:
-    """Greedy minimal closure basis with a deterministic tie-break.
-
-    Repeatedly add the vertex whose closure gain is largest; among ties,
-    periodic vertices come first (smallest index), then in-degree-zero
-    vertices by decreasing depth, then everything else by index.
-    """
-    report = validate_generic(P)
-    if not report.is_generic:
-        raise NotGeneric(f"portrait is not generic: {report.violations[0].detail}")
-    if P.n == 0:
-        return GeneratorSet(generators=[], closure_trace=[])
-
-    depth = vertex_depths(P)
-    on_cycle = {v for cyc in find_cycles(P) for v in cyc}
-    indeg = [0] * (P.n + 1)
-    for t in P.image:
-        indeg[t] += 1
-
-    def tie_key(v: int):
-        if v in on_cycle:
-            return (0, v)
-        if indeg[v] == 0:
-            return (1, -depth[v], v)
-        return (2, v)
-
-    generators: list[int] = []
-    known: set[int] = set()
-    while len(known) < P.n:
-        best_v, best_gain = None, -1
-        for v in sorted(range(1, P.n + 1), key=tie_key):
-            if v in known:
-                continue
-            gain = len(_close(P, known | {v})) - len(known)
-            if gain > best_gain:
-                best_v, best_gain = v, gain
-        generators.append(best_v)
-        known = _close(P, known | {best_v})
-
-    # replay the closure to record a deterministic derivation log
+    have = set(start)
     trace: list[PropagationStep] = []
-    have = set(generators)
-    pre = preimages(P)
     progress = True
     while progress:
         progress = False
@@ -179,7 +122,43 @@ def generator_set(P: Portrait) -> GeneratorSet:
                     have.add(u)
                     trace.append(PropagationStep("negate", u, v))
                     progress = True
-    return GeneratorSet(generators=generators, closure_trace=trace)
+    return have, trace
+
+
+def generator_set(P: Portrait) -> GeneratorSet:
+    """Greedy minimal closure basis with a deterministic tie-break.
+
+    Each closure rule derives one vertex from one known vertex, so the
+    closure of a set is the union of the closures of its vertices: each
+    vertex's closure is computed once, and adding v to a closed set gains
+    exactly the vertices of v's closure not yet known.  Repeatedly add the
+    vertex whose gain is largest; among ties, periodic vertices come first
+    (smallest index), then in-degree-zero vertices by decreasing depth, then
+    everything else by index.
+    """
+    report = validate_generic(P)
+    if not report.is_generic:
+        raise NotGeneric(f"portrait is not generic: {report.violations[0].detail}")
+
+    depth = vertex_depths(P)
+    indeg = indegrees(P)
+
+    def tie_key(v: int):
+        if depth[v] == 0:
+            return (0, v)
+        if indeg[v - 1] == 0:
+            return (1, -depth[v], v)
+        return (2, v)
+
+    order = sorted(range(1, P.n + 1), key=tie_key)
+    reach = {v: _propagate(P, [v])[0] for v in order}
+    generators: list[int] = []
+    known: set[int] = set()
+    while len(known) < P.n:
+        best = max((v for v in order if v not in known), key=lambda v: len(reach[v] - known))
+        generators.append(best)
+        known |= reach[best]
+    return GeneratorSet(generators=generators, closure_trace=_propagate(P, generators)[1])
 
 
 # ------------------------------------------------------------------ full model
@@ -247,26 +226,6 @@ def _difference(a: str, b: str) -> MultiPoly:
 # --------------------------------------------------------------- reduced model
 
 
-def _ordered_generators(P: Portrait, gens: list[int]) -> list[tuple[int, int, int]]:
-    """(vertex, preperiod, period), listed in descending (period, preperiod)."""
-    data = _orbit_data(P)
-    return sorted(
-        ((g, data[g][0], data[g][1]) for g in gens),
-        key=lambda t: (-t[2], -t[1], t[0]),
-    )
-
-
-def _entry_cycle(P: Portrait, v: int, m: int) -> int:
-    """Index (within find_cycles) of the cycle reached by vertex v."""
-    u = v
-    for _ in range(m):
-        u = P.successor(u)
-    for idx, cyc in enumerate(find_cycles(P)):
-        if u in cyc:
-            return idx
-    raise AssertionError("vertex does not reach a cycle")  # unreachable
-
-
 def reduced_model(P: Portrait, config: RunConfig = DEFAULT) -> CurveModel:
     """Generator-reduced model: one dynatomic equation per generator plus
     distinctness inequations between generators of equal eventual period.
@@ -282,23 +241,26 @@ def reduced_model(P: Portrait, config: RunConfig = DEFAULT) -> CurveModel:
     gens = generator_set(P)
     if not gens.generators:
         raise ValueError("the empty portrait has no model variables")
-    ordered = _ordered_generators(P, gens.generators)
+    data = _orbit_data(P)
+    # (vertex, preperiod, period, entry cycle) in descending (period, preperiod)
+    ordered = sorted(
+        ((g, *data[g]) for g in gens.generators), key=lambda t: (-t[2], -t[1], t[0])
+    )
     by_asc = sorted(ordered, key=lambda t: (t[2], t[1], t[0]))
-    var_of = {g: _point_var(i) for i, (g, _, _) in enumerate(by_asc)}
+    var_of = {g: _point_var(i) for i, (g, *_) in enumerate(by_asc)}
+    generators = [t[0] for t in ordered]
 
-    variables = ("c",) + tuple(var_of[g] for g, _, _ in ordered)
+    variables = ("c",) + tuple(var_of[g] for g in generators)
     equations = []
-    for g, m, n in ordered:
+    for g, m, n, _ in ordered:
         eq = generalized_dynatomic(m, n, config) if m else dynatomic(n, config).phi
         equations.append(eq.rename({"x": var_of[g]}))
     inequations = []
-    for i in range(len(ordered)):
-        gi, mi, ni = ordered[i]
-        for j in range(i + 1, len(ordered)):
-            gj, mj, nj = ordered[j]
+    for i, (gi, mi, ni, ei) in enumerate(ordered):
+        for gj, mj, nj, ej in ordered[i + 1:]:
             if ni != nj:
                 continue
-            if _entry_cycle(P, gi, mi) != _entry_cycle(P, gj, mj):
+            if ei != ej:
                 entry_j = fc_power(var_of[gj], mj)
                 for k in range(ni):
                     inequations.append(entry_j - fc_power(var_of[gi], mi + k))
@@ -315,9 +277,9 @@ def reduced_model(P: Portrait, config: RunConfig = DEFAULT) -> CurveModel:
         provenance="reduced",
         free_variables=variables,
         meta={
-            "generators": [g for g, _, _ in ordered],
-            "generator_vars": {str(g): var_of[g] for g, _, _ in ordered},
-            "orbit_types": {str(g): [m, n] for g, m, n in ordered},
+            "generators": generators,
+            "generator_vars": {str(g): var_of[g] for g in generators},
+            "orbit_types": {str(g): [m, n] for g, m, n, _ in ordered},
         },
     )
 

@@ -273,13 +273,11 @@ class MultiPoly:
                 body = "*".join(factors)
             else:
                 body = "*".join([_coef_str(coef)] + factors)
-            sign = "-" if c < 0 else "+"
-            chunks.append((sign, body))
-        first_sign, first_body = chunks[0]
-        out = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in chunks[1:]:
-            out += f" {sign} {body}"
-        return out
+            if chunks:
+                chunks += ["-" if c < 0 else "+", body]
+            else:
+                chunks.append("-" + body if c < 0 else body)
+        return " ".join(chunks)
 
     def __repr__(self) -> str:
         return f"MultiPoly({self})"
@@ -361,10 +359,12 @@ def _coef_str(c: Fraction) -> str:
 
 
 def _parse_poly(text: str) -> MultiPoly:
+    """Collect every term's factors and signed coefficient, then build the
+    polynomial once over the union of their variables."""
     tokens = _tokenize(text)
     if not tokens:
         raise ParseError("empty polynomial")
-    result = MultiPoly.zero()
+    parsed: list[tuple[dict[str, int], Fraction]] = []
     i = 0
     sign = 1
     expecting_term = True
@@ -382,16 +382,22 @@ def _parse_poly(text: str) -> MultiPoly:
             expecting_term = True
             i += 1
             continue
-        term, i = _parse_term(tokens, i)
-        result = result + term * sign
+        factors, coef, i = _parse_term(tokens, i)
+        parsed.append((factors, coef * sign))
         sign = 1
         expecting_term = False
     if expecting_term:
         raise ParseError(f"dangling operator in {text!r}")
-    return result
+    variables = tuple(sorted({v for factors, _ in parsed for v in factors}))
+    terms: dict[tuple[int, ...], Fraction] = {}
+    for factors, coef in parsed:
+        exps = tuple(factors.get(v, 0) for v in variables)
+        terms[exps] = terms.get(exps, 0) + coef
+    return MultiPoly(variables, terms)
 
 
 def _parse_term(tokens: list[str], i: int):
+    """(factor exponents, coefficient, next token index) of the term at i."""
     coef = Fraction(1)
     factors: dict[str, int] = {}
     saw_factor = False
@@ -431,9 +437,7 @@ def _parse_term(tokens: list[str], i: int):
         raise ParseError(f"unexpected token {tok!r}")
     if not saw_factor:
         raise ParseError("empty term")
-    variables = tuple(sorted(factors))
-    exps = tuple(factors[v] for v in variables)
-    return MultiPoly(variables, {exps: coef}), i
+    return factors, coef, i
 
 
 def _tokenize(text: str) -> list[str]:

@@ -151,20 +151,16 @@ def find_cycles(P: Portrait) -> list[list[int]]:
     return cycles
 
 
-def cycle_vertices(P: Portrait) -> set[int]:
-    return {v for cyc in find_cycles(P) for v in cyc}
-
-
 def cycle_structure(P: Portrait) -> CycleStructure:
     return CycleStructure.of(len(c) for c in find_cycles(P))
 
 
 def vertex_depths(P: Portrait) -> list[int]:
     """Distance from each vertex to its cycle (0 on the cycle)."""
-    on_cycle = cycle_vertices(P)
     depth = [-1] * (P.n + 1)
-    for v in on_cycle:
-        depth[v] = 0
+    for cyc in find_cycles(P):
+        for v in cyc:
+            depth[v] = 0
     for start in range(1, P.n + 1):
         if depth[start] >= 0:
             continue
@@ -229,23 +225,20 @@ def is_generic(P: Portrait) -> bool:
 # -------------------------------------------------------------- canonical form
 
 
-def _tree_children(P: Portrait) -> list[list[int]]:
-    """children[v-1]: preimages of v that hang off the cycle side of v."""
-    on_cycle = cycle_vertices(P)
-    pre = preimages(P)
+def _tree_children(P: Portrait, depth: list[int]) -> list[list[int]]:
+    """children[v-1]: preimages of v off the cycles, in increasing order (the
+    cycle predecessor is not part of the hanging tree)."""
     children: list[list[int]] = [[] for _ in range(P.n)]
-    for v in range(1, P.n + 1):
-        for u in pre[v - 1]:
-            if u in on_cycle:
-                continue  # the cycle predecessor is not part of the hanging tree
-            children[v - 1].append(u)
+    for u in range(1, P.n + 1):
+        if depth[u] > 0:
+            children[P.successor(u) - 1].append(u)
     return children
 
 
 def _ahu_encode(P: Portrait) -> tuple[list, list[list[int]]]:
     """AHU encodings of the hanging trees; enc[v-1] is a nested tuple."""
-    children = _tree_children(P)
     depths = vertex_depths(P)
+    children = _tree_children(P, depths)
     enc: list = [None] * P.n
     order = sorted(range(1, P.n + 1), key=lambda v: -depths[v])
     for v in order:
@@ -329,8 +322,8 @@ def embeddings(P: Portrait, Q: Portrait) -> list[tuple[int, ...]]:
     if P.n == 0:
         return [()]
 
-    p_children = _tree_children(P)
-    q_children = _tree_children(Q)
+    p_children = _tree_children(P, vertex_depths(P))
+    q_children = _tree_children(Q, vertex_depths(Q))
     p_cycles = find_cycles(P)
     q_cycles = find_cycles(Q)
 

@@ -8,6 +8,9 @@ inverses by the extended Euclidean algorithm) rather than on the library's
 int codes and tables, bind every free variable before checking a single
 condition, and evaluate polynomials term by term rather than in Horner form.
 generic_classes lists the inputs that several property tests range over.
+oracle_generator_set runs the generator greedy as defined, closing the
+known set afresh for every candidate, against which the library's per-vertex
+closures are checked.
 arithmetic_full_system builds the full model's system by MultiPoly
 arithmetic, against which the library's term-by-term construction is checked.
 quotient_generalized_dynatomic builds Phi_{m,n} by the one big division of
@@ -27,7 +30,14 @@ from dynw.errors import BudgetExceeded, NonExactDivision
 from dynw.ff import FFContext
 from dynw.models import CurveModel
 from dynw.multipoly import MultiPoly, _term_key
-from dynw.portraits import CycleStructure, Portrait, enumerate_generic
+from dynw.portraits import (
+    CycleStructure,
+    Portrait,
+    enumerate_generic,
+    find_cycles,
+    preimages,
+    vertex_depths,
+)
 
 
 def generic_classes(max_n: int) -> list[Portrait]:
@@ -140,6 +150,79 @@ def brute_force_automorphism_count(image: tuple[int, ...]) -> int:
         return count
 
     return extend(1)
+
+
+def _close(P: Portrait, known: set[int]) -> set[int]:
+    """Closure of a vertex set under forward images and sibling negation."""
+    pre = preimages(P)
+    known = set(known)
+    changed = True
+    while changed:
+        changed = False
+        for v in sorted(known):
+            w = P.successor(v)
+            if w not in known:
+                known.add(w)
+                changed = True
+            for u in pre[P.successor(v) - 1]:
+                if u != v and u not in known:
+                    known.add(u)
+                    changed = True
+    return known
+
+
+def oracle_generator_set(P: Portrait) -> tuple[list[int], list[tuple[str, int, int]]]:
+    """The generators and (kind, vertex, source) closure steps of a generic
+    P by the greedy's definition: each round closes the known set together
+    with every candidate afresh and keeps the first largest gain in tie
+    order (periodic vertices by index, then in-degree-zero vertices by
+    decreasing depth, then the rest by index); the steps replay the closure
+    of the generators, image steps before negations in each round."""
+    depth = vertex_depths(P)
+    on_cycle = {v for cyc in find_cycles(P) for v in cyc}
+    indeg = [0] * (P.n + 1)
+    for t in P.image:
+        indeg[t] += 1
+
+    def tie_key(v: int):
+        if v in on_cycle:
+            return (0, v)
+        if indeg[v] == 0:
+            return (1, -depth[v], v)
+        return (2, v)
+
+    generators: list[int] = []
+    known: set[int] = set()
+    while len(known) < P.n:
+        best_v, best_gain = None, -1
+        for v in sorted(range(1, P.n + 1), key=tie_key):
+            if v in known:
+                continue
+            gain = len(_close(P, known | {v})) - len(known)
+            if gain > best_gain:
+                best_v, best_gain = v, gain
+        generators.append(best_v)
+        known = _close(P, known | {best_v})
+
+    steps: list[tuple[str, int, int]] = []
+    have = set(generators)
+    pre = preimages(P)
+    progress = True
+    while progress:
+        progress = False
+        for v in sorted(have):
+            w = P.successor(v)
+            if w not in have:
+                have.add(w)
+                steps.append(("image", w, v))
+                progress = True
+        for v in sorted(have):
+            for u in pre[P.successor(v) - 1]:
+                if u != v and u not in have:
+                    have.add(u)
+                    steps.append(("negate", u, v))
+                    progress = True
+    return generators, steps
 
 
 def poly_exact_divide(numerator: MultiPoly, denominator: MultiPoly) -> MultiPoly:

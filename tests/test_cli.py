@@ -285,6 +285,22 @@ def test_default_config_refuses_level_12_before_building(capsys, monkeypatch):
     assert (code, out) == (1, "") and err == "error: n = 12 exceeds max_dynatomic_n = 11\n"
 
 
+def test_max_dynatomic_n_above_11_is_refused_up_front(capsys, monkeypatch):
+    from dynw import _packed
+    from dynw.config import RunConfig
+
+    def no_build(n):
+        raise AssertionError("started building f^n")
+
+    monkeypatch.setattr(_packed, "fc_iterate", no_build)
+    refusal = (2, "", "error: max_dynatomic_n must be at most 11, got 12\n")
+    assert run(capsys, "--max-dynatomic-n", "12", "dynatomic", "poly", "--n", "12") == refusal
+    monkeypatch.setenv("DYNW_MAX_DYNATOMIC_N", "12")
+    assert run(capsys, "dynatomic", "poly", "--n", "12") == refusal
+    with pytest.raises(ValueError, match="at most 11"):
+        RunConfig(max_dynatomic_n=12)
+
+
 def test_domain_error_exit_code(capsys):
     code, _, err = run(capsys, "dynatomic", "poly", "--n", "0")
     assert code == 1 and "error:" in err

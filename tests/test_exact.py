@@ -17,6 +17,7 @@ from dynw.errors import (
     ParseError,
 )
 from dynw.config import RunConfig
+from dynw.dynatomic import dynatomic
 from dynw.ff import FFContext, FFElement
 from dynw.multipoly import MultiPoly
 from dynw.rational import parse_rational
@@ -73,6 +74,7 @@ def test_parse_str_round_trip():
     assert str(MultiPoly.zero()) == "0"
     assert P("-x") == -MultiPoly.var("x")
     assert P("3/2*c*x^2 - 1/2") == P("-1/2 + 3/2*x^2*c")
+    assert str(P("y - 1 - 3/2*x^2*c")) == "-3/2*c*x^2 + y - 1"
 
 
 _NAMES = ("c", "x", "y", "x1", "u_2")
@@ -141,6 +143,28 @@ def test_rename_refuses_to_merge_variables():
     with pytest.raises(ValueError, match="duplicate variable names"):
         P("x*y + c").rename({"x": "y"})
     assert P("x^2*c + x").rename({"x": "a"}).variables == ("a", "c")
+
+
+def test_parse_builds_one_polynomial(monkeypatch):
+    """Parsing sums the terms into one table: a 750-term string makes as
+    many MultiPoly constructions as a one-term string."""
+    phi = dynatomic(6).phi
+    text = str(phi)
+    assert text.count(" + ") + text.count(" - ") + 1 == 750
+    built = []
+    init = MultiPoly.__init__
+
+    def spy_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(MultiPoly, "__init__", spy_init)
+    MultiPoly.parse("x")
+    one_term = len(built)
+    built.clear()
+    parsed = MultiPoly.parse(text)
+    assert 1 <= one_term == len(built)
+    assert parsed == phi
 
 
 def test_parse_errors():

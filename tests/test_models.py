@@ -1,10 +1,11 @@
 """Curve-model construction and consistency tests."""
 
+import hashlib
 from dataclasses import replace
 
 import pytest
 
-from oracles import arithmetic_full_system
+from oracles import arithmetic_full_system, generic_classes, oracle_generator_set
 
 from dynw.catalog import generic_entries, lookup
 from dynw.dynatomic import dynatomic, generalized_dynatomic, iterate_fc
@@ -94,6 +95,31 @@ def test_generator_sets():
     g = gs.generators[0]
     depth_two = P83.successor(P83.successor(g))
     assert depth_two in {v for cyc in find_cycles(P83) for v in cyc}
+
+
+def test_generator_set_matches_greedy_oracle():
+    portraits = [e.portrait for e in generic_entries()] + generic_classes(14)
+    assert len(portraits) > 150
+    for P in portraits:
+        gs = generator_set(P)
+        steps = [(s.kind, s.vertex, s.source) for s in gs.closure_trace]
+        assert (gs.generators, steps) == oracle_generator_set(P), P
+
+
+# sha256 of the concatenated model_to_json text over the generic catalog
+# entries with 1 to 12 vertices, in catalog order
+MODEL_DIGESTS = {
+    full_model: "64a5cdd5bca52495a7ef7cc83eed4e0c53bbae74354b596fbfd00ea7ea33efef",
+    reduced_model: "9dd36db3ed8b985035e81dabc98aedff6ba1a4b25e5d30544cdeb951d2221885",
+}
+
+
+@pytest.mark.parametrize("build", list(MODEL_DIGESTS), ids=lambda f: f.__name__)
+def test_catalog_model_json_is_pinned(build):
+    portraits = [e.portrait for e in generic_entries() if 1 <= e.portrait.n <= 12]
+    assert len(portraits) == 35
+    text = "".join(model_to_json(build(P)) for P in portraits)
+    assert hashlib.sha256(text.encode()).hexdigest() == MODEL_DIGESTS[build]
 
 
 def test_reduced_matches_multilevel_for_two_cycles():
