@@ -19,13 +19,13 @@ model in ``_termwise_is_cheaper`` expects to be faster:
 
 * term by term: each term b*c^l*x^j of the smaller factor adds b times the
   packed c-row i of the other factor, shifted by l slots, into output row
-  i + j.  A huge quotient times a divisor like f^5 - x, the bulk of
-  dynatomic work, costs a few shifts, small multiplies and additions per
-  row this way.
-* 2-D Kronecker: each factor becomes one number, x-row i starting at slot
-  i*stride.  Below DECIMAL_MIN_DIGITS the number is a Python int (Karatsuba);
-  from there on it is a decimal.Decimal, which libmpdec multiplies with a
-  number-theoretic transform.
+  i + j, in base 2^W ints.  A huge quotient times a divisor like f^5 - x,
+  the bulk of dynatomic work, costs a few shifts, small multiplies and
+  additions per row this way.
+* 2-D Kronecker: each factor becomes one decimal.Decimal of base-10^w
+  slots, x-row i starting at slot i*stride, which libmpdec multiplies with
+  a number-theoretic transform.  A slot is converted between int and str,
+  so a slot wider than the interpreter's digit limit is refused.
 
 Exact division is long division over packed c-rows that applies the
 divisor term by term, verified by re-multiplication.
@@ -40,8 +40,6 @@ Horner sum as well.
 from __future__ import annotations
 
 import decimal
-import operator
-from typing import Callable, NamedTuple
 
 from .rational import int_str_digits
 
@@ -68,8 +66,19 @@ def _width_for(bits: int) -> int:
 
 
 def _pack(u: list[int], W: int) -> int:
-    """Encode sum u[i] * 2^(W*i)."""
-    return _pack2d([u], W, len(u))
+    """Encode sum u[i] * 2^(W*i); a negative slot borrows from the slot
+    above."""
+    nbytes = W // 8
+    mask = (1 << W) - 1
+    parts = []
+    borrow = 0
+    for v in u:
+        v += borrow
+        borrow = -1 if v < 0 else 0
+        parts.append((v & mask).to_bytes(nbytes, "little"))
+    raw = b"".join(parts)
+    packed = int.from_bytes(raw, "little")
+    return packed - (1 << (8 * len(raw))) if borrow else packed
 
 
 def _slots(packed: int, W: int, nslots: int) -> list[int]:
@@ -151,40 +160,9 @@ def _terms(A: list) -> list[tuple[int, int, int]]:
     return [(i, l, v) for i, s in enumerate(A) if s for l, v in enumerate(s) if v]
 
 
-# ------------------------------------------------------ 2-D Kronecker codecs
-# A codec packs a whole cx form into one number, x-row i starting at slot
-# i*stride, and decodes a product back into rows.
-
-
-def _pack2d(A: list, W: int, stride: int) -> int:
-    """Binary slots of W bits in a Python int; a negative slot borrows from
-    the slot above."""
-    nbytes = W // 8
-    mask = (1 << W) - 1
-    zeros, ones = bytes(nbytes), b"\xff" * nbytes
-    parts = []
-    borrow = 0
-    last = len(A) - 1
-    for xi, s in enumerate(A):
-        s = s or ()
-        for v in s:
-            v += borrow
-            borrow = -1 if v < 0 else 0
-            parts.append((v & mask).to_bytes(nbytes, "little"))
-        if xi < last and len(s) < stride:
-            parts.append((ones if borrow else zeros) * (stride - len(s)))
-    raw = b"".join(parts)
-    packed = int.from_bytes(raw, "little")
-    return packed - (1 << (8 * len(raw))) if borrow else packed
-
-
-def _unpack2d(M: int, W: int, stride: int, n_rows: int) -> list:
-    return _split_rows(_slots(M, W, stride * n_rows), stride, n_rows)
-
-
-def _split_rows(flat: list[int], stride: int, n_rows: int) -> list:
-    return cx_trim([_trim(flat[i * stride : (i + 1) * stride]) for i in range(n_rows)])
-
+# ------------------------------------------------------------ 2-D Kronecker
+# A whole cx form is packed into one decimal, x-row i starting at slot
+# i*stride, and a product is decoded back into rows.
 
 # Exact integer arithmetic on decimals: no operation here may round.
 _DEC = decimal.Context(
@@ -255,21 +233,7 @@ def _dec_unpack(M: decimal.Decimal, w: int, stride: int, n_rows: int) -> list:
         flat[k] = t - carry * base
     if carry != negative:
         raise OverflowError("packed value out of range; slot width too small")
-    return _split_rows(flat, stride, n_rows)
-
-
-class _Codec(NamedTuple):
-    pack: Callable
-    unpack: Callable
-    mul: Callable
-
-
-_INT = _Codec(_pack2d, _unpack2d, operator.mul)
-_DECIMAL = _Codec(_dec_pack, _dec_unpack, _DEC.multiply)
-
-# packed operand size, in decimal digits, from which libmpdec's transform
-# multiplies faster than int's Karatsuba (measured crossover about 20k)
-DECIMAL_MIN_DIGITS = 20_000
+    return cx_trim([_trim(flat[i * stride : (i + 1) * stride]) for i in range(n_rows)])
 
 
 def _kronecker(A: list, B: list, bits: int) -> list:
@@ -278,16 +242,16 @@ def _kronecker(A: list, B: list, bits: int) -> list:
     ``bits`` bounds the bit size of every output coefficient.
     """
     stride = _nc(A) + _nc(B) - 1
-    n_rows = len(A) + len(B) - 1
     w = _digits_for(bits)
     limit = int_str_digits()  # int <-> str conversions of a slot
-    if max(len(A), len(B)) * stride * w >= DECIMAL_MIN_DIGITS and (not limit or w < limit):
-        codec, width = _DECIMAL, w
-    else:
-        codec, width = _INT, _width_for(bits)
-    pa = codec.pack(A, width, stride)
-    pb = pa if B is A else codec.pack(B, width, stride)
-    return codec.unpack(codec.mul(pa, pb), width, stride, n_rows)
+    if limit and w > limit:
+        raise ValueError(
+            f"a product needs {w}-digit slots, over the {limit}-digit limit "
+            "for int <-> str conversion; raise it with sys.set_int_max_str_digits"
+        )
+    pa = _dec_pack(A, w, stride)
+    pb = pa if B is A else _dec_pack(B, w, stride)
+    return _dec_unpack(_DEC.multiply(pa, pb), w, stride, len(A) + len(B) - 1)
 
 
 # ------------------------------------------------------------ term by term
@@ -324,14 +288,14 @@ def _termwise_is_cheaper(big: list, small: list, bits: int) -> bool:
     """Cost model, in 30-bit digit operations, fitted on CPython 3.11.
 
     Term by term: each term of ``small`` costs a multiply and an add over
-    the packed rows of ``big``.  Kronecker: n^1.585 for an int of n digits
-    (Karatsuba), about 300 per digit of the product for a decimal.
+    the packed rows of ``big``.  Kronecker: about 300 per 30-bit digit of
+    the product, packed, multiplied and unpacked as a decimal.
     """
     digit_ops = sum(1 + (abs(v).bit_length() + 29) // 30 for s in small if s for v in s if v)
     big_digits = _slot_count(big) * bits // 30 + 1
     termwise = digit_ops * big_digits
     n = (len(big) + len(small) - 1) * (_nc(big) + _nc(small) - 1) * bits // 30 + 1
-    return termwise < min(n**1.585, 300 * n)
+    return termwise < 300 * n
 
 
 def _is_even(A: list) -> bool:
@@ -373,15 +337,15 @@ def _product(A: list, B: list) -> list:
 # ------------------------------------------------------------------ division
 
 
-def cx_divexact(N: list, D: list, verify: bool = True) -> list:
+def cx_divexact(N: list, D: list) -> list:
     """Exact quotient N / D for D monic in x; ArithmeticError if not exact.
 
     Classical long division in (Z[c])[x] over Kronecker-packed c-rows: each
     quotient row is applied to the remainder term by term of D.  The slot
     width is a heuristic bound on the intermediate coefficient sizes; the
-    final re-multiplication check (on by default) makes the result rigorous
-    regardless, and a failed check retries with doubled width before
-    concluding the division is not exact.
+    final re-multiplication check makes the result rigorous regardless, and
+    a failed check retries with doubled width before concluding the
+    division is not exact.
     """
     N = cx_trim(N)
     D = cx_trim(D)
@@ -403,7 +367,7 @@ def cx_divexact(N: list, D: list, verify: bool = True) -> list:
         quot = _div_packed(N, negated, deg_d, W)
         if quot is None:
             continue
-        if not verify or cx_eq(cx_mul(quot, D), N):
+        if cx_eq(cx_mul(quot, D), N):
             return quot
     raise ArithmeticError("non-exact division: nonzero remainder")
 

@@ -93,7 +93,16 @@ def _cmd_dynatomic_degrees(args, config) -> int:
     return 0
 
 
+def _check_printable(flag: str, n: int) -> None:
+    """Refuse n up front when a report's integers, all below 2^n, could be
+    too long to print: 2^n < 10^L for n <= 3L, L the live digit limit."""
+    limit = int_str_digits()
+    if limit and n > 3 * limit:
+        raise ValueError(f"{flag} {n} gives integers too long to print; use {flag} <= {3 * limit}")
+
+
 def _cmd_dynatomic_check_bounds(args, config) -> int:
+    _check_printable("--max", args.max)
     rows = [dyn.check_degree_bounds(n) for n in range(1, args.max + 1)]
     bad = [r for r in rows if not r.ok]
     if args.json:
@@ -124,12 +133,7 @@ def _cmd_dynatomic_check_bounds(args, config) -> int:
 
 
 def _cmd_dynatomic_asymptotic(args, config) -> int:
-    # every integer of the report is below 2^n, and 2^n < 10^L for n <= 3L
-    limit = int_str_digits()
-    if limit and args.n > 3 * limit:
-        raise ValueError(
-            f"--n {args.n} gives integers too long to print; use --n <= {3 * limit}"
-        )
+    _check_printable("--n", args.n)
     r = dyn.asymptotic_genus_check(args.n)
     if args.json:
         _emit(
@@ -391,7 +395,7 @@ def _cmd_ff_cs(args, config) -> int:
 
 
 def _cmd_ff_max_period(args, config) -> int:
-    fflab.check_enumeration_cap(args.p**args.k, 2, config)
+    fflab.check_enumeration_cap(args.p, 2, config, k=args.k)
     ctx = FFContext(args.p, args.k, config=config)
     r = fflab.max_period_mod(ctx, config)
     if args.json:

@@ -95,21 +95,25 @@ def _is_irreducible(m: list[int], Fp: "FFContext") -> bool:
     return True
 
 
-def check_enumeration_cap(q: int, dims: int, config: RunConfig = DEFAULT) -> None:
-    """Raise BudgetExceeded when q^dims exceeds the enumeration cap.  The
-    message names q^dims when it is printable and otherwise a power of two
-    below it, which spares computing q^dims when that bound exceeds the cap."""
+def check_enumeration_cap(q: int, dims: int, config: RunConfig = DEFAULT, k: int = 1) -> None:
+    """Raise BudgetExceeded when (q^k)^dims exceeds the enumeration cap, and
+    ValueError when k < 1.  Bit lengths bound (q^k)^dims before any power is
+    formed; the message names it when the bound shows it printable, and
+    otherwise a power of two below it."""
+    if k < 1:
+        raise ValueError(f"extension degree must be >= 1, got {k}")
     cap = config.enumeration_cap
     name = "q" if dims == 1 else f"q^{dims}"
-    low_bits = dims * (q.bit_length() - 1)  # q^dims >= 2^low_bits
+    e = k * dims
+    low_bits = e * (q.bit_length() - 1)  # q^e >= 2^low_bits
     # print at most 4300 digits, and no more than the live limit allows:
-    # q^dims < 2^(dims * bits), and 2^(3 * digits) < 10^digits
+    # q^e < 2^(e * bits), and 2^(3 * digits) < 10^digits
     digits = min(int_str_digits() or 4300, 4300)
-    if dims * q.bit_length() > 3 * digits:
-        if low_bits >= cap.bit_length() or q**dims > cap:
+    if e * q.bit_length() > 3 * digits:
+        if low_bits >= cap.bit_length() or q**e > cap:
             raise BudgetExceeded(f"{name} >= 2^{low_bits} exceeds enumeration cap {cap}")
-    elif q**dims > cap:
-        raise BudgetExceeded(f"{name} = {q**dims} exceeds enumeration cap {cap}")
+    elif q**e > cap:
+        raise BudgetExceeded(f"{name} = {q**e} exceeds enumeration cap {cap}")
 
 
 class FFContext:
@@ -129,10 +133,8 @@ class FFContext:
     ):
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
-        if k < 1:
-            raise ValueError("extension degree must be >= 1")
-        if k > 1:
-            check_enumeration_cap(p**k, 1, config)  # the tables hold about q entries
+        if k != 1:  # k >= 1, and the tables hold about q entries
+            check_enumeration_cap(p, 1, config, k=k)
         self.p, self.k, self.q = p, k, p**k
         self._exp = self._log = self._zech = None
         if modulus is None:

@@ -44,7 +44,7 @@ from .config import RunConfig, DEFAULT
 from .errors import NotGeneric, ParseError
 from .ff import FFContext, FFElement, check_enumeration_cap, poly_gcd, poly_powmod, poly_trim
 from .models import CurveModel, full_system
-from .portraits import Portrait, find_cycles, preimages
+from .portraits import Portrait, find_cycles, preimages, successor_cycles
 
 
 # ----------------------------------------------------------- solution iteration
@@ -131,7 +131,7 @@ def count_points(
     """
     P = _full_portrait(model)
     dims = 2 if P is not None else len(model.enumeration_variables())
-    check_enumeration_cap(p**k, dims, config)
+    check_enumeration_cap(p, dims, config, k=k)
     ctx = FFContext(p, k, config=config)
     if P is not None:
         return PointCountReport(model_id=model.name, q=ctx.q, affine_count=_count_full(P, ctx))
@@ -247,7 +247,7 @@ def max_period_mod(ctx: FFContext, config: RunConfig = DEFAULT) -> MaxPeriodRepo
     check_enumeration_cap(ctx.q, 2, config)
     best, witness = 0, 0
     for c, succ in _fiber_successors(ctx):
-        longest = max(map(len, _cycles(succ)))
+        longest = max(map(len, successor_cycles(succ)))
         if longest > best:
             best, witness = longest, c
     return MaxPeriodReport(ctx.p, ctx.k, ctx.q, best, FFElement(ctx, witness))
@@ -272,29 +272,6 @@ def _fiber_successors(ctx: FFContext) -> Iterator[tuple[int, list[int]]]:
             shift = [h + t for h in digit for t in shift]
             place *= p
         yield c, [shift[s] for s in squares]
-
-
-def _cycles(succ: list[int]) -> list[list[int]]:
-    """The cycles of v -> succ[v], each in successor order.  Each walk
-    stamps the nodes it meets with its start and stops at the first stamped
-    node; a node stamped by the same walk lies on a new cycle."""
-    walk = [-1] * len(succ)
-    cycles = []
-    for start in range(len(succ)):
-        if walk[start] >= 0:
-            continue
-        v = start
-        while walk[v] < 0:
-            walk[v] = start
-            v = succ[v]
-        if walk[v] == start:
-            cycle = [v]
-            u = succ[v]
-            while u != v:
-                cycle.append(u)
-                u = succ[u]
-            cycles.append(cycle)
-    return cycles
 
 
 def _full_portrait(model: CurveModel) -> Portrait | None:
@@ -362,7 +339,7 @@ def _count_full(P: Portrait, ctx: FFContext) -> int:
         minus_c = neg(c)
         # under rotation r, v_j goes to image[j + r + 1] and its tail to -image[j + r]
         found = []
-        for image in _cycles(succ):
+        for image in successor_cycles(succ):
             if len(image) in lengths:
                 others = [neg(y) for y in image]
                 if all(o != y for o, y in zip(others, image)):

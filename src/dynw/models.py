@@ -414,21 +414,63 @@ def model_to_json(model: CurveModel) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
+def _strings(doc: dict, key: str) -> list[str]:
+    if key not in doc:
+        raise ParseError(f"model JSON missing field {key!r}")
+    value = doc[key]
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise ParseError(f"model JSON field {key!r} must be a list of strings")
+    return value
+
+
 def model_from_json(text: str) -> CurveModel:
+    """The model of a JSON document, checked before it is used: one
+    ParseError names the field that is malformed or names an undeclared
+    variable, or a variable read or left unbound.  A variable is bound when
+    it is free or the target of an earlier step."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"bad model JSON: {exc}") from exc
-    try:
-        return CurveModel(
-            name=doc.get("name", "model"),
-            variables=tuple(doc["variables"]),
-            equations=[MultiPoly.parse(e) for e in doc["equations"]],
-            inequations=[MultiPoly.parse(e) for e in doc["inequations"]],
-            provenance=doc.get("provenance", "plane"),
-            free_variables=tuple(doc["free_variables"]) if "free_variables" in doc else None,
-            steps=[tuple(s) for s in doc.get("steps", [])],
-            meta=doc.get("meta", {}),
-        )
-    except KeyError as exc:
-        raise ParseError(f"model JSON missing field {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ParseError("model JSON must be an object")
+    variables = tuple(_strings(doc, "variables"))
+    free = tuple(_strings(doc, "free_variables")) if "free_variables" in doc else None
+    steps = doc.get("steps", [])
+    if not isinstance(steps, list) or not all(
+        isinstance(s, list) and len(s) == 3 and s[0] in ("image", "negate") for s in steps
+    ):
+        raise ParseError("model JSON field 'steps' must list [image|negate, target, source]")
+    steps = [tuple(s) for s in steps]
+    polys = {}
+    for key in ("equations", "inequations"):
+        texts = _strings(doc, key)
+        try:
+            polys[key] = [MultiPoly.parse(e) for e in texts]
+        except ParseError as exc:
+            raise ParseError(f"model JSON field {key!r}: {exc}") from exc
+    named = [(key, v) for key, group in polys.items() for poly in group for v in poly.variables]
+    named += [("free_variables", v) for v in free or ()]
+    for key, v in named + [("steps", v) for step in steps for v in step[1:]]:
+        if v not in variables:
+            raise ParseError(f"model JSON field {key!r} names undeclared variable {v!r}")
+    known = set(free or variables)
+    for step in steps:
+        kind, target, source = step
+        for v in (source, "c") if kind == "image" else (source,):
+            if v not in known:
+                raise ParseError(f"model JSON field 'steps': {list(step)!r} reads unbound {v!r}")
+        known.add(target)
+    for v in variables:
+        if v not in known:
+            raise ParseError(f"model JSON field 'variables': {v!r} is never bound")
+    return CurveModel(
+        name=str(doc.get("name", "model")),
+        variables=variables,
+        equations=polys["equations"],
+        inequations=polys["inequations"],
+        provenance=doc.get("provenance", "plane"),
+        free_variables=free,
+        steps=steps,
+        meta=doc.get("meta", {}),
+    )

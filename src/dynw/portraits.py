@@ -129,26 +129,34 @@ def preimages(P: Portrait) -> list[list[int]]:
     return pre
 
 
-def find_cycles(P: Portrait) -> list[list[int]]:
-    """All cycles, each listed in successor order; discovery order is by
-    smallest vertex, so the output is deterministic."""
-    color = [0] * (P.n + 1)  # 0 unvisited, 1 on current path, 2 done
+def successor_cycles(succ: list[int]) -> list[list[int]]:
+    """The cycles of v -> succ[v] on 0..len(succ)-1, each in successor
+    order, discovered by smallest node.  Each walk stamps the nodes it
+    meets with its start and stops at the first stamped node; a node
+    stamped by the same walk lies on a new cycle."""
+    walk = [-1] * len(succ)
     cycles = []
-    for start in range(1, P.n + 1):
-        if color[start]:
+    for start in range(len(succ)):
+        if walk[start] >= 0:
             continue
-        path = []
         v = start
-        while color[v] == 0:
-            color[v] = 1
-            path.append(v)
-            v = P.successor(v)
-        if color[v] == 1:
-            idx = path.index(v)
-            cycles.append(path[idx:])
-        for u in path:
-            color[u] = 2
+        while walk[v] < 0:
+            walk[v] = start
+            v = succ[v]
+        if walk[v] == start:
+            cycle = [v]
+            u = succ[v]
+            while u != v:
+                cycle.append(u)
+                u = succ[u]
+            cycles.append(cycle)
     return cycles
+
+
+def find_cycles(P: Portrait) -> list[list[int]]:
+    """All cycles of P's vertices, each listed in successor order; discovery
+    order is by smallest vertex, so the output is deterministic."""
+    return [[v + 1 for v in c] for c in successor_cycles([t - 1 for t in P.image])]
 
 
 def cycle_structure(P: Portrait) -> CycleStructure:

@@ -354,3 +354,102 @@ def test_size_errors_follow_the_live_digit_limit(capsys):
     assert asymptotic == (
         1, "", "error: --n 2000 gives integers too long to print; use --n <= 1920\n"
     )
+
+
+def test_check_bounds_refuses_unprintable_max_up_front(capsys, monkeypatch):
+    from dynw import dynatomic
+
+    def no_rows(n):
+        raise AssertionError("computed a row")
+
+    monkeypatch.setattr(dynatomic, "check_degree_bounds", no_rows)
+    old = sys.get_int_max_str_digits()
+    results = []
+    try:
+        for limit in (old, 640):
+            sys.set_int_max_str_digits(limit)
+            n = 3 * limit + 1
+            message = f"error: --max {n} gives integers too long to print; use --max <= {n - 1}\n"
+            for mode in ((), ("--json",)):
+                got = run(capsys, "dynatomic", "check-bounds", "--max", str(n), *mode)
+                results.append((got, (1, "", message)))
+    finally:
+        sys.set_int_max_str_digits(old)
+    for got, expected in results:
+        assert got == expected
+
+
+@pytest.mark.parametrize("command", ["count", "max-period"])
+@pytest.mark.parametrize("k", ["-1", "0", "1000000"])
+def test_extension_degree_is_checked_before_q_is_formed(capsys, monkeypatch, tmp_path, command, k):
+    from dynw.ff import FFContext
+
+    def no_search(self):
+        raise AssertionError("searched for a modulus")
+
+    monkeypatch.setattr(FFContext, "_find_modulus", no_search)
+    argv = ["ff", command, "--p", "5", "--k", k]
+    if command == "count":
+        argv[2:2] = ["--model", _full_model_file(capsys, tmp_path, "4:2,1,2,1")]
+    if k == "1000000":  # (5^k)^2 >= 2^(2 * 2 * k), from bit lengths
+        message = "error: q^2 >= 2^4000000 exceeds enumeration cap 10000000\n"
+    else:
+        message = f"error: extension degree must be >= 1, got {k}\n"
+    assert run(capsys, *argv) == (1, "", message)
+
+
+def _model_doc(capsys, tmp_path):
+    """A full model renamed so that it is counted by the solver."""
+    with open(_full_model_file(capsys, tmp_path, "4:2,1,2,1")) as f:
+        doc = json.load(f)
+    doc["name"] = "edited"
+    return doc
+
+
+def _edit(field, value):
+    def edit(doc):
+        doc[field] = value(doc) if callable(value) else value
+        return doc
+    return edit
+
+
+MALFORMED_MODELS = {
+    "top-level-list": (lambda doc: [1, 2], "model JSON must be an object"),
+    "equation-not-a-string": (
+        _edit("equations", [5]), "model JSON field 'equations' must be a list of strings"
+    ),
+    "undeclared-equation-variable": (
+        _edit("equations", lambda d: d["equations"] + ["z^2 - x1"]),
+        "model JSON field 'equations' names undeclared variable 'z'",
+    ),
+    "undeclared-free-variable": (
+        _edit("free_variables", ["c", "y"]),
+        "model JSON field 'free_variables' names undeclared variable 'y'",
+    ),
+    "two-entry-step": (
+        _edit("steps", lambda d: [["image", "x2"]] + d["steps"][1:]),
+        "model JSON field 'steps' must list [image|negate, target, source]",
+    ),
+    "step-before-its-source": (
+        _edit("steps", lambda d: d["steps"][::-1]),
+        "model JSON field 'steps': ['negate', 'x4', 'x2'] reads unbound 'x2'",
+    ),
+    "image-step-without-c": (
+        _edit("free_variables", ["x1"]),
+        "model JSON field 'steps': ['image', 'x2', 'x1'] reads unbound 'c'",
+    ),
+    "variable-never-bound": (
+        _edit("steps", lambda d: d["steps"][:2]),
+        "model JSON field 'variables': 'x4' is never bound",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_MODELS))
+def test_malformed_model_file_is_one_error_line(capsys, tmp_path, case):
+    edit, message = MALFORMED_MODELS[case]
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(edit(_model_doc(capsys, tmp_path))))
+    assert run(capsys, "ff", "count", "--model", str(path), "--p", "5") == (
+        1, "", f"error: {message}\n"
+    )

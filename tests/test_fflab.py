@@ -31,7 +31,7 @@ from dynw.models import (
     reduced_model,
 )
 from dynw.multipoly import MultiPoly
-from dynw.portraits import Portrait
+from dynw.portraits import Portrait, successor_cycles
 
 
 def test_plane_counts_small():
@@ -196,7 +196,7 @@ def test_cycles_are_the_periodic_points_in_successor_order():
     for p, k in ((13, 1), (3, 4)):
         ctx = FFContext(p, k)
         for c, succ in fflab._fiber_successors(ctx):
-            cycles = fflab._cycles(succ)
+            cycles = successor_cycles(succ)
             # after q steps every orbit is on its cycle
             image = list(range(ctx.q))
             for _ in range(ctx.q):

@@ -2,6 +2,7 @@
 
 import decimal
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -95,9 +96,19 @@ def test_divexact_accepts_untrimmed_rows():
     assert pk.cx_to_terms(quot) == {(0, 0): 2, (0, 1): 1}
 
 
+def division_pass(N, D):
+    """The first packed long-division pass of cx_divexact(N, D), with no
+    re-multiplication check."""
+    nc = (pk.cx_deg_c(N) + 1) + (pk.cx_deg_c(D) + 1)
+    W = pk._width_for(pk.cx_bits(N) + pk.cx_bits(D) + nc.bit_length() + 40)
+    negated = [(j, l, -v) for j, l, v in pk._terms(D[:-1])]
+    return pk._div_packed(N, negated, len(D) - 1, W)
+
+
 def test_divexact_packs_each_row_once(monkeypatch):
     """The windowed division packs each remainder row exactly once: the pack
-    call count stays linear in the dividend, never quadratic."""
+    call count of one division pass stays linear in the dividend, never
+    quadratic."""
     calls = 0
     original = pk._pack
 
@@ -113,13 +124,13 @@ def test_divexact_packs_each_row_once(monkeypatch):
     D[-1] = [1]
     N = pk.cx_mul(Q, D)
     calls = 0
-    pk.cx_divexact(N, D, verify=False)
+    assert pk.cx_eq(division_pass(N, D), Q)
     assert calls <= len(N) + len(D) + 4
 
 
 # ------------------------------------------------- one test per engine path
-# Each path below is forced with the module's own switches (the decimal
-# threshold, the term-wise cost model) and checked against reference_mul.
+# Each path below is forced through the term-wise cost model and checked
+# against reference_mul.
 
 
 def random_even_cx(rng, max_x=12, max_c=8, bits=64):
@@ -171,20 +182,34 @@ def test_decimal_pack_round_trip():
 
 
 def test_decimal_kronecker_matches_reference(monkeypatch):
-    """DECIMAL_MIN_DIGITS = 0 sends every 2-D product through decimal.Decimal."""
-    monkeypatch.setattr(pk, "DECIMAL_MIN_DIGITS", 0)
+    """With the term-wise route off, every product is a decimal Kronecker
+    product."""
     monkeypatch.setattr(pk, "_termwise_is_cheaper", lambda *args: False)
-    products = []
-    real = pk._DECIMAL
-    monkeypatch.setattr(pk, "_DECIMAL", real._replace(
-        mul=lambda a, b: products.append(1) or real.mul(a, b)))
+    kron = spy_on(monkeypatch, "_kronecker")
     rng = random.Random(8)
     for _ in range(100):
         bits = rng.choice((1, 64, 200))
         A, B = random_cx(rng, bits=bits), random_cx(rng, bits=bits)
         assert pk.cx_to_terms(pk.cx_mul(A, B)) == reference_mul(A, B)
         assert pk.cx_to_terms(pk.cx_square(A)) == reference_mul(A, A)
-    assert len(products) >= 150
+    assert len(kron) >= 150
+
+
+def test_kronecker_refuses_slots_over_the_digit_limit(monkeypatch):
+    """A slot wider than the int <-> str digit limit is one ValueError that
+    names the limit, raised before anything is packed."""
+    monkeypatch.setattr(pk, "_termwise_is_cheaper", lambda *args: False)
+    packs = spy_on(monkeypatch, "_dec_pack")
+    rng = random.Random(9)
+    A = [[rng.randint(2**2299, 2**2300) for _ in range(3)] for _ in range(3)]
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        with pytest.raises(ValueError, match="640-digit limit") as exc:
+            pk.cx_mul(A, A[::-1])
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert "\n" not in str(exc.value) and not packs
 
 
 def test_termwise_matches_reference(monkeypatch):
@@ -198,11 +223,8 @@ def test_termwise_matches_reference(monkeypatch):
     assert len(termwise) >= 90
 
 
-@pytest.mark.parametrize("min_digits", [0, pk.DECIMAL_MIN_DIGITS])
-def test_even_operands_multiply_in_x_squared(monkeypatch, min_digits):
-    """Factors even in x are multiplied as polynomials in y = x^2, with both
-    the int and the decimal packing."""
-    monkeypatch.setattr(pk, "DECIMAL_MIN_DIGITS", min_digits)
+def test_even_operands_multiply_in_x_squared(monkeypatch):
+    """Factors even in x are multiplied as polynomials in y = x^2."""
     monkeypatch.setattr(pk, "_termwise_is_cheaper", lambda *args: False)
     kron = spy_on(monkeypatch, "_kronecker")
     rng = random.Random(11)
@@ -235,7 +257,7 @@ def test_divexact_matches_reference_and_rejects_remainders():
         D[-1] = [1]
         N = from_terms(reference_mul(Q, D))
         assert pk.cx_to_terms(pk.cx_divexact(N, D)) == pk.cx_to_terms(Q)
-        assert pk.cx_to_terms(pk.cx_divexact(N, D, verify=False)) == pk.cx_to_terms(Q)
+        assert pk.cx_to_terms(division_pass(N, D)) == pk.cx_to_terms(Q)
         R = random_cx(rng, max_x=len(D) - 1, max_c=6, bits=bits)
         if pk.cx_to_terms(R):  # R can be the zero polynomial, e.g. [[0, 0]]
             with pytest.raises(ArithmeticError):
