@@ -223,8 +223,19 @@ def test_termwise_matches_reference(monkeypatch):
     assert len(termwise) >= 90
 
 
-def test_even_operands_multiply_in_x_squared(monkeypatch):
-    """Factors even in x are multiplied as polynomials in y = x^2."""
+@pytest.mark.parametrize("max_str_digits", [0, 20000])
+def test_even_operands_multiply_in_x_squared(monkeypatch, max_str_digits):
+    """Factors even in x are multiplied as polynomials in y = x^2, with no
+    int <-> str digit limit (0) and with a finite one."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(max_str_digits)
+    try:
+        check_even_operands(monkeypatch)
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def check_even_operands(monkeypatch):
     monkeypatch.setattr(pk, "_termwise_is_cheaper", lambda *args: False)
     kron = spy_on(monkeypatch, "_kronecker")
     rng = random.Random(11)
