@@ -128,7 +128,7 @@ def cx_copy(A: list) -> list:
     return [s[:] if s else None for s in A]
 
 
-def cx_add(A: list, B: list, sign: int = 1) -> list:
+def cx_add(A: list, B: list) -> list:
     out = [s[:] if s else None for s in A]
     if len(out) < len(B):
         out += [None] * (len(B) - len(out))
@@ -136,13 +136,13 @@ def cx_add(A: list, B: list, sign: int = 1) -> list:
         if not s:
             continue
         if out[i] is None:
-            out[i] = [sign * c for c in s]
+            out[i] = s[:]
         else:
             t = out[i]
             if len(t) < len(s):
                 t += [0] * (len(s) - len(t))
             for j, c in enumerate(s):
-                t[j] += sign * c
+                t[j] += c
             _trim(t)
     return cx_trim(out)
 

@@ -31,10 +31,11 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 from .catalog import TWELVE_RATIONAL_LABELS, match
-from .errors import StepBudgetExceeded
+from .config import DEFAULT, RunConfig
+from .errors import BudgetExceeded, StepBudgetExceeded
 from .portraits import Portrait, canonical_form, validate_generic
 from .rational import isqrt_ceil, perfect_square_root
 
@@ -156,14 +157,19 @@ def _non_escaping(succ: list[int]) -> list[int]:
     return [i for i, s in enumerate(state) if s == 3]
 
 
-def classify(c: Fraction) -> ClassificationRecord:
-    """The exact rational preperiodic portrait of x^2 + c."""
+def classify(c: Fraction, config: RunConfig = DEFAULT) -> ClassificationRecord:
+    """The exact rational preperiodic portrait of x^2 + c.  BudgetExceeded
+    when its 2*u_max + 1 candidates exceed the enumeration cap."""
     c = Fraction(c)
     points: list[Fraction] = []
     image: tuple[int, ...] = ()
     window = _window(c)
     if window is not None:
         m, a, u_max = window
+        if 2 * u_max + 1 > config.enumeration_cap:
+            raise BudgetExceeded(
+                f"{2 * u_max + 1} candidates exceed enumeration cap {config.enumeration_cap}"
+            )
         succ = _successors(m, a, u_max)
         kept = _non_escaping(succ)
         rank = {i: r + 1 for r, i in enumerate(kept)}
@@ -213,16 +219,23 @@ def _sweep_domain(height_bound: int) -> list[Fraction]:
     return out
 
 
-def sweep(height_bound: int, out=None) -> SweepSummary:
+def sweep(height_bound: int, out=None, config: RunConfig = DEFAULT) -> SweepSummary:
     """Classify every square-denominator c up to the height bound.
 
     Writes CSV rows to `out` (a text stream) when given.  The summary
     tallies portrait classes and lists every *generic* record that is not
     among the twelve conjectured rational classes as an anomaly.
+    BudgetExceeded, before the domain is built, when its
+    floor(sqrt(height_bound)) * (2 * height_bound + 1) numerator and
+    denominator pairs exceed the enumeration cap.
     """
     if height_bound < 1:
         raise ValueError("height bound must be >= 1")
-    records = [classify(c) for c in _sweep_domain(height_bound)]
+    if isqrt(height_bound) * (2 * height_bound + 1) > config.enumeration_cap:
+        raise BudgetExceeded(
+            f"sweep to height {height_bound} exceeds enumeration cap {config.enumeration_cap}"
+        )
+    records = [classify(c, config) for c in _sweep_domain(height_bound)]
 
     tally: dict[str, int] = {}
     anomalies = []

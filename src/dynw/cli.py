@@ -5,6 +5,13 @@ reproduce.  Exit codes: 0 success, 1 domain error, 2 usage error.  For a
 fixed argv and configuration, stdout is byte-identical across runs; wall
 -clock timings (reproduce) go to stderr.
 
+Each `_cmd_*` handler returns its report as (doc, lines, code): the JSON
+document without `schema_version` (None for a text-only command), the text
+lines and the exit code.  `dispatch` alone decides the output format.  It
+prints the document, with `schema_version` added, when the command has one
+and `--json` or DYNW_OUTPUT_FORMAT=json asks for it; otherwise it prints
+the lines.
+
 Portrait arguments accept either a literal "N:t1,...,tN" string or a path
 to a file containing one.  Model files are the JSON documents emitted by
 the `model` commands (schema_version 1).
@@ -14,8 +21,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
+from contextlib import nullcontext
 from fractions import Fraction
 from pathlib import Path
 
@@ -25,7 +34,7 @@ from . import dynatomic as dyn
 from . import fflab
 from . import models as mdl
 from .config import from_env
-from .errors import DynwError
+from .errors import DynwError, UnknownReport
 from .ff import FFContext
 from .portraits import (
     CycleStructure,
@@ -40,10 +49,7 @@ from .portraits import (
 from .rational import format_rational, int_str_digits, parse_rational
 
 SCHEMA_VERSION = 1
-
-
-def _emit(doc) -> None:
-    sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+_FORMATS = ("json", "text")
 
 
 def _load_portrait(arg: str) -> Portrait:
@@ -51,46 +57,21 @@ def _load_portrait(arg: str) -> Portrait:
     return Portrait.from_text(path.read_text().strip() if path.exists() else arg)
 
 
-def _fraction_str(q) -> str:
-    return format_rational(Fraction(q))
-
-
 # ------------------------------------------------------------------- dynatomic
 
 
-def _cmd_dynatomic_poly(args, config) -> int:
+def _cmd_dynatomic_poly(args, config):
     table = dyn.dynatomic(args.n, config)
-    if args.json:
-        _emit(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "n": table.n,
-                "phi": str(table.phi),
-                "degree_x": table.degree_x,
-                "degree_c": table.degree_c,
-            }
-        )
-    else:
-        print(table.phi)
-    return 0
+    phi = str(table.phi)
+    doc = {"n": table.n, "phi": phi, "degree_x": table.degree_x, "degree_c": table.degree_c}
+    return doc, [phi], 0
 
 
-def _cmd_dynatomic_degrees(args, config) -> int:
+def _cmd_dynatomic_degrees(args, config):
     r = dyn.degree_report(args.n)
-    if args.json:
-        _emit(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "n": r.n,
-                "D1": r.D1,
-                "D0": r.D0,
-                "B": r.B,
-                "genus_lb": _fraction_str(r.genus_lb),
-            }
-        )
-    else:
-        print(f"n={r.n} D1={r.D1} D0={r.D0} B={r.B} genus_lb={_fraction_str(r.genus_lb)}")
-    return 0
+    genus_lb = format_rational(r.genus_lb)
+    doc = {"n": r.n, "D1": r.D1, "D0": r.D0, "B": r.B, "genus_lb": genus_lb}
+    return doc, [f"n={r.n} D1={r.D1} D0={r.D0} B={r.B} genus_lb={genus_lb}"], 0
 
 
 def _check_printable(flag: str, n: int) -> None:
@@ -101,366 +82,247 @@ def _check_printable(flag: str, n: int) -> None:
         raise ValueError(f"{flag} {n} gives integers too long to print; use {flag} <= {3 * limit}")
 
 
-def _cmd_dynatomic_check_bounds(args, config) -> int:
+def _cmd_dynatomic_check_bounds(args, config):
+    if args.max < 1:
+        raise ValueError(f"--max must be >= 1, got {args.max}")
     _check_printable("--max", args.max)
     rows = [dyn.check_degree_bounds(n) for n in range(1, args.max + 1)]
-    bad = [r for r in rows if not r.ok]
-    if args.json:
-        _emit(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "max": args.max,
-                "all_ok": not bad,
-                "rows": [
-                    {
-                        "n": r.n,
-                        "D1": r.D1,
-                        "lower": r.lower,
-                        "upper": r.upper,
-                        "lower_strict": r.lower_strict,
-                        "upper_strict": r.upper_strict,
-                        "ok": r.ok,
-                    }
-                    for r in rows
-                ],
-            }
-        )
-    else:
-        for r in rows:
-            strictness = f"strict_low={int(r.lower_strict)} strict_high={int(r.upper_strict)}"
-            print(f"n={r.n} {r.lower} <= D1={r.D1} <= {r.upper} {strictness} ok={int(r.ok)}")
-    return 0 if not bad else 1
+    ok = all(r.ok for r in rows)
+    keys = ("n", "D1", "lower", "upper", "lower_strict", "upper_strict", "ok")
+    doc = {
+        "max": args.max,
+        "all_ok": ok,
+        "rows": [{key: getattr(r, key) for key in keys} for r in rows],
+    }
+    lines = [
+        f"n={r.n} {r.lower} <= D1={r.D1} <= {r.upper} strict_low={int(r.lower_strict)} "
+        f"strict_high={int(r.upper_strict)} ok={int(r.ok)}"
+        for r in rows
+    ]
+    return doc, lines, 0 if ok else 1
 
 
-def _cmd_dynatomic_asymptotic(args, config) -> int:
+def _cmd_dynatomic_asymptotic(args, config):
     _check_printable("--n", args.n)
     r = dyn.asymptotic_genus_check(args.n)
-    if args.json:
-        _emit(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "n": r.n,
-                "chain_holds": r.chain_holds,
-                "lhs": r.lhs,
-                "rhs": r.rhs,
-                "B": r.B,
-                "six_D0": r.six_d0,
-                "B_exceeds_six_D0": r.b_exceeds_six_d0,
-            }
-        )
-    else:
-        print(
-            f"n={r.n} chain_holds={int(r.chain_holds)} lhs={r.lhs} rhs={r.rhs} "
-            f"B={r.B} six_D0={r.six_d0} B_exceeds={int(r.b_exceeds_six_d0)}"
-        )
-    return 0
+    doc = {
+        "n": r.n,
+        "chain_holds": r.chain_holds,
+        "lhs": r.lhs,
+        "rhs": r.rhs,
+        "B": r.B,
+        "six_D0": r.six_d0,
+        "B_exceeds_six_D0": r.b_exceeds_six_d0,
+    }
+    line = (
+        f"n={r.n} chain_holds={int(r.chain_holds)} lhs={r.lhs} rhs={r.rhs} "
+        f"B={r.B} six_D0={r.six_d0} B_exceeds={int(r.b_exceeds_six_d0)}"
+    )
+    return doc, [line], 0
 
 
 # -------------------------------------------------------------------- portrait
 
 
-def _cmd_portrait_validate(args, config) -> int:
+def _cmd_portrait_validate(args, config):
     P = _load_portrait(args.portrait)
     report = validate_generic(P)
-    if args.json:
-        _emit(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "portrait": P.to_text(),
-                "cycle_structure": str(cycle_structure(P)),
-                "generic": report.is_generic,
-                "violations": [
-                    {"rule": v.rule, "detail": v.detail} for v in report.violations
-                ],
-            }
-        )
-    else:
-        print(f"portrait {P.to_text()} cycle_structure={cycle_structure(P)}")
-        print(f"generic: {'yes' if report.is_generic else 'no'}")
-        for v in report.violations:
-            print(f"violation[{v.rule}]: {v.detail}")
-    return 0
+    doc = {
+        "portrait": P.to_text(),
+        "cycle_structure": str(cycle_structure(P)),
+        "generic": report.is_generic,
+        "violations": [{"rule": v.rule, "detail": v.detail} for v in report.violations],
+    }
+    lines = [
+        f"portrait {P.to_text()} cycle_structure={cycle_structure(P)}",
+        f"generic: {'yes' if report.is_generic else 'no'}",
+    ] + [f"violation[{v.rule}]: {v.detail}" for v in report.violations]
+    return doc, lines, 0
 
 
-def _cmd_portrait_enumerate(args, config) -> int:
+def _cmd_portrait_enumerate(args, config):
     sigma = CycleStructure.parse(args.cycles)
-    classes = enumerate_generic(args.n, sigma)
-    if args.json:
-        _emit(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "n": args.n,
-                "cycles": str(sigma),
-                "count": len(classes),
-                "classes": [P.to_text() for P in classes],
-            }
-        )
-    else:
-        for P in classes:
-            print(P.to_text())
-        print(f"count: {len(classes)}")
-    return 0
+    classes = [P.to_text() for P in enumerate_generic(args.n, sigma)]
+    doc = {"n": args.n, "cycles": str(sigma), "count": len(classes), "classes": classes}
+    return doc, classes + [f"count: {len(classes)}"], 0
 
 
-def _cmd_portrait_autgroup(args, config) -> int:
+def _cmd_portrait_autgroup(args, config):
     P = _load_portrait(args.portrait)
     auts = automorphism_group(P)
-    if args.json:
-        _emit(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "portrait": P.to_text(),
-                "order": len(auts),
-                "automorphisms": [list(a) for a in auts],
-            }
-        )
-    else:
-        print(f"order: {len(auts)}")
-        for a in auts:
-            print(",".join(str(v) for v in a))
-    return 0
+    doc = {"portrait": P.to_text(), "order": len(auts), "automorphisms": [list(a) for a in auts]}
+    return doc, [f"order: {len(auts)}"] + [",".join(map(str, a)) for a in auts], 0
 
 
-def _cmd_portrait_embeds(args, config) -> int:
+def _cmd_portrait_embeds(args, config):
     sub = _load_portrait(args.sub)
     sup = _load_portrait(args.super)
     maps = embeddings(sub, sup)
-    if args.json:
-        _emit(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "sub": sub.to_text(),
-                "super": sup.to_text(),
-                "count": len(maps),
-                "embeddings": [list(m) for m in maps],
-            }
-        )
-    else:
-        print(f"count: {len(maps)}")
-        for m in maps:
-            print(",".join(str(v) for v in m))
-    return 0
+    doc = {
+        "sub": sub.to_text(),
+        "super": sup.to_text(),
+        "count": len(maps),
+        "embeddings": [list(m) for m in maps],
+    }
+    return doc, [f"count: {len(maps)}"] + [",".join(map(str, m)) for m in maps], 0
 
 
-def _cmd_portrait_catalog(args, config) -> int:
+def _cmd_portrait_catalog(args, config):
     entries = cat.catalog()
-    if args.json:
-        _emit(
+    doc = {
+        "entries": [
             {
-                "schema_version": SCHEMA_VERSION,
-                "entries": [
-                    {
-                        "label": e.label,
-                        "portrait": e.portrait.to_text(),
-                        "cycle_structure": str(e.cycle_structure),
-                        "genus": e.genus,
-                        "degenerate": e.degenerate,
-                        "notes": e.notes,
-                    }
-                    for e in entries
-                ],
+                "label": e.label,
+                "portrait": e.portrait.to_text(),
+                "cycle_structure": str(e.cycle_structure),
+                "genus": e.genus,
+                "degenerate": e.degenerate,
+                "notes": e.notes,
             }
-        )
-    else:
-        for e in entries:
-            genus = "-" if e.genus is None else str(e.genus)
-            flag = " degenerate" if e.degenerate else ""
-            print(f"{e.label:12s} {e.portrait.to_text():32s} genus={genus}{flag}")
-    return 0
+            for e in entries
+        ]
+    }
+    lines = [
+        f"{e.label:12s} {e.portrait.to_text():32s} genus={'-' if e.genus is None else e.genus}"
+        + (" degenerate" if e.degenerate else "")
+        for e in entries
+    ]
+    return doc, lines, 0
 
 
-def _cmd_portrait_extensions(args, config) -> int:
+def _cmd_portrait_extensions(args, config):
     P = _load_portrait(args.portrait)
-    exts = minimal_extensions(P, args.b)
-    if args.json:
-        _emit(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "portrait": P.to_text(),
-                "bound": args.b,
-                "count": len(exts),
-                "extensions": [
-                    {
-                        "portrait": Q.to_text(),
-                        "label": (cat.match(Q).label if cat.match(Q) else None),
-                    }
-                    for Q in exts
-                ],
-            }
-        )
-    else:
-        for Q in exts:
-            entry = cat.match(Q)
-            label = f"  [{entry.label}]" if entry else ""
-            print(f"{Q.to_text()}{label}")
-        print(f"count: {len(exts)}")
-    return 0
+    matched = [(Q, cat.match(Q)) for Q in minimal_extensions(P, args.b)]
+    doc = {
+        "portrait": P.to_text(),
+        "bound": args.b,
+        "count": len(matched),
+        "extensions": [
+            {"portrait": Q.to_text(), "label": e.label if e else None} for Q, e in matched
+        ],
+    }
+    lines = [Q.to_text() + (f"  [{e.label}]" if e else "") for Q, e in matched]
+    return doc, lines + [f"count: {len(matched)}"], 0
 
 
 # ----------------------------------------------------------------------- model
 
 
-def _cmd_model_full(args, config) -> int:
-    P = _load_portrait(args.portrait)
-    sys.stdout.write(mdl.model_to_json(mdl.full_model(P)))
-    return 0
+def _model_report(model):
+    return None, [mdl.model_to_json(model).rstrip("\n")], 0
 
 
-def _cmd_model_reduced(args, config) -> int:
-    P = _load_portrait(args.portrait)
-    sys.stdout.write(mdl.model_to_json(mdl.reduced_model(P, config)))
-    return 0
+def _cmd_model_full(args, config):
+    return _model_report(mdl.full_model(_load_portrait(args.portrait)))
 
 
-def _cmd_model_multilevel(args, config) -> int:
+def _cmd_model_reduced(args, config):
+    return _model_report(mdl.reduced_model(_load_portrait(args.portrait), config))
+
+
+def _cmd_model_multilevel(args, config):
     levels = [int(t) for t in args.cycles.strip().strip("()").split(",") if t.strip()]
-    sys.stdout.write(mdl.model_to_json(mdl.multi_level_model(levels, config)))
-    return 0
+    return _model_report(mdl.multi_level_model(levels, config))
 
 
-def _cmd_model_trace_check(args, config) -> int:
+def _cmd_model_trace_check(args, config):
     r = mdl.trace_relation_check(args.p, config)
-    if args.json:
-        _emit(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "p": r.p,
-                "points": r.points,
-                "violations": [list(v) for v in r.violations],
-            }
-        )
-    else:
-        print(f"p={r.p} points={r.points} violations={len(r.violations)}")
-        for c0, x0 in r.violations:
-            print(f"violation at (c,x)=({c0},{x0})")
-    return 0 if not r.violations else 1
+    doc = {"p": r.p, "points": r.points, "violations": [list(v) for v in r.violations]}
+    lines = [f"p={r.p} points={r.points} violations={len(r.violations)}"]
+    lines += [f"violation at (c,x)=({c0},{x0})" for c0, x0 in r.violations]
+    return doc, lines, 0 if not r.violations else 1
 
 
 # -------------------------------------------------------------------------- ff
 
 
-def _cmd_ff_count(args, config) -> int:
+def _cmd_ff_count(args, config):
     """Count serially in this process; the enumeration cap is checked before
     the field's modulus is searched for."""
     model = mdl.model_from_json(Path(args.model).read_text())
     r = fflab.count_points(model, args.p, args.k, config)
-    if args.json:
-        _emit(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "model": r.model_id,
-                "q": r.q,
-                "affine_count": r.affine_count,
-                "nonsingular_count": r.nonsingular_count,
-                "cross_count": r.cross_count,
-                "violations": r.violations,
-            }
-        )
-    else:
-        extra = ""
-        if r.nonsingular_count is not None:
-            extra = f" nonsingular={r.nonsingular_count}"
-        print(f"model={r.model_id} q={r.q} affine={r.affine_count}{extra}")
-        for v in r.violations:
-            print(f"violation: {v}")
-    return 0 if not r.violations else 1
+    doc = {
+        "model": r.model_id,
+        "q": r.q,
+        "affine_count": r.affine_count,
+        "nonsingular_count": r.nonsingular_count,
+        "cross_count": r.cross_count,
+        "violations": r.violations,
+    }
+    extra = "" if r.nonsingular_count is None else f" nonsingular={r.nonsingular_count}"
+    lines = [f"model={r.model_id} q={r.q} affine={r.affine_count}{extra}"]
+    lines += [f"violation: {v}" for v in r.violations]
+    return doc, lines, 0 if not r.violations else 1
 
 
-def _cmd_ff_gonality_lb(args, config) -> int:
-    print(fflab.gonality_lower_bound(args.count, args.q))
-    return 0
+def _cmd_ff_gonality_lb(args, config):
+    return None, [str(fflab.gonality_lower_bound(args.count, args.q))], 0
 
 
-def _cmd_ff_cs(args, config) -> int:
-    r = fflab.cs_obstruction(
-        fflab.CSQuery(g=args.g, g1=args.g1, g2=args.g2, d1=args.d1, d2=args.d2)
-    )
-    if args.json:
-        _emit(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "g": args.g,
-                "g1": args.g1,
-                "g2": args.g2,
-                "d1": args.d1,
-                "d2": args.d2,
-                "bound": r.bound,
-                "inequality_holds": r.inequality_holds,
-            }
-        )
-    else:
-        verdict = "holds" if r.inequality_holds else "fails (common factor map forced)"
-        print(f"bound={r.bound} inequality {verdict}")
-    return 0
+def _cmd_ff_cs(args, config):
+    q = fflab.CSQuery(g=args.g, g1=args.g1, g2=args.g2, d1=args.d1, d2=args.d2)
+    r = fflab.cs_obstruction(q)
+    doc = {
+        "g": q.g,
+        "g1": q.g1,
+        "g2": q.g2,
+        "d1": q.d1,
+        "d2": q.d2,
+        "bound": r.bound,
+        "inequality_holds": r.inequality_holds,
+    }
+    verdict = "holds" if r.inequality_holds else "fails (common factor map forced)"
+    return doc, [f"bound={r.bound} inequality {verdict}"], 0
 
 
-def _cmd_ff_max_period(args, config) -> int:
+def _cmd_ff_max_period(args, config):
     fflab.check_enumeration_cap(args.p, 2, config, k=args.k)
     ctx = FFContext(args.p, args.k, config=config)
     r = fflab.max_period_mod(ctx, config)
-    if args.json:
-        _emit(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "p": r.p,
-                "k": r.k,
-                "q": r.q,
-                "max_period": r.max_period,
-                "witness_c": list(r.witness_c.coeffs),
-            }
-        )
-    else:
-        print(f"q={r.q} max_period={r.max_period} witness_c={list(r.witness_c.coeffs)}")
-    return 0
+    witness = list(r.witness_c.coeffs)
+    doc = {"p": r.p, "k": r.k, "q": r.q, "max_period": r.max_period, "witness_c": witness}
+    return doc, [f"q={r.q} max_period={r.max_period} witness_c={witness}"], 0
 
 
 # ------------------------------------------------------------ classify / sweep
 
 
-def _cmd_classify(args, config) -> int:
-    c = parse_rational(args.c)
-    r = cls.classify(c)
-    if args.json:
-        _emit(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "c": _fraction_str(r.c),
-                "portrait": r.portrait.to_text(),
-                "label": r.label,
-                "generic": r.generic,
-                "point_count": r.point_count,
-                "flags": r.flags,
-                "points": [_fraction_str(x) for x in r.points],
-            }
-        )
-    else:
-        print(f"c={_fraction_str(r.c)} portrait={r.portrait.to_text()} label={r.label or '-'}")
-        print(f"generic={'yes' if r.generic else 'no'} points={r.point_count} flags={','.join(r.flags) or '-'}")
-        if r.points:
-            print("preperiodic points: " + ", ".join(_fraction_str(x) for x in r.points))
-    return 0
+def _cmd_classify(args, config):
+    r = cls.classify(parse_rational(args.c), config)
+    c = format_rational(r.c)
+    points = [format_rational(x) for x in r.points]
+    doc = {
+        "c": c,
+        "portrait": r.portrait.to_text(),
+        "label": r.label,
+        "generic": r.generic,
+        "point_count": r.point_count,
+        "flags": r.flags,
+        "points": points,
+    }
+    lines = [
+        f"c={c} portrait={r.portrait.to_text()} label={r.label or '-'}",
+        f"generic={'yes' if r.generic else 'no'} points={r.point_count} flags={','.join(r.flags) or '-'}",
+    ]
+    if points:
+        lines.append("preperiodic points: " + ", ".join(points))
+    return doc, lines, 0
 
 
-def _cmd_sweep(args, config) -> int:
-    out_stream = None
-    out_path = None
-    if args.out:
-        out_path = Path(args.out)
-        out_stream = out_path.open("w")
-    try:
-        summary = cls.sweep(args.height, out_stream)
-    finally:
-        if out_stream:
-            out_stream.close()
-    print(f"height_bound={summary.height_bound} classified={len(summary.records)}")
-    for label, count in summary.tally.items():
-        print(f"{label:12s} {count}")
-    print(f"anomalies: {len(summary.anomalies)}")
-    for rec in summary.anomalies:
-        print(f"anomaly: c={_fraction_str(rec.c)} portrait={rec.portrait.to_text()}")
+def _cmd_sweep(args, config):
+    out_path = Path(args.out) if args.out else None
+    with out_path.open("w") if out_path else nullcontext() as out:
+        summary = cls.sweep(args.height, out, config)
     if out_path:
         print(f"records written to {out_path}", file=sys.stderr)
-    return 0
+    lines = [f"height_bound={summary.height_bound} classified={len(summary.records)}"]
+    lines += [f"{label:12s} {count}" for label, count in summary.tally.items()]
+    lines.append(f"anomalies: {len(summary.anomalies)}")
+    lines += [
+        f"anomaly: c={format_rational(rec.c)} portrait={rec.portrait.to_text()}"
+        for rec in summary.anomalies
+    ]
+    return None, lines, 0
 
 
 # ------------------------------------------------------------------- reproduce
@@ -490,12 +352,12 @@ def _reproduce_degrees(config) -> list:
     _check(rows, "D1(3)", 6, r3.D1)
     _check(rows, "D0(3)", 2, r3.D0)
     _check(rows, "B(3)", 1, r3.B)
-    _check(rows, "genus_lb(3)", "-1/2", _fraction_str(r3.genus_lb))
+    _check(rows, "genus_lb(3)", "-1/2", format_rational(r3.genus_lb))
     r12 = dyn.degree_report(12)
     _check(rows, "D1(12)", 4020, r12.D1)
     _check(rows, "D0(12)", 335, r12.D0)
     _check(rows, "B(12)", 1959, r12.B)
-    _check(rows, "genus_lb(12)", "1291/2", _fraction_str(r12.genus_lb))
+    _check(rows, "genus_lb(12)", "1291/2", format_rational(r12.genus_lb))
     _check(rows, "n | D1(n) for n <= 64", True,
            all(dyn.degree_d1(n) % n == 0 for n in range(1, 65)))
     return rows
@@ -511,11 +373,10 @@ def _reproduce_trace(config) -> list:
 
 def _reproduce_sweep(config) -> list:
     rows = []
-    r = cls.classify(Fraction(-3, 4))
-    _check(rows, "classify(-3/4)", "4(1,1)", r.label)
-    _check(rows, "classify(1)", "empty", cls.classify(Fraction(1)).label)
-    _check(rows, "classify(-1) generic", False, cls.classify(Fraction(-1)).generic)
-    summary = cls.sweep(20)
+    _check(rows, "classify(-3/4)", "4(1,1)", cls.classify(Fraction(-3, 4), config).label)
+    _check(rows, "classify(1)", "empty", cls.classify(Fraction(1), config).label)
+    _check(rows, "classify(-1) generic", False, cls.classify(Fraction(-1), config).generic)
+    summary = cls.sweep(20, config=config)
     _check(rows, "sweep(20) anomalies", 0, len(summary.anomalies))
     return rows
 
@@ -540,24 +401,23 @@ _REPORTS = {
 }
 
 
-def _cmd_reproduce(args, config) -> int:
+def _cmd_reproduce(args, config):
     if args.report not in _REPORTS:
-        from .errors import UnknownReport
-
         raise UnknownReport(
             f"unknown report {args.report!r}; choose from {', '.join(sorted(_REPORTS))}"
         )
     t0 = time.monotonic()
     rows = _REPORTS[args.report](config)
-    elapsed = time.monotonic() - t0
+    print(f"[{args.report}] elapsed {time.monotonic() - t0:.2f}s", file=sys.stderr)
     width = max(len(r[0]) for r in rows)
-    ok = True
-    for name, expected, got, passed in rows:
-        ok = ok and passed
-        print(f"{name:<{width}}  expected={expected:<10} got={got:<10} {'PASS' if passed else 'FAIL'}")
-    print(f"{args.report}: {'PASS' if ok else 'FAIL'} ({sum(1 for r in rows if r[3])}/{len(rows)})")
-    print(f"[{args.report}] elapsed {elapsed:.2f}s", file=sys.stderr)
-    return 0 if ok else 1
+    lines = [
+        f"{name:<{width}}  expected={expected:<10} got={got:<10} {'PASS' if passed else 'FAIL'}"
+        for name, expected, got, passed in rows
+    ]
+    passed = sum(1 for r in rows if r[3])
+    ok = passed == len(rows)
+    lines.append(f"{args.report}: {'PASS' if ok else 'FAIL'} ({passed}/{len(rows)})")
+    return None, lines, 0 if ok else 1
 
 
 # ------------------------------------------------------------------ arg parsing
@@ -695,19 +555,22 @@ def dispatch(argv: list[str]) -> int:
             enumeration_cap=args.enumeration_cap,
             max_dynatomic_n=args.max_dynatomic_n,
         )
+        output_format = os.environ.get("DYNW_OUTPUT_FORMAT", "text")
+        if output_format not in _FORMATS:
+            raise ValueError(f"output_format must be one of {_FORMATS}")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if config.output_format == "json" and hasattr(args, "json"):
-        args.json = True
     try:
-        return args.func(args, config)
-    except DynwError as exc:
+        doc, lines, code = args.func(args, config)
+    except (DynwError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, KeyError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    if doc is not None and (args.json or output_format == "json"):
+        lines = [json.dumps({"schema_version": SCHEMA_VERSION, **doc}, sort_keys=True, indent=2)]
+    for line in lines:
+        print(line)
+    return code
 
 
 def main() -> None:

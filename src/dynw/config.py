@@ -3,12 +3,16 @@
 All knobs can be set through DYNW_* environment variables so batch runs are
 reproducible without config files:
 
-    DYNW_ENUMERATION_CAP   hard cap on finite-field enumerations (default 10^7)
+    DYNW_ENUMERATION_CAP   hard cap on finite-field enumerations, classify
+                           candidates and sweep parameters (default 10^7)
     DYNW_MAX_DYNATOMIC_N   largest n for dynatomic polynomial construction
                            (at most 11, the default: level 11 takes about 40 s
                            and 1.1 GB, level 12 more memory than a 7 GB machine
                            has)
-    DYNW_OUTPUT_FORMAT     json | text
+
+DYNW_OUTPUT_FORMAT (json | text) is not a run setting: no library function
+reads it.  `cli.dispatch` reads and checks it, and it decides only how a
+command's report is printed.
 """
 
 from __future__ import annotations
@@ -16,7 +20,6 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-_FORMATS = ("json", "text")
 MAX_DYNATOMIC_N = 11
 
 
@@ -24,7 +27,6 @@ MAX_DYNATOMIC_N = 11
 class RunConfig:
     enumeration_cap: int = 10_000_000
     max_dynatomic_n: int = MAX_DYNATOMIC_N
-    output_format: str = "text"
 
     def __post_init__(self) -> None:
         if self.enumeration_cap <= 0 or self.max_dynatomic_n <= 0:
@@ -33,8 +35,6 @@ class RunConfig:
             raise ValueError(
                 f"max_dynatomic_n must be at most {MAX_DYNATOMIC_N}, got {self.max_dynatomic_n}"
             )
-        if self.output_format not in _FORMATS:
-            raise ValueError(f"output_format must be one of {_FORMATS}")
 
 
 def from_env(**overrides) -> RunConfig:
@@ -53,8 +53,6 @@ def from_env(**overrides) -> RunConfig:
                 kwargs[key] = int(env[name])
             except ValueError:
                 raise ValueError(f"{name} must be an integer, got {env[name]!r}") from None
-    if "DYNW_OUTPUT_FORMAT" in env:
-        kwargs["output_format"] = env["DYNW_OUTPUT_FORMAT"]
     kwargs.update({k: v for k, v in overrides.items() if v is not None})
     return RunConfig(**kwargs)
 

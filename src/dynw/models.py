@@ -426,8 +426,9 @@ def _strings(doc: dict, key: str) -> list[str]:
 def model_from_json(text: str) -> CurveModel:
     """The model of a JSON document, checked before it is used: one
     ParseError names the field that is malformed or names an undeclared
-    variable, or a variable read or left unbound.  A variable is bound when
-    it is free or the target of an earlier step."""
+    variable, a variable read or left unbound, or a step that writes a bound
+    variable.  A variable is bound when it is free or the target of an
+    earlier step."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -460,6 +461,8 @@ def model_from_json(text: str) -> CurveModel:
         for v in (source, "c") if kind == "image" else (source,):
             if v not in known:
                 raise ParseError(f"model JSON field 'steps': {list(step)!r} reads unbound {v!r}")
+        if target in known:
+            raise ParseError(f"model JSON field 'steps': {list(step)!r} writes bound {target!r}")
         known.add(target)
     for v in variables:
         if v not in known:

@@ -32,6 +32,7 @@ from functools import partial
 from typing import Callable, NamedTuple
 
 from .errors import MissingVariable, MixedScalarKinds, ParseError
+from .rational import format_rational
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 
@@ -268,11 +269,11 @@ class MultiPoly:
                     factors.append(f"{v}^{ev}")
             coef = abs(c)
             if not factors:
-                body = _coef_str(coef)
+                body = format_rational(coef)
             elif coef == 1:
                 body = "*".join(factors)
             else:
-                body = "*".join([_coef_str(coef)] + factors)
+                body = "*".join([format_rational(coef)] + factors)
             if chunks:
                 chunks += ["-" if c < 0 else "+", body]
             else:
@@ -349,10 +350,6 @@ def _horner_eval(form, add, mul, power, values: dict):
         if drop:
             acc = mul(acc, x if drop == 1 else power(x, drop))
     return acc
-
-
-def _coef_str(c: Fraction) -> str:
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 
 
 # ---------------------------------------------------------------------- parser

@@ -1,11 +1,13 @@
 """Command-line interface tests: golden outputs, exit codes, determinism."""
 
+import argparse
 import json
+import re
 import sys
 
 import pytest
 
-from dynw.cli import dispatch
+from dynw.cli import build_parser, dispatch
 
 
 def run(capsys, *argv):
@@ -442,6 +444,14 @@ MALFORMED_MODELS = {
         _edit("steps", lambda d: d["steps"][:2]),
         "model JSON field 'variables': 'x4' is never bound",
     ),
+    "step-writes-a-free-variable": (
+        _edit("free_variables", lambda d: d["free_variables"] + ["x2"]),
+        "model JSON field 'steps': ['image', 'x2', 'x1'] writes bound 'x2'",
+    ),
+    "empty-free-variables-with-steps": (
+        _edit("free_variables", []),
+        "model JSON field 'steps': ['image', 'x2', 'x1'] writes bound 'x2'",
+    ),
 }
 
 
@@ -453,3 +463,104 @@ def test_malformed_model_file_is_one_error_line(capsys, tmp_path, case):
     assert run(capsys, "ff", "count", "--model", str(path), "--p", "5") == (
         1, "", f"error: {message}\n"
     )
+
+
+def test_check_bounds_refuses_an_empty_range(capsys):
+    for n in ("0", "-3"):
+        for mode in ((), ("--json",)):
+            assert run(capsys, "dynatomic", "check-bounds", "--max", n, *mode) == (
+                1, "", f"error: --max must be >= 1, got {n}\n"
+            )
+
+
+def test_classify_and_sweep_refuse_oversized_work_before_building_it(capsys, monkeypatch):
+    from dynw import classify
+
+    def not_built(*args):
+        raise AssertionError("built the successor array or the sweep domain")
+
+    monkeypatch.setattr(classify, "_successors", not_built)
+    monkeypatch.setattr(classify, "_sweep_domain", not_built)
+    # c = -10^6: u_max = (1 + isqrt_ceil(4000001)) // 2 + 1 = 1002
+    argv = ("--enumeration-cap", "1000", "classify", "--c", "-1000000")
+    expected = (1, "", "error: 2005 candidates exceed enumeration cap 1000\n")
+    assert run(capsys, *argv) == expected
+    assert run(capsys, *argv, "--json") == expected
+    assert run(capsys, "classify", "--c", "-1000000000000000000") == (
+        1, "", "error: 2000000005 candidates exceed enumeration cap 10000000\n"
+    )
+    # floor(sqrt(20)) * (2 * 20 + 1) = 164 numerator and denominator pairs
+    assert run(capsys, "--enumeration-cap", "100", "sweep", "--height", "20") == (
+        1, "", "error: sweep to height 20 exceeds enumeration cap 100\n"
+    )
+
+
+def _leaf_commands(parser, path=()):
+    """(command path, accepts --json) for every runnable subcommand."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield path, "--json" in parser._option_string_actions
+    for action in subs:
+        for name, sub in action.choices.items():
+            yield from _leaf_commands(sub, path + (name,))
+
+
+JSON_COMMANDS = {
+    ("dynatomic", "poly"): ["--n", "3"],
+    ("dynatomic", "degrees"): ["--n", "5"],
+    ("dynatomic", "check-bounds"): ["--max", "4"],
+    ("dynatomic", "asymptotic"): ["--n", "25"],
+    ("portrait", "validate"): ["--portrait", "2:1,1"],
+    ("portrait", "enumerate"): ["--n", "8", "--cycles", "2"],
+    ("portrait", "autgroup"): ["--portrait", "4:1,2,1,2"],
+    ("portrait", "embeds"): ["--sub", "4:1,2,1,2", "--super", "6:1,2,1,2,3,3"],
+    ("portrait", "catalog"): [],
+    ("portrait", "extensions"): ["--portrait", "0:", "--b", "2"],
+    ("model", "trace-check"): ["--p", "7"],
+    ("ff", "count"): ["--model", "MODEL", "--p", "5"],
+    ("ff", "cs"): ["--g", "9", "--d1", "3", "--g1", "0", "--d2", "2", "--g2", "2"],
+    ("ff", "max-period"): ["--p", "3", "--k", "2"],
+    ("classify",): ["--c", "-3/4"],
+}
+
+TEXT_ONLY_COMMANDS = {
+    ("model", "full"): ["--portrait", "4:1,2,1,2"],
+    ("model", "reduced"): ["--portrait", "4:1,1,3,3"],
+    ("model", "multilevel"): ["--cycles", "3"],
+    ("ff", "gonality-lb"): ["--count", "93", "--q", "3"],
+    ("sweep",): ["--height", "3"],
+    ("reproduce",): ["degrees"],
+}
+
+
+def test_every_command_is_covered_by_the_output_format_tests():
+    leaves = dict(_leaf_commands(build_parser()))
+    assert {path for path, has_json in leaves.items() if has_json} == set(JSON_COMMANDS)
+    assert {path for path, has_json in leaves.items() if not has_json} == set(TEXT_ONLY_COMMANDS)
+    assert (len(JSON_COMMANDS), len(TEXT_ONLY_COMMANDS)) == (15, 6)
+
+
+@pytest.mark.parametrize("command", sorted(JSON_COMMANDS), ids=" ".join)
+def test_json_flag_and_environment_print_the_same_document(capsys, monkeypatch, tmp_path, command):
+    model = _full_model_file(capsys, tmp_path, "4:2,1,2,1")
+    argv = [*command] + [model if a == "MODEL" else a for a in JSON_COMMANDS[command]]
+    text = run(capsys, *argv)
+    flag = run(capsys, *argv, "--json")
+    monkeypatch.setenv("DYNW_OUTPUT_FORMAT", "json")
+    assert run(capsys, *argv) == flag
+    assert json.loads(flag[1])["schema_version"] == 1
+    monkeypatch.setenv("DYNW_OUTPUT_FORMAT", "text")
+    assert run(capsys, *argv) == text != flag
+
+
+@pytest.mark.parametrize("command", sorted(TEXT_ONLY_COMMANDS), ids=" ".join)
+def test_environment_leaves_text_only_commands_alone(capsys, monkeypatch, command):
+    argv = [*command] + TEXT_ONLY_COMMANDS[command]
+
+    def masked():
+        code, out, err = run(capsys, *argv)
+        return code, out, re.sub(r"elapsed \d+\.\d+s", "elapsed", err)
+
+    text = masked()
+    monkeypatch.setenv("DYNW_OUTPUT_FORMAT", "json")
+    assert masked() == text
