@@ -24,7 +24,6 @@ import json
 import os
 import sys
 import time
-from contextlib import nullcontext
 from fractions import Fraction
 from pathlib import Path
 
@@ -310,10 +309,11 @@ def _cmd_classify(args, config):
 
 
 def _cmd_sweep(args, config):
-    out_path = Path(args.out) if args.out else None
-    with out_path.open("w") if out_path else nullcontext() as out:
-        summary = cls.sweep(args.height, out, config)
-    if out_path:
+    summary = cls.sweep(args.height, None, config)
+    if args.out:  # opened only after the sweep, so a refused sweep leaves it untouched
+        out_path = Path(args.out)
+        with out_path.open("w") as out:
+            cls.write_records_csv(out, summary.records)
         print(f"records written to {out_path}", file=sys.stderr)
     lines = [f"height_bound={summary.height_bound} classified={len(summary.records)}"]
     lines += [f"{label:12s} {count}" for label, count in summary.tally.items()]

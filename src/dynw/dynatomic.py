@@ -179,12 +179,20 @@ def generalized_dynatomic(m: int, n: int, config: RunConfig = DEFAULT) -> MultiP
     Both compositions are Taylor shifts (pk.cx_compose_f): A(c, x^2 + c) =
     Q(c, x^2) with Q(c, y) = A(c, y + c), by Horner in y on packed c-rows,
     shifts and adds only, in slots holding ||A o f||_1 <= ||A||_1 * 2^deg_x(A).
-    The result must have x-degree 2^{m-1}*D1(n) and be monic in x.
+    The result must have x-degree 2^{m-1}*D1(n) and be monic in x; an orbit
+    type wider in x than Phi_{max_dynatomic_n} is refused before anything
+    is built.
     """
     if m < 0 or n < 1:
         raise ValueError("need m >= 0 and n >= 1")
     if n > config.max_dynatomic_n:
         raise ValueError(f"n = {n} exceeds max_dynatomic_n = {config.max_dynatomic_n}")
+    want, cap = degree_d1(n) << max(m - 1, 0), degree_d1(config.max_dynatomic_n)
+    if want > cap:
+        raise ValueError(
+            f"orbit type ({m}, {n}) has x-degree {want}, more than the {cap} of "
+            f"Phi_{config.max_dynatomic_n} (max_dynatomic_n)"
+        )
     phi = dynatomic_cx(n)
     if m == 0:
         return _cx_to_multipoly(phi)
@@ -193,7 +201,7 @@ def generalized_dynatomic(m: int, n: int, config: RunConfig = DEFAULT) -> MultiP
     except ArithmeticError as exc:
         raise NonExactDivision(f"generalized dynatomic ({m}, {n}): {exc}") from exc
     quot = pk.cx_compose_f(quot, m - 1)
-    deg, want = pk.cx_deg_x(quot), degree_d1(n) << (m - 1)
+    deg = pk.cx_deg_x(quot)
     if deg != want or quot[-1] != [1]:
         raise NonExactDivision(
             f"generalized dynatomic ({m}, {n}): x-degree {deg}, want {want}, monic in x"
@@ -241,35 +249,27 @@ class BoundsReport:
     upper_holds: bool
     lower_strict: bool
     upper_strict: bool
-    d0_lower_holds: bool
-    d0_upper_holds: bool
-    d0_lower_strict: bool
-    d0_upper_strict: bool
     strict_required: bool
     ok: bool
 
 
 def check_degree_bounds(n: int) -> BoundsReport:
-    """Verify 2^(n-1) <= D1(n) <= 2^n and the D0 analogue, with strictness.
+    """Verify 2^(n-1) <= D1(n) <= 2^n, with strictness.
 
     Strict inequalities are required whenever n >= 3; the report's `ok`
-    field records whether everything that must hold does.
+    field records whether everything that must hold does.  The D0 analogue,
+    2^(n-1)/n <= D0(n) <= 2^n/n, is the same verdict divided by n.
     """
     if n < 1:
         raise ValueError("check_degree_bounds expects n >= 1")
     d1 = degree_d1(n)
-    d0 = Fraction(d1, n)
     lower, upper = 1 << (n - 1), 1 << n
     lo_holds, hi_holds = lower <= d1, d1 <= upper
     lo_strict, hi_strict = lower < d1, d1 < upper
-    d0_lo = Fraction(lower, n)
-    d0_hi = Fraction(upper, n)
-    d0_lo_holds, d0_hi_holds = d0_lo <= d0, d0 <= d0_hi
-    d0_lo_strict, d0_hi_strict = d0_lo < d0, d0 < d0_hi
     strict_required = n >= 3
-    ok = lo_holds and hi_holds and d0_lo_holds and d0_hi_holds
+    ok = lo_holds and hi_holds
     if strict_required:
-        ok = ok and lo_strict and hi_strict and d0_lo_strict and d0_hi_strict
+        ok = ok and lo_strict and hi_strict
     return BoundsReport(
         n=n,
         D1=d1,
@@ -279,10 +279,6 @@ def check_degree_bounds(n: int) -> BoundsReport:
         upper_holds=hi_holds,
         lower_strict=lo_strict,
         upper_strict=hi_strict,
-        d0_lower_holds=d0_lo_holds,
-        d0_upper_holds=d0_hi_holds,
-        d0_lower_strict=d0_lo_strict,
-        d0_upper_strict=d0_hi_strict,
         strict_required=strict_required,
         ok=ok,
     )

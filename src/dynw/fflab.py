@@ -15,8 +15,10 @@ Which way a model is counted depends on what it is:
 * A full model (provenance "full") that is exactly full_model(P), for the
   portrait P its name gives, is counted on the functional graph G_c of
   z -> z^2 + c, one fiber c at a time: its points are the injective
-  edge-preserving maps of P into G_c.  Each fiber costs O(q), so the
-  enumeration cap bounds q^2.  max_period_mod walks the same graphs.
+  edge-preserving maps of P into G_c, found by portraits.map_search, the
+  search that also gives portrait embeddings.  Each fiber's graph costs
+  O(q) to build, so the enumeration cap bounds q^2.  max_period_mod walks
+  the same graphs.
 * Every other model, reduced, multilevel, plane or a full model edited by
   hand, is solved by iter_solutions.  Solutions are enumerated in-process
   over the model's free variables, and each equation, inequation and
@@ -44,7 +46,7 @@ from .config import RunConfig, DEFAULT
 from .errors import NotGeneric, ParseError
 from .ff import FFContext, FFElement, check_enumeration_cap, poly_gcd, poly_powmod, poly_trim
 from .models import CurveModel, full_system
-from .portraits import Portrait, find_cycles, preimages, successor_cycles
+from .portraits import Portrait, map_search, successor_cycles
 
 
 # ----------------------------------------------------------- solution iteration
@@ -292,78 +294,21 @@ def _count_full(P: Portrait, ctx: FFContext) -> int:
     portrait into the graph G_c of z -> z^2 + c on F_q with
     phi(v)^2 + c = phi(succ v), summed over c.
 
-    phi sends each P-cycle onto a G_c-cycle of the same length, distinct
-    P-cycles to distinct G_c-cycles, and trees into the non-periodic points.
-    If v_j is sent to the cycle point whose cycle predecessor is w, the tail
-    vertex above v_j, its preimage off the cycle, must go to -w, the other
-    square root; so a G_c-cycle through 0, or any cycle in characteristic 2,
-    takes no P-cycle.  Below that, a vertex with preimages a, b over a point
-    y with square roots r, -r of y - c has
-    maps(a, r) maps(b, -r) + maps(a, -r) maps(b, r) maps of its tree: a 2x2
-    permanent, since in-degrees are at most 2 on both sides.  In-trees of
-    distinct points are disjoint, so these choices keep phi injective.
+    The maps are those found by portraits.map_search, with P's structure
+    built once: G_c is given by its cycles and by the square roots of y - c
+    as the preimages of y.  Nothing is special-cased.  A G_c-cycle through
+    0, a point with a single square root (y = c, or every point in
+    characteristic 2) and a cycle predecessor already taken each leave a
+    vertex of the generic P without an unused preimage, so injectivity
+    alone excludes them.
     """
     add, neg = ctx.add, ctx.neg
-    root = [-1] * ctx.q  # a square root of each square
+    roots: list[list[int]] = [[] for _ in range(ctx.q)]  # the square roots of each code
     for z in range(ctx.q):
-        root[ctx.mul(z, z)] = z
-    pre = preimages(P)
-    cycles = find_cycles(P)
-    tails = [[next(u for u in pre[v - 1] if u != cyc[j - 1]) for j, v in enumerate(cyc)]
-             for cyc in cycles]
-    lengths = {len(cyc) for cyc in cycles}
-
-    def maps(u: int, y: int, minus_c: int) -> int:
-        """Injective maps of the in-tree above u to the one above y."""
-        kids = pre[u - 1]
-        if not kids:
-            return 1
-        r = root[add(y, minus_c)]
-        if r < 0:
-            return 0
-        s = neg(r)
-        if s == r:
-            return 0
-        a, b = kids
-        return maps(a, r, minus_c) * maps(b, s, minus_c) + maps(a, s, minus_c) * maps(b, r, minus_c)
-
-    def assign(rows: list, i: int, used: frozenset) -> int:
-        """The sum, over injective choices of a G_c-cycle g for each P-cycle
-        from the i-th on, of the product of their weights rows[i] = [(g, w)]."""
-        if i == len(rows):
-            return 1
-        return sum(w * assign(rows, i + 1, used | {g}) for g, w in rows[i] if g not in used)
-
+        roots[ctx.mul(z, z)].append(z)
+    maps = map_search(P)
     total = 0
     for c, succ in _fiber_successors(ctx):
         minus_c = neg(c)
-        # under rotation r, v_j goes to image[j + r + 1] and its tail to -image[j + r]
-        found = []
-        for image in successor_cycles(succ):
-            if len(image) in lengths:
-                others = [neg(y) for y in image]
-                if all(o != y for o, y in zip(others, image)):
-                    found.append(others)
-        rows = []
-        for cyc, tail in zip(cycles, tails):
-            n = len(cyc)
-            row = []
-            for g, others in enumerate(found):
-                if len(others) != n:
-                    continue
-                weight = 0
-                for r in range(n):
-                    term = 1
-                    for j in range(n):
-                        term *= maps(tail[j], others[(j + r) % n], minus_c)
-                        if not term:
-                            break
-                    weight += term
-                if weight:
-                    row.append((g, weight))
-            if not row:
-                break
-            rows.append(row)
-        else:
-            total += assign(rows, 0, frozenset())
+        total += sum(1 for _ in maps(successor_cycles(succ), lambda y: roots[add(y, minus_c)]))
     return total

@@ -11,6 +11,11 @@ vertices, minimal rotation of each cycle's encoding sequence, and a fixed
 total order on components, so canonical_form(P) == canonical_form(Q) exactly
 when P and Q are isomorphic.
 
+One search, map_search, finds the injective edge-preserving maps of a
+portrait into any functional graph: into another portrait for embeddings and
+automorphism_group, and into the graph of z -> z^2 + c over F_q for the
+point count of full models (fflab).
+
 Text format: "N:t1,t2,...,tN" gives the image array; "0:" is the empty
 portrait.
 """
@@ -18,7 +23,6 @@ portrait.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import permutations
 
 from .dynatomic import degree_d0
 from .errors import BudgetExceeded, InadmissibleCycleStructure, NotGeneric, ParseError
@@ -307,81 +311,73 @@ def isomorphic(P: Portrait, Q: Portrait) -> bool:
 # ------------------------------------------------- embeddings and automorphisms
 
 
-def _injections(sources: list, targets: list):
-    """All injective assignments of sources into targets (order respected)."""
-    if len(sources) > len(targets):
-        return
-    for picks in permutations(targets, len(sources)):
-        yield list(zip(sources, picks))
+def map_search(P: Portrait):
+    """The search for injective edge-preserving maps of P into a functional
+    graph G, with P's cycles, depths and tree-vertex order computed once.
+
+    Returns maps(cycles, preimages_of), a generator of every such map phi as
+    a tuple, phi[v-1] the G-vertex of v, where G is given by its cycles, each
+    in successor order, and preimages_of(y) lists the G-vertices with
+    successor y.  Each P-cycle takes an unused G-cycle of the same length,
+    with a rotation; then each tree vertex, by increasing depth, takes an
+    unused preimage of its successor's image.  Injectivity is the only other
+    constraint: a preimage already used, such as a cycle predecessor, is
+    skipped.
+    """
+    p_cycles = find_cycles(P)
+    depth = vertex_depths(P)
+    tree = sorted((v for v in range(1, P.n + 1) if depth[v]), key=depth.__getitem__)
+    image = P.image
+
+    def maps(cycles: list[list[int]], preimages_of):
+        phi = [0] * P.n
+        used: set[int] = set()
+
+        def place_trees(i: int):
+            if i == len(tree):
+                yield tuple(phi)
+                return
+            v = tree[i]
+            for y in preimages_of(phi[image[v - 1] - 1]):
+                if y not in used:
+                    phi[v - 1] = y
+                    used.add(y)
+                    yield from place_trees(i + 1)
+                    used.remove(y)
+
+        def place_cycles(i: int):
+            if i == len(p_cycles):
+                yield from place_trees(0)
+                return
+            cyc = p_cycles[i]
+            n = len(cyc)
+            for g in cycles:
+                if len(g) != n or g[0] in used:  # cycles are placed whole, before any tree
+                    continue
+                used.update(g)
+                for r in range(n):
+                    for off, v in enumerate(cyc):
+                        phi[v - 1] = g[(r + off) % n]
+                    yield from place_cycles(i + 1)
+                used.difference_update(g)
+
+        return place_cycles(0)
+
+    return maps
 
 
 def embeddings(P: Portrait, Q: Portrait) -> list[tuple[int, ...]]:
-    """All injective edge-preserving vertex maps from P into Q.
+    """All injective edge-preserving vertex maps from P into Q, by map_search.
 
     Each result psi is a tuple with psi[i-1] the Q-vertex assigned to i.
-    Distinct maps are counted separately.  A cycle of P must land bijectively
-    on a Q-cycle of the same length, so the search anchors each P-component
-    on a choice of target cycle and rotation, then extends through the trees.
+    Distinct maps are counted separately.
     """
     if P.n > Q.n:
         return []
     if max(P.n, Q.n) > AUT_BUDGET:
         raise BudgetExceeded(f"embedding search limited to {AUT_BUDGET} vertices")
-    if P.n == 0:
-        return [()]
-
-    p_children = _tree_children(P, vertex_depths(P))
-    q_children = _tree_children(Q, vertex_depths(Q))
-    p_cycles = find_cycles(P)
-    q_cycles = find_cycles(Q)
-
-    def tree_maps(u: int, w: int) -> list[dict[int, int]]:
-        """Maps of the subtree of P at u into the subtree of Q at w, given u -> w."""
-        kids_p = p_children[u - 1]
-        kids_q = q_children[w - 1]
-        results = []
-        for assignment in _injections(kids_p, kids_q):
-            partials = [{u: w}]
-            for up, wq in assignment:
-                subs = tree_maps(up, wq)
-                partials = [{**m, **s} for m in partials for s in subs]
-                if not partials:
-                    break
-            results.extend(partials)
-        return results
-
-    def comp_maps(cyc: list[int]) -> list[tuple[int, dict[int, int]]]:
-        """(target cycle index, vertex map) choices for one P-component."""
-        out = []
-        for qi, qcyc in enumerate(q_cycles):
-            if len(qcyc) != len(cyc):
-                continue
-            for r in range(len(qcyc)):
-                maps = [{}]
-                for off, v in enumerate(cyc):
-                    w = qcyc[(r + off) % len(qcyc)]
-                    subs = tree_maps(v, w)
-                    maps = [{**m, **s} for m in maps for s in subs]
-                    if not maps:
-                        break
-                out.extend((qi, m) for m in maps)
-        return out
-
-    total: list[dict[int, int]] = [{}]
-    used: list[set] = [set()]
-    for cyc in p_cycles:
-        choices = comp_maps(cyc)
-        new_total, new_used = [], []
-        for m, u in zip(total, used):
-            for qi, cm in choices:
-                if qi in u:
-                    continue
-                new_total.append({**m, **cm})
-                new_used.append(u | {qi})
-        total, used = new_total, new_used
-        if not total:
-            return []
-    return sorted(tuple(m[v] for v in range(1, P.n + 1)) for m in total)
+    pre = preimages(Q)
+    return sorted(map_search(P)(find_cycles(Q), lambda y: pre[y - 1]))
 
 
 def automorphism_group(P: Portrait) -> list[tuple[int, ...]]:

@@ -8,6 +8,8 @@ inverses by the extended Euclidean algorithm) rather than on the library's
 int codes and tables, bind every free variable before checking a single
 condition, and evaluate polynomials term by term rather than in Horner form.
 generic_classes lists the inputs that several property tests range over.
+brute_force_embeddings tries every injective vertex map, against which the
+library's cycle-then-tree map search is checked.
 oracle_generator_set runs the generator greedy as defined, closing the
 known set afresh for every candidate, against which the library's per-vertex
 closures are checked.
@@ -20,7 +22,7 @@ engine's products, which shares no code with the library's Taylor shifts.
 """
 
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement, permutations, product
 from math import gcd
 
 from dynw import _packed as pk
@@ -112,6 +114,17 @@ def brute_force_preperiodic(c: Fraction, height: int) -> set[Fraction]:
                     break
                 seen.add(val)
     return found
+
+
+def brute_force_embeddings(P: Portrait, Q: Portrait) -> list[tuple[int, ...]]:
+    """Every injective map psi of P's vertices into Q's with
+    psi(f_P(v)) = f_Q(psi(v)), as sorted tuples psi[v-1]: all
+    Q.n!/(Q.n - P.n)! injections are tried, with no search strategy."""
+    return sorted(
+        psi
+        for psi in permutations(range(1, Q.n + 1), P.n)
+        if all(psi[t - 1] == Q.image[psi[v] - 1] for v, t in enumerate(P.image))
+    )
 
 
 def brute_force_automorphism_count(image: tuple[int, ...]) -> int:

@@ -92,7 +92,7 @@ def test_criterion_02_degree_bounds():
             assert r.lower_holds and r.upper_holds, n
             if n >= 3:
                 assert r.lower_strict and r.upper_strict, n
-                assert r.d0_lower_strict and r.d0_upper_strict, n
+                assert Fraction(r.lower, n) < dyn.degree_d0(n) < Fraction(r.upper, n), n
         for n in range(1, 65):
             assert dyn.degree_d1(n) % n == 0, n
 

@@ -1,6 +1,7 @@
 """Command-line interface tests: golden outputs, exit codes, determinism."""
 
 import argparse
+import hashlib
 import json
 import re
 import sys
@@ -492,6 +493,39 @@ def test_classify_and_sweep_refuse_oversized_work_before_building_it(capsys, mon
     # floor(sqrt(20)) * (2 * 20 + 1) = 164 numerator and denominator pairs
     assert run(capsys, "--enumeration-cap", "100", "sweep", "--height", "20") == (
         1, "", "error: sweep to height 20 exceeds enumeration cap 100\n"
+    )
+
+
+def test_refused_sweep_leaves_the_records_file_alone(capsys, tmp_path):
+    out = tmp_path / "rec.csv"
+    out.write_text("c_num,c_den\n1,1\n")
+    before = out.read_bytes()
+    for argv, message in (
+        (("--enumeration-cap", "100", "sweep", "--height", "20"),
+         "sweep to height 20 exceeds enumeration cap 100"),
+        (("sweep", "--height", "0"), "height bound must be >= 1"),
+    ):
+        assert run(capsys, *argv, "--out", str(out)) == (1, "", f"error: {message}\n")
+        assert out.read_bytes() == before
+    # a sweep that runs writes the same bytes as before the file was opened late
+    code, _, err = run(capsys, "sweep", "--height", "3", "--out", str(out))
+    assert (code, err) == (0, f"records written to {out}\n")
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "07ebc630dec8b693b07c63e680dddb032d832a86d2c09e8048230a4ff8198685"
+
+
+def test_model_reduced_refuses_a_preperiod_wider_than_the_level_cap(capsys, monkeypatch):
+    from dynw import _packed
+
+    def not_built(*args):
+        raise AssertionError("composed f into a dynatomic polynomial")
+
+    monkeypatch.setattr(_packed, "cx_compose_f", not_built)
+    # a 2-cycle with a chain of 12 preimage pairs: orbit type (12, 2), x-degree 2^11 * D1(2)
+    chain = "26:2,1,2,3,4,5,6,7,8,9,10,11,12,13,13,12,11,10,9,8,7,6,5,4,3,1"
+    assert run(capsys, "model", "reduced", "--portrait", chain) == (
+        1, "", "error: orbit type (12, 2) has x-degree 4096, more than the 2046 of "
+        "Phi_11 (max_dynatomic_n)\n"
     )
 
 

@@ -116,6 +116,21 @@ def test_generalized_dynatomic():
     assert g12 * dynatomic(2).phi == dynatomic(2).phi.substitute("x", P("x^2 + c"))
 
 
+def test_generalized_dynatomic_refuses_orbit_types_wider_than_the_level_cap(monkeypatch):
+    # x-degree 2^(m-1) D1(n) against D1(max_dynatomic_n): D1(3) = 6, D1(11) = 2046
+    cfg = RunConfig(max_dynatomic_n=3)
+    assert generalized_dynatomic(1, 3, cfg).degree("x") == 6
+    def not_built(*args):
+        raise AssertionError("built Phi_n or a composition")
+
+    monkeypatch.setattr(dyn, "dynatomic_cx", not_built)
+    monkeypatch.setattr(pk, "cx_compose_f", not_built)
+    with pytest.raises(ValueError, match=r"\(2, 3\) has x-degree 12, more than the 6 of Phi_3"):
+        generalized_dynatomic(2, 3, cfg)
+    with pytest.raises(ValueError, match=r"\(11, 2\) has x-degree 2048, more than the 2046"):
+        generalized_dynatomic(11, 2)
+
+
 def test_generalized_dynatomic_identity_grid():
     """Phi_{m,n} * Phi_n(f^(m-1)) = Phi_n(f^m) in MultiPoly arithmetic, which
     shares no code with the packed engine.  Where m + n <= 7 the identity is

@@ -7,7 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import generic_classes
+from oracles import (
+    brute_force_automorphism_count,
+    brute_force_embeddings,
+    generic_classes,
+)
 
 from dynw.catalog import (
     catalog,
@@ -133,7 +137,37 @@ def test_embeddings_count_vs_aut_random():
         n = rng.randint(1, 8)
         img = tuple(rng.randint(1, n) for _ in range(n))
         Q = Portrait(n, img)
-        assert len(embeddings(Q, Q)) == len(automorphism_group(Q))
+        auts = len(automorphism_group(Q))
+        assert len(embeddings(Q, Q)) == auts == brute_force_automorphism_count(img)
+
+
+def test_embeddings_match_brute_force_on_catalog_pairs():
+    small = [e.portrait for e in catalog() if e.portrait.n <= 8]
+    pairs = [(P, Q) for P in small if P.n <= 6 for Q in small if P.n <= Q.n]
+    found = 0
+    for P, Q in pairs:
+        expected = brute_force_embeddings(P, Q)
+        assert embeddings(P, Q) == expected, (P, Q)
+        found += bool(expected)
+    assert len(pairs) == 130 and found == 61  # the agreement is not all empty
+
+
+def test_embeddings_match_brute_force_on_random_non_generic_portraits():
+    rng = random.Random(5)
+    ports = []
+    for _ in range(60):
+        n = rng.randint(1, 6)
+        ports.append(Portrait(n, tuple(rng.randint(1, n) for _ in range(n))))
+    assert any(1 in indegrees(P) for P in ports) and any(3 in indegrees(P) for P in ports)
+    found = 0
+    for P in ports[:30]:
+        for Q in ports:
+            if P.n <= Q.n:
+                expected = brute_force_embeddings(P, Q)
+                assert embeddings(P, Q) == expected, (P, Q)
+                found += bool(expected)
+    assert found > 100
+    assert all(embeddings(EMPTY, Q) == [()] for Q in [EMPTY] + ports)
 
 
 def test_minimal_portrait():
