@@ -13,14 +13,21 @@ The candidate envelope: write c = a/b in lowest terms.
 classify(c) works on the integer numerators u of the candidates u/m.  The
 candidate u/m maps to (u^2 + a)/m when m divides u^2 + a and the result
 stays in the window |u| <= u_max; otherwise it escapes.  One successor array
-per c holds this map, the preperiodic points are the candidates whose path
-never escapes (the set is automatically forward-closed), and the portrait's
-image map is read straight off the array.  The portrait is then
-canonicalized and matched against the catalog.  sweep() does this for all
-c = a/m^2 up to a height bound and tallies the classes; any generic portrait
-outside the conjectured twelve rational classes is reported as an anomaly
-rather than an error, since completeness of that list is conditional on the
-absence of rational points of period above 3.
+per c holds this map.  Only the annulus of magnitudes |u| with
+-m*u_max <= u^2 + a <= m*u_max can map back into the window, so only it is
+computed; every other candidate escapes at once.  The preperiodic points are
+the candidates whose path never escapes (the set is automatically
+forward-closed), found by walking from the live candidates alone, and the
+portrait's image map is read straight off the array.  The raw portrait then
+gets its verdict: canonical form, catalog label, genericity and flags.  The
+verdict depends on the raw portrait alone and few raw portraits occur (18
+over the 3535 parameters of height 200), so a bounded cache computes each
+once; it holds only immutable values, and every record gets its own flags
+list.  sweep() does this for all c = a/m^2 up to a height bound and tallies
+the classes; any generic portrait outside the conjectured twelve rational
+classes is reported as an anomaly rather than an error, since completeness
+of that list is conditional on the absence of rational points of period
+above 3.
 
 orbit() iterates one value in Fraction arithmetic; the tests use it as an
 independent oracle for classify().
@@ -31,6 +38,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, isqrt
 
 from .catalog import TWELVE_RATIONAL_LABELS, match
@@ -133,28 +141,60 @@ class ClassificationRecord:
 
 def _successors(m: int, a: int, u_max: int) -> list[int]:
     """succ[u + u_max] = v + u_max when u/m maps to v/m inside the window,
-    and -1 when the image of u/m escapes."""
-    succ = []
-    for u in range(-u_max, u_max + 1):
+    and -1 when the image of u/m escapes.
+
+    The image (u^2 + a)/m lies in the window exactly when
+    -m*u_max <= u^2 + a <= m*u_max, so only the annulus
+    isqrt_ceil(max(0, -a - m*u_max)) <= |u| <= min(u_max, isqrt(m*u_max - a))
+    is filled, one divmod per magnitude shared by +u and -u.  The annulus is
+    empty, and every entry -1, when m*u_max < a; that is most c > 1 (1424
+    of the 2105 in the height-300 sweep domain), but no c <= 1.
+    """
+    succ = [-1] * (2 * u_max + 1)
+    top = m * u_max - a
+    if top < 0:
+        return succ
+    for u in range(isqrt_ceil(max(0, -a - m * u_max)), min(u_max, isqrt(top)) + 1):
         v, r = divmod(u * u + a, m)
-        succ.append(v + u_max if r == 0 and -u_max <= v <= u_max else -1)
+        if r == 0:
+            succ[u_max + u] = succ[u_max - u] = v + u_max
     return succ
 
 
 def _non_escaping(succ: list[int]) -> list[int]:
-    """The ascending indices whose path under succ never reaches -1."""
-    state = [0] * len(succ)  # 0 new, 1 on the current path, 2 escapes, 3 stays
-    for start in range(len(succ)):
+    """The ascending indices whose path under succ never reaches -1, walked
+    only from the indices whose successor is not -1."""
+    stays: dict[int, bool | None] = {}  # None while on the current path
+    for start in [i for i, j in enumerate(succ) if j >= 0]:
         path = []
         i = start
-        while i >= 0 and state[i] == 0:
-            state[i] = 1
+        while i >= 0 and i not in stays:
+            stays[i] = None
             path.append(i)
             i = succ[i]
-        verdict = 2 if i < 0 or state[i] == 2 else 3
+        verdict = i >= 0 and stays[i] is not False
         for j in path:
-            state[j] = verdict
-    return [i for i, s in enumerate(state) if s == 3]
+            stays[j] = verdict
+    return sorted(i for i, s in stays.items() if s)
+
+
+# Far above the 18 distinct raw portraits of the height-200 and height-300
+# sweeps, and small enough that a full cache costs little memory.
+_VERDICT_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=_VERDICT_CACHE_SIZE)
+def _verdict(n: int, image: tuple[int, ...]) -> tuple[Portrait, str | None, bool, tuple[str, ...]]:
+    """(canonical portrait, catalog label, genericity, flags) of the raw
+    portrait (n, image), computed once per raw portrait.  Only immutable
+    parts are returned, so records cannot share a mutable value."""
+    P = canonical_form(Portrait(n, image))
+    entry = match(P)
+    report = validate_generic(P)
+    flags: tuple[str, ...] = ()
+    if not report.is_generic:
+        flags = ("NonGeneric", *sorted({v.rule for v in report.violations}))
+    return P, entry.label if entry else None, report.is_generic, flags
 
 
 def classify(c: Fraction, config: RunConfig = DEFAULT) -> ClassificationRecord:
@@ -175,20 +215,14 @@ def classify(c: Fraction, config: RunConfig = DEFAULT) -> ClassificationRecord:
         rank = {i: r + 1 for r, i in enumerate(kept)}
         image = tuple(rank[succ[i]] for i in kept)
         points = [Fraction(i - u_max, m) for i in kept]
-    P = canonical_form(Portrait(len(points), image))
-    entry = match(P)
-    report = validate_generic(P)
-    flags = []
-    if not report.is_generic:
-        flags.append("NonGeneric")
-        flags.extend(sorted({v.rule for v in report.violations}))
+    P, label, generic, flags = _verdict(len(points), image)
     return ClassificationRecord(
         c=c,
         portrait=P,
-        label=entry.label if entry else None,
-        generic=report.is_generic,
+        label=label,
+        generic=generic,
         point_count=P.n,
-        flags=flags,
+        flags=list(flags),
         points=points,
     )
 

@@ -262,14 +262,16 @@ def _fiber_successors(ctx: FFContext) -> Iterator[tuple[int, list[int]]]:
     """(c, succ) for every code c in order, succ[z] the code of z^2 + c.
 
     Adding c moves each base-p digit of a code independently, so the table
-    of z -> z + c is built digit by digit from rotations of range(p), and
-    succ indexes it by the list of squares."""
+    of z -> z + c is built digit by digit from rotations of range(p),
+    starting from the rotation of the lowest digit (over a prime field, the
+    whole table), and succ indexes it by the list of squares."""
     p = ctx.p
     squares = [ctx.mul(z, z) for z in range(ctx.q)]
     for c in range(ctx.q):
-        shift = [0]
-        place = 1
-        for d in ctx.digits(c):
+        low, *high = ctx.digits(c)
+        shift = [*range(low, p), *range(low)]
+        place = p
+        for d in high:
             digit = [(j + d) % p * place for j in range(p)]
             shift = [h + t for h in digit for t in shift]
             place *= p

@@ -91,8 +91,8 @@ class CurveModel:
 def _orbit_data(P: Portrait) -> dict[int, tuple[int, int, int]]:
     """(preperiod, eventual period, index within find_cycles of the cycle it
     enters) of each vertex, walking the vertices by increasing depth."""
-    depth = vertex_depths(P)
     cycles = find_cycles(P)
+    depth = vertex_depths(P, cycles)
     entry = {v: i for i, cyc in enumerate(cycles) for v in cyc}
     for v in sorted(range(1, P.n + 1), key=depth.__getitem__):
         if v not in entry:
@@ -136,10 +136,18 @@ def generator_set(P: Portrait) -> GeneratorSet:
     (smallest index), then in-degree-zero vertices by decreasing depth, then
     everything else by index.
     """
+    _require_generic(P)
+    return _generator_set(P)
+
+
+def _require_generic(P: Portrait) -> None:
     report = validate_generic(P)
     if not report.is_generic:
         raise NotGeneric(f"portrait is not generic: {report.violations[0].detail}")
 
+
+def _generator_set(P: Portrait) -> GeneratorSet:
+    """generator_set(P) for a P already known to be generic."""
     depth = vertex_depths(P)
     indeg = indegrees(P)
 
@@ -173,7 +181,7 @@ def full_model(P: Portrait) -> CurveModel:
     """
     variables, equations, inequations = full_system(P)
     names = variables[1:]
-    gens = generator_set(P)
+    gens = _generator_set(P)  # full_system has checked that P is generic
     return CurveModel(
         name=f"full:{P.to_text()}",
         variables=variables,
@@ -189,9 +197,7 @@ def full_model(P: Portrait) -> CurveModel:
 def full_system(P: Portrait) -> tuple[tuple[str, ...], list[MultiPoly], list[MultiPoly]]:
     """The variables (c, x1, ..., xN), edge equations and inequations of
     full_model(P), without its generators."""
-    report = validate_generic(P)
-    if not report.is_generic:
-        raise NotGeneric(f"portrait is not generic: {report.violations[0].detail}")
+    _require_generic(P)
     if P.n < 1:
         raise ValueError("full_model needs at least one vertex")
     names = [f"x{i}" for i in range(1, P.n + 1)]

@@ -167,10 +167,12 @@ def cycle_structure(P: Portrait) -> CycleStructure:
     return CycleStructure.of(len(c) for c in find_cycles(P))
 
 
-def vertex_depths(P: Portrait) -> list[int]:
-    """Distance from each vertex to its cycle (0 on the cycle)."""
+def vertex_depths(P: Portrait, cycles: list[list[int]] | None = None) -> list[int]:
+    """Distance from each vertex to its cycle (0 on the cycle); depth[v] for
+    v in 1..n.  cycles, when given, are P's find_cycles, so a caller that
+    has them already does not find them twice."""
     depth = [-1] * (P.n + 1)
-    for cyc in find_cycles(P):
+    for cyc in find_cycles(P) if cycles is None else cycles:
         for v in cyc:
             depth[v] = 0
     for start in range(1, P.n + 1):
@@ -247,9 +249,8 @@ def _tree_children(P: Portrait, depth: list[int]) -> list[list[int]]:
     return children
 
 
-def _ahu_encode(P: Portrait) -> tuple[list, list[list[int]]]:
+def _ahu_encode(P: Portrait, depths: list[int]) -> tuple[list, list[list[int]]]:
     """AHU encodings of the hanging trees; enc[v-1] is a nested tuple."""
-    depths = vertex_depths(P)
     children = _tree_children(P, depths)
     enc: list = [None] * P.n
     order = sorted(range(1, P.n + 1), key=lambda v: -depths[v])
@@ -275,9 +276,10 @@ def canonical_form(P: Portrait) -> Portrait:
     """
     if P.n == 0:
         return P
-    enc, children = _ahu_encode(P)
+    cycles = find_cycles(P)
+    enc, children = _ahu_encode(P, vertex_depths(P, cycles))
     comps = []
-    for cyc in find_cycles(P):
+    for cyc in cycles:
         seq = [enc[v - 1] for v in cyc]
         r, best = _min_rotation(seq)
         rotated = cyc[r:] + cyc[:r]
@@ -325,7 +327,7 @@ def map_search(P: Portrait):
     skipped.
     """
     p_cycles = find_cycles(P)
-    depth = vertex_depths(P)
+    depth = vertex_depths(P, p_cycles)
     tree = sorted((v for v in range(1, P.n + 1) if depth[v]), key=depth.__getitem__)
     image = P.image
 

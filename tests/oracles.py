@@ -8,6 +8,9 @@ inverses by the extended Euclidean algorithm) rather than on the library's
 int codes and tables, bind every free variable before checking a single
 condition, and evaluate polynomials term by term rather than in Horner form.
 generic_classes lists the inputs that several property tests range over.
+window_successors and window_non_escaping compute classify's successor
+array from every candidate of the window and walk it from every index,
+against which the library's annulus of live candidates is checked.
 brute_force_embeddings tries every injective vertex map, against which the
 library's cycle-then-tree map search is checked.
 oracle_generator_set runs the generator greedy as defined, closing the
@@ -114,6 +117,34 @@ def brute_force_preperiodic(c: Fraction, height: int) -> set[Fraction]:
                     break
                 seen.add(val)
     return found
+
+
+def window_successors(m: int, a: int, u_max: int) -> list[int]:
+    """The successor array of classify's candidates u/m, |u| <= u_max, with
+    one divmod for every candidate: succ[u + u_max] = v + u_max when
+    (u^2 + a)/m = v is an integer with |v| <= u_max, and -1 otherwise."""
+    succ = []
+    for u in range(-u_max, u_max + 1):
+        v, r = divmod(u * u + a, m)
+        succ.append(v + u_max if r == 0 and -u_max <= v <= u_max else -1)
+    return succ
+
+
+def window_non_escaping(succ: list[int]) -> list[int]:
+    """The ascending indices whose path under succ never reaches -1, walked
+    from every index."""
+    state = [0] * len(succ)  # 0 new, 1 on the current path, 2 escapes, 3 stays
+    for start in range(len(succ)):
+        path = []
+        i = start
+        while i >= 0 and state[i] == 0:
+            state[i] = 1
+            path.append(i)
+            i = succ[i]
+        verdict = 2 if i < 0 or state[i] == 2 else 3
+        for j in path:
+            state[j] = verdict
+    return [i for i, s in enumerate(state) if s == 3]
 
 
 def brute_force_embeddings(P: Portrait, Q: Portrait) -> list[tuple[int, ...]]:

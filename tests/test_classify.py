@@ -9,9 +9,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_force_preperiodic
+from oracles import brute_force_preperiodic, window_non_escaping, window_successors
 
+from dynw import classify as classify_module
 from dynw.classify import (
+    _non_escaping,
     _successors,
     _sweep_domain,
     _window,
@@ -218,3 +220,80 @@ def test_step_budget():
     with pytest.raises(StepBudgetExceeded):
         # a genuinely periodic point cannot resolve in a single step
         orbit(Fraction(-1), Fraction(0), 1)
+
+
+def assert_annulus_matches_window(c: Fraction) -> None:
+    """_successors fills the annulus exactly as the full window would, and
+    _non_escaping, walking from live candidates only, keeps the same indices
+    as the walk from every index."""
+    window = _window(c)
+    if window is None:
+        return
+    m, a, u_max = window
+    succ = _successors(m, a, u_max)
+    full = window_successors(m, a, u_max)
+    assert succ == full, c
+    kept = window_non_escaping(full)
+    assert _non_escaping(succ) == kept, c
+
+
+def test_annulus_matches_full_window_on_sweep_domain():
+    domain = _sweep_domain(300)
+    assert len(domain) == 6481
+    for c in domain:
+        assert_annulus_matches_window(c)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=st.integers(-10**6, 10**6), m=st.integers(1, 40))
+def test_annulus_matches_full_window_on_square_denominators(a, m):
+    assert_annulus_matches_window(Fraction(a, m * m))
+
+
+EMPTY_ANNULUS = [Fraction(5), Fraction(10**6), Fraction(101, 4)]
+EXACT_INNER_RADIUS = [Fraction(-8), Fraction(-32), Fraction(-11, 4), Fraction(-37, 16)]
+
+
+@pytest.mark.parametrize(
+    "c", EMPTY_ANNULUS + EXACT_INNER_RADIUS + [Fraction(1), Fraction(17, 16), Fraction(-2)]
+)
+def test_annulus_edge_cases(c):
+    m, a, u_max = _window(c)
+    if c in EMPTY_ANNULUS:  # c > 1/4 with m*u_max < a: nothing maps back in
+        assert m * u_max < a and _successors(m, a, u_max) == [-1] * (2 * u_max + 1)
+    if c in EXACT_INNER_RADIUS:  # -a - m*u_max = r^2, and u = r maps into the window
+        r = perfect_square_root(-a - m * u_max)
+        assert r and _successors(m, a, u_max)[u_max + r] >= 0
+    assert_annulus_matches_window(c)
+
+
+def test_records_do_not_share_cached_flags():
+    first = classify(Fraction(-1))
+    assert first.flags == ["NonGeneric", "InDegree"]
+    first.flags.append("Mutated")
+    again = classify(Fraction(-1))
+    assert again.flags == ["NonGeneric", "InDegree"]
+    assert again.flags is not first.flags
+    assert again.portrait == first.portrait
+
+
+def test_verdict_cache_is_bounded_and_changes_no_sweep_output(monkeypatch):
+    info = classify_module._verdict.cache_info()
+    assert info.maxsize == classify_module._VERDICT_CACHE_SIZE > 0
+
+    cached = io.StringIO()
+    summary = sweep(300, out=cached)
+
+    original = classify_module.classify
+
+    def cold_classify(c, config):
+        classify_module._verdict.cache_clear()
+        return original(c, config)
+
+    monkeypatch.setattr(classify_module, "classify", cold_classify)
+    cold = io.StringIO()
+    cold_summary = sweep(300, out=cold)
+    assert classify_module._verdict.cache_info().currsize == 1
+    assert cold.getvalue() == cached.getvalue()
+    assert cold_summary.tally == summary.tally
+    assert [r.points for r in cold_summary.records] == [r.points for r in summary.records]

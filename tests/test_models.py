@@ -7,6 +7,7 @@ import pytest
 
 from oracles import arithmetic_full_system, generic_classes, oracle_generator_set
 
+from dynw import models
 from dynw.catalog import generic_entries, lookup
 from dynw.dynatomic import dynatomic, generalized_dynatomic, iterate_fc
 from dynw.errors import InadmissibleCycleStructure, NotGeneric
@@ -38,6 +39,17 @@ def test_full_model_shape():
     assert len(m4.equations) == 4
     with pytest.raises(NotGeneric):
         full_model(Portrait(2, (1, 1)))
+
+
+def test_full_model_validates_the_portrait_once(monkeypatch):
+    calls = []
+    validate = models.validate_generic
+    monkeypatch.setattr(models, "validate_generic", lambda P: calls.append(P) or validate(P))
+    for e in generic_entries():
+        if e.portrait.n:
+            calls.clear()
+            full_model(e.portrait)
+            assert calls == [e.portrait]
 
 
 def test_full_model_matches_arithmetic_construction():

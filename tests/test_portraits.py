@@ -20,6 +20,7 @@ from dynw.catalog import (
     lookup,
     match,
 )
+from dynw import portraits
 from dynw.errors import BudgetExceeded, InadmissibleCycleStructure, NotGeneric, ParseError
 from dynw.portraits import (
     EMPTY,
@@ -99,6 +100,19 @@ def test_canonical_form_properties_on_generic_classes(data):
         perm = tuple(data.draw(st.permutations(range(1, Q.n + 1))))
         assert canonical_form(Q) == Q  # enumerate_generic returns canonical forms
         assert canonical_form(relabel(Q, perm)) == Q
+
+
+def test_canonical_form_and_map_search_find_cycles_once(monkeypatch):
+    calls = []
+    find_cycles = portraits.find_cycles
+    monkeypatch.setattr(portraits, "find_cycles", lambda P: calls.append(P) or find_cycles(P))
+    for Q in _GENERIC_UP_TO_14:
+        calls.clear()
+        assert canonical_form(Q) == Q
+        assert calls == [Q]
+        calls.clear()
+        portraits.map_search(Q)
+        assert calls == [Q]
 
 
 def test_canonical_form_separates_classes():
