@@ -15,7 +15,9 @@ candidate u/m maps to (u^2 + a)/m when m divides u^2 + a and the result
 stays in the window |u| <= u_max; otherwise it escapes.  One successor array
 per c holds this map.  Only the annulus of magnitudes |u| with
 -m*u_max <= u^2 + a <= m*u_max can map back into the window, so only it is
-computed; every other candidate escapes at once.  The preperiodic points are
+computed; every other candidate escapes at once.  When c > 1/4 nothing is
+computed: x^2 + c - x = (x - 1/2)^2 + c - 1/4 > 0, so every real orbit
+strictly increases and the portrait is empty.  The preperiodic points are
 the candidates whose path never escapes (the set is automatically
 forward-closed), found by walking from the live candidates alone, and the
 portrait's image map is read straight off the array.  The raw portrait then
@@ -147,8 +149,8 @@ def _successors(m: int, a: int, u_max: int) -> list[int]:
     -m*u_max <= u^2 + a <= m*u_max, so only the annulus
     isqrt_ceil(max(0, -a - m*u_max)) <= |u| <= min(u_max, isqrt(m*u_max - a))
     is filled, one divmod per magnitude shared by +u and -u.  The annulus is
-    empty, and every entry -1, when m*u_max < a; that is most c > 1 (1424
-    of the 2105 in the height-300 sweep domain), but no c <= 1.
+    empty, and every entry -1, when m*u_max < a, which needs c > 1; classify
+    calls this only for c <= 1/4.
     """
     succ = [-1] * (2 * u_max + 1)
     top = m * u_max - a
@@ -210,11 +212,14 @@ def classify(c: Fraction, config: RunConfig = DEFAULT) -> ClassificationRecord:
             raise BudgetExceeded(
                 f"{2 * u_max + 1} candidates exceed enumeration cap {config.enumeration_cap}"
             )
-        succ = _successors(m, a, u_max)
-        kept = _non_escaping(succ)
-        rank = {i: r + 1 for r, i in enumerate(kept)}
-        image = tuple(rank[succ[i]] for i in kept)
-        points = [Fraction(i - u_max, m) for i in kept]
+        # when c > 1/4, x^2 + c - x = (x - 1/2)^2 + c - 1/4 > 0, so every
+        # real orbit strictly increases and no point is preperiodic
+        if 4 * a <= m * m:
+            succ = _successors(m, a, u_max)
+            kept = _non_escaping(succ)
+            rank = {i: r + 1 for r, i in enumerate(kept)}
+            image = tuple(rank[succ[i]] for i in kept)
+            points = [Fraction(i - u_max, m) for i in kept]
     P, label, generic, flags = _verdict(len(points), image)
     return ClassificationRecord(
         c=c,

@@ -52,8 +52,9 @@ _FORMATS = ("json", "text")
 
 
 def _load_portrait(arg: str) -> Portrait:
+    """The portrait in the file arg names, or written in arg itself."""
     path = Path(arg)
-    return Portrait.from_text(path.read_text().strip() if path.exists() else arg)
+    return Portrait.from_text(path.read_text().strip() if path.is_file() else arg)
 
 
 # ------------------------------------------------------------------- dynatomic

@@ -10,42 +10,61 @@ context's add, mul, neg, sub and inv; elements are the codes in range(q),
 and the only FFElement is max_period_mod's witness, kept for its
 coefficient vector.
 
-Which way a model is counted depends on what it is:
+Which way a model is counted depends on what it is.  _reference_route
+rebuilds the model its name gives (full:, plane:, multilevel:, reduced:)
+with the caller's config.  Only a model with that reference's variables,
+equations and inequations, whose free variables and steps enumerate each
+solution once, is counted on the functional graph G_c of z -> z^2 + c,
+one fiber c at a time:
 
-* A full model (provenance "full") that is exactly full_model(P), for the
-  portrait P its name gives, is counted on the functional graph G_c of
-  z -> z^2 + c, one fiber c at a time: its points are the injective
-  edge-preserving maps of P into G_c, found by portraits.map_search, the
-  search that also gives portrait embeddings.  Each fiber's graph costs
-  O(q) to build, so the enumeration cap bounds q^2.  max_period_mod walks
-  the same graphs.
-* Every other model, reduced, multilevel, plane or a full model edited by
-  hand, is solved by iter_solutions.  Solutions are enumerated in-process
-  over the model's free variables, and each equation, inequation and
-  propagation step is applied at the first enumeration level where its
-  variables are bound, so a failed condition prunes everything below it.
-  Polynomials are evaluated in the compiled Horner form of
-  MultiPoly.horner over the context's ring.  The enumeration cap bounds
-  q^(free variables).
+* A full model full_model(P): its points are the injective edge-preserving
+  maps of P into G_c, found by portraits.map_search, the search that also
+  gives portrait embeddings.  Each fiber's graph costs O(q) to build, so
+  the enumeration cap bounds q^2.  max_period_mod walks the same graphs.
+* A plane, multilevel or reduced model: each equation is Phi_{m,n} in one
+  point variable, of orbit type (m, n) read off the reference (a plane
+  model is type (0, n)).  Its roots in a fiber are among the points y with
+  f^m(y) on a cycle of length dividing n, since Phi_{m,n} divides
+  f^{m+n} - f^m.  A candidate of exact preperiod m and exact period n is a
+  root with no evaluation: over Z[c], f^{m+n} - f^m is the product of the
+  Phi_{j,d} over d | n and j <= m, and a root of Phi_{j,d} has preperiod
+  at most j and period dividing d, so in every characteristic only the
+  (m, n) factor can vanish there.  Every other candidate is tested by
+  evaluating the equation.  The tuples of roots are then checked against
+  the model's inequations.  The cap bounds q^(free variables).  In a plane
+  model Phi_n, a root x of exact period n whose cycle has multiplier
+  lambda = 2^n * prod(cycle) != 1 is nonsingular: the x-partial of
+  f^n(x) - x = prod_{d | n} Phi_d(x) is lambda - 1, and at x it equals
+  Phi_n'(x) * prod_{d | n, d < n} Phi_d(x).  Both partials are evaluated
+  at every other root.
+* Every other model, edited or renamed, is solved by iter_solutions.
+  Solutions are enumerated in-process over the model's free variables, and
+  each equation, inequation and propagation step is applied at the first
+  enumeration level where its variables are bound, so a failed condition
+  prunes everything below it.  The cap bounds q^(free variables).
 
-The exhaustive enumeration on coefficient-tuple arithmetic that checks every
-condition only on complete assignments is the test oracle of both.
+Polynomials are evaluated in the compiled Horner form of MultiPoly.horner
+over the context's ring.  iter_solutions, and the exhaustive enumeration on
+coefficient-tuple arithmetic that checks every condition only on complete
+assignments, are the test oracles of the fiber counts.
 
 For plane models the affine count is computed twice, by independent
-strategies: straight enumeration of (c, x), and per-x root counting in c
-via gcd(f, z^q - z).  Disagreement is reported as a violation; it cannot
-happen unless one of the strategies is buggy, which is the point.
+strategies: the fiber count (or, for an edited model, the solver), and
+per-x root counting in c via gcd(f, z^q - z).  Disagreement is reported as
+a violation; it cannot happen unless one of the strategies is buggy, which
+is the point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Iterator
 
 from .config import RunConfig, DEFAULT
-from .errors import NotGeneric, ParseError
+from .errors import DynwError
 from .ff import FFContext, FFElement, check_enumeration_cap, poly_gcd, poly_powmod, poly_trim
-from .models import CurveModel, full_system
+from .models import CurveModel, full_system, multi_level_model, plane_model, reduced_model
 from .portraits import Portrait, map_search, successor_cycles
 
 
@@ -121,33 +140,34 @@ def count_points(
 ) -> PointCountReport:
     """Count F_{p^k} assignments satisfying the model.
 
-    A model that is exactly full_model(P) for the portrait P its name
-    gives is counted on the graph of z -> z^2 + c, one fiber at a time
-    (_count_full), with q^2 held to the enumeration cap.  Every other
-    model, reduced, multilevel, plane or edited, runs through
-    iter_solutions, with q^(free variables) held to the cap.  Either cap
-    is checked before the field is built.  For two-variable models the
-    report also carries the count of solutions where some partial
-    derivative is nonzero (nonsingular_count) and the independent per-x
-    root-counting total (cross_count).
+    A model equal to the one its name gives (_reference_route) is counted
+    on the graph of z -> z^2 + c, one fiber c at a time: a full model by
+    the maps of its portrait into the fiber's graph (_count_full), with
+    q^2 held to the enumeration cap; a plane, multilevel or reduced model
+    from the roots of each equation Phi_{m,n} (_count_by_orbit_types).
+    Those roots lie among the y with f^m(y) on a cycle of length dividing
+    n, and each y of exact preperiod m and exact period n is one, since
+    f^{m+n} - f^m = prod_{d | n, j <= m} Phi_{j,d} and a root of Phi_{j,d}
+    has preperiod at most j and period dividing d; every other candidate
+    is evaluated.  Edited and renamed models run through iter_solutions.
+    Every count but the full one holds q^(free variables) to the cap.
+    Either cap is checked before the field is built.  For two-variable
+    models other than full ones the report also carries the count of
+    solutions where some partial derivative is nonzero (nonsingular_count)
+    and the independent per-x root-counting total (cross_count).
     """
-    P = _full_portrait(model)
-    dims = 2 if P is not None else len(model.enumeration_variables())
+    route = _reference_route(model, config)
+    full = isinstance(route, Portrait)
+    dims = 2 if full else len(model.enumeration_variables())
     check_enumeration_cap(p, dims, config, k=k)
     ctx = FFContext(p, k, config=config)
-    if P is not None:
-        return PointCountReport(model_id=model.name, q=ctx.q, affine_count=_count_full(P, ctx))
+    if full:
+        return PointCountReport(model_id=model.name, q=ctx.q, affine_count=_count_full(route, ctx))
     plane = _is_plane(model)
-    partials = []
-    if plane:
-        f = model.equations[0]
-        partials = [f.partial(v).horner(ctx.ring) for v in model.variables]
-    affine = 0
-    nonsingular = 0
-    for sol in iter_solutions(model, ctx, config):
-        affine += 1
-        if any(pd(sol) for pd in partials):
-            nonsingular += 1
+    if route is None:
+        affine, nonsingular = _count_by_solver(model, ctx, config, plane)
+    else:
+        affine, nonsingular = _count_by_orbit_types(model, route, ctx, plane)
     report = PointCountReport(
         model_id=model.name,
         q=ctx.q,
@@ -161,6 +181,28 @@ def count_points(
                 f"strategy mismatch: enumeration {affine}, root counting {report.cross_count}"
             )
     return report
+
+
+def _nonsingular_test(model: CurveModel, ctx: FFContext):
+    """A function of an assignment, true when some partial derivative of
+    the plane model's equation is nonzero there."""
+    f = model.equations[0]
+    partials = [f.partial(v).horner(ctx.ring) for v in model.variables]
+    return lambda values: any(pd(values) for pd in partials)
+
+
+def _count_by_solver(
+    model: CurveModel, ctx: FFContext, config: RunConfig, plane: bool
+) -> tuple[int, int]:
+    """(affine, nonsingular) over the solutions iter_solutions yields;
+    nonsingular is 0 unless the model is a plane one."""
+    nonsingular_at = _nonsingular_test(model, ctx) if plane else None
+    affine = nonsingular = 0
+    for sol in iter_solutions(model, ctx, config):
+        affine += 1
+        if plane and nonsingular_at(sol):
+            nonsingular += 1
+    return affine, nonsingular
 
 
 def _plane_count_by_roots(model: CurveModel, ctx: FFContext) -> int:
@@ -278,17 +320,169 @@ def _fiber_successors(ctx: FFContext) -> Iterator[tuple[int, list[int]]]:
         yield c, [shift[s] for s in squares]
 
 
-def _full_portrait(model: CurveModel) -> Portrait | None:
-    """The portrait P when the model is exactly full_model(P) for the P its
-    name gives: same variables, equations and inequations.  None otherwise."""
-    if model.provenance != "full" or not model.name.startswith("full:"):
-        return None
+def _square_roots(ctx: FFContext) -> list[list[int]]:
+    """roots[z] lists the square roots of the code z; the preimages of y
+    under z -> z^2 + c are roots[y - c]."""
+    roots: list[list[int]] = [[] for _ in range(ctx.q)]
+    for z in range(ctx.q):
+        roots[ctx.mul(z, z)].append(z)
+    return roots
+
+
+def _reference_route(
+    model: CurveModel, config: RunConfig = DEFAULT
+) -> Portrait | tuple[tuple[int, int], ...] | None:
+    """How count_points counts the model on the graph of z -> z^2 + c.
+
+    The system (variables, equations, inequations) of the model its name
+    gives ("full:P", "plane:n", "multilevel:n1,...", "reduced:P") is
+    rebuilt with the caller's config.  When the model has that system and
+    its free variables and steps enumerate each solution once, the route
+    is the portrait P of a full model, or the orbit type (m, n) of each
+    equation's point variable, in the order of the equations, read off the
+    reference model (a plane model is type (0, n)).  None, the route of
+    the solver, for any other name, any failure to rebuild and any edited
+    model.
+    """
+    kind, _, arg = model.name.partition(":")
+    P = None
     try:
-        P = Portrait.from_text(model.name[5:])
-        system = full_system(P)
-    except (ParseError, NotGeneric, ValueError):
+        if kind == "full":
+            P = route = Portrait.from_text(arg)
+            system = full_system(P)
+        else:
+            if kind == "plane":
+                reference = plane_model(int(arg), config)
+                route = ((0, int(arg)),)
+            elif kind == "multilevel":
+                reference = multi_level_model(arg.split(","), config)
+                route = tuple((0, n) for n in reference.meta["levels"])
+            elif kind == "reduced":
+                reference = reduced_model(Portrait.from_text(arg), config)
+                types = reference.meta["orbit_types"]
+                route = tuple(tuple(types[str(g)]) for g in reference.meta["generators"])
+            else:
+                return None
+            system = reference.variables, reference.equations, reference.inequations
+    except (DynwError, ValueError):
         return None
-    return P if system == (model.variables, model.equations, model.inequations) else None
+    if system != (model.variables, model.equations, model.inequations):
+        return None
+    return route if _enumerates_once(model, P) else None
+
+
+def _enumerates_once(model: CurveModel, P: Portrait | None) -> bool:
+    """True when iter_solutions, binding the model's free variables and
+    running its steps, visits each solution of its system once, so a count
+    of the system is the solver's count.  The free variables and the step
+    targets must be the variables, each once, and every step must follow
+    from the system: only full_system(P), with x_i the vertex i, has any.
+    An image step x_j = x_i^2 + c follows from the edge equation of i -> j,
+    and a negation x_j = -x_i from siblings i != j, whose squares are both
+    x_k - c and which are distinct.
+    """
+    targets = [target for _, target, _ in model.steps]
+    if sorted([*model.enumeration_variables(), *targets]) != sorted(model.variables):
+        return False
+    vertex = {f"x{i}": i for i in range(1, P.n + 1)} if P is not None else {}
+    for kind, target, source in model.steps:
+        j, i = vertex.get(target), vertex.get(source)
+        if i is None or j is None:
+            return False
+        if kind == "image" and P.image[i - 1] != j:
+            return False
+        if kind == "negate" and (i == j or P.image[i - 1] != P.image[j - 1]):
+            return False
+    return True
+
+
+def _count_by_orbit_types(
+    model: CurveModel, types: tuple[tuple[int, int], ...], ctx: FFContext, plane: bool
+) -> tuple[int, int]:
+    """(affine, nonsingular) of a model whose i-th equation is Phi_{m,n}
+    in its (i+1)-th variable, (m, n) = types[i], under the model's own
+    inequations, counted one fiber c at a time; nonsingular is 0 unless
+    the model is a plane one.  The root and nonsingularity rules, with
+    their proofs, are in the module docstring.
+
+    The candidates of type (m, n) are the points of the fiber's cycles of
+    length dividing n and the square roots walked back from them, up to m
+    steps.  The equation is compiled to its Horner form on first need, and
+    so are the partials.  Tuples of roots are enumerated with each
+    inequation checked at the first variable where it is bound, as in
+    iter_solutions.
+    """
+    names = model.variables[1:]
+    sub, add, mul = ctx.sub, ctx.add, ctx.mul
+    roots = _square_roots(ctx)
+    reach = max(m for m, _ in types)
+    periods = {n for _, n in types}
+    equation_of = {}  # the first equation of each orbit type, with its variable
+    for t, poly, var in zip(types, model.equations, names):
+        equation_of.setdefault(t, (poly, var))
+    compiled: dict = {}
+
+    def is_root(t: tuple[int, int], c: int, y: int) -> bool:
+        if t not in compiled:
+            poly, var = equation_of[t]
+            compiled[t] = poly.horner(ctx.ring), var
+        f, var = compiled[t]
+        return f({"c": c, var: y}) == 0
+
+    level = {v: i for i, v in enumerate(model.variables)}
+    checks: list[list] = [[] for _ in model.variables]
+    for poly in model.inequations:
+        checks[max((level[v] for v in poly.variables), default=0)].append(poly.horner(ctx.ring))
+
+    def tuples(i: int, lists: list[list[int]], values: dict) -> int:
+        """The tuples of lists[i:] that pass every inequation, checked
+        where its last variable is bound."""
+        if i == len(names):
+            return 1
+        total = 0
+        for y in lists[i]:
+            values[names[i]] = y
+            if all(check(values) for check in checks[i + 1]):
+                total += tuples(i + 1, lists, values)
+        return total
+
+    nonsingular_at = None
+    affine = nonsingular = 0
+    for c, succ in _fiber_successors(ctx):
+        values = {"c": c}
+        if not all(check(values) for check in checks[0]):
+            continue
+        cycles = [g for g in successor_cycles(succ) if any(n % len(g) == 0 for n in periods)]
+        layers = [[(y, len(g)) for g in cycles for y in g]]
+        if reach:  # a cycle point's other square root lies off the cycle
+            layers.append([
+                (u, len(g)) for g in cycles for i, y in enumerate(g)
+                for u in roots[sub(y, c)] if u != g[i - 1]
+            ])
+        for _ in range(1, reach):
+            layers.append([(u, d) for y, d in layers[-1] for u in roots[sub(y, c)]])
+        found = {
+            (m, n): [
+                y for j in range(m + 1) for y, d in layers[j]
+                if n % d == 0 and (j == m and d == n or is_root((m, n), c, y))
+            ]
+            for m, n in equation_of
+        }
+        lists = [found[t] for t in types]
+        if plane:
+            (m, n), = types
+            certified = set()
+            for g in cycles if m == 0 else ():
+                if len(g) == n and reduce(mul, [add(y, y) for y in g]) != 1:
+                    certified.update(g)
+            for y in lists[0]:
+                if y not in certified:
+                    nonsingular_at = nonsingular_at or _nonsingular_test(model, ctx)
+                    if not nonsingular_at({"c": c, names[0]: y}):
+                        continue
+                nonsingular += 1
+        affine += tuples(0, lists, values)
+    return affine, nonsingular
 
 
 def _count_full(P: Portrait, ctx: FFContext) -> int:
@@ -305,9 +499,7 @@ def _count_full(P: Portrait, ctx: FFContext) -> int:
     alone excludes them.
     """
     add, neg = ctx.add, ctx.neg
-    roots: list[list[int]] = [[] for _ in range(ctx.q)]  # the square roots of each code
-    for z in range(ctx.q):
-        roots[ctx.mul(z, z)].append(z)
+    roots = _square_roots(ctx)
     maps = map_search(P)
     total = 0
     for c, succ in _fiber_successors(ctx):

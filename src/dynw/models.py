@@ -27,9 +27,9 @@ descending order, matching the usual presentation (c, z, y, x) for levels
 
 Models are bookkeeping objects for counting and projection only; no
 normalization, genus computation, or projective closure happens here.
-fflab.count_points counts a model that is exactly full_model(P) on the
-graph of z -> z^2 + c, fiber by fiber, and solves every other model,
-reduced, multilevel, plane or edited, with its pruned enumeration.
+fflab.count_points counts a model that is exactly the one its name gives,
+full, reduced, multilevel or plane, on the graph of z -> z^2 + c, fiber by
+fiber, and solves a model edited by hand with its pruned enumeration.
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
 """Rational preperiodic classifier tests."""
 
+import hashlib
 import io
 import random
 from fractions import Fraction
@@ -23,7 +24,7 @@ from dynw.classify import (
     sweep,
 )
 from dynw.dynatomic import degree_d0
-from dynw.errors import StepBudgetExceeded
+from dynw.errors import BudgetExceeded, StepBudgetExceeded
 from dynw.portraits import Portrait, canonical_form, cycle_structure
 from dynw.rational import perfect_square_root
 
@@ -265,6 +266,39 @@ def test_annulus_edge_cases(c):
         r = perfect_square_root(-a - m * u_max)
         assert r and _successors(m, a, u_max)[u_max + r] >= 0
     assert_annulus_matches_window(c)
+
+
+def test_no_annulus_is_built_above_one_quarter(monkeypatch):
+    built = []
+    successors = classify_module._successors
+
+    def spy(m, a, u_max):
+        built.append(Fraction(a, m * m))
+        return successors(m, a, u_max)
+
+    monkeypatch.setattr(classify_module, "_successors", spy)
+    above = [c for c in _sweep_domain(300) if c > Fraction(1, 4) and _window(c)]
+    assert len(above) == 849 + 2105  # c in (1/4, 1] and c > 1
+    for c in above:
+        rec = classify(c)
+        assert rec.points == [] and rec.label == "empty", c
+    # the cap is still checked first
+    with pytest.raises(BudgetExceeded, match="^2000000005 candidates exceed"):
+        classify(Fraction(10**18))
+    assert built == []
+    # at c = 1/4 the parabolic fixed point 1/2 and its preimage are still found
+    assert classify(Fraction(1, 4)).points == [Fraction(-1, 2), Fraction(1, 2)]
+    assert built == [Fraction(1, 4)]
+
+
+def test_sweep_csv_is_pinned_at_heights_200_and_300():
+    for height, digest in (
+        (200, "f03af69518f51e52eb51a385ddf4822654dcb003a79f778304b088a5e4f7adb2"),
+        (300, "63e236f30667af491e270325c10865c7cdb3073eca03a3695e2580db0a154dbd"),
+    ):
+        out = io.StringIO()
+        sweep(height, out=out)
+        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest, height
 
 
 def test_records_do_not_share_cached_flags():

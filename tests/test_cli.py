@@ -311,6 +311,18 @@ def test_domain_error_exit_code(capsys):
     assert code == 1
 
 
+def test_a_portrait_argument_naming_no_file_is_portrait_text(capsys, tmp_path):
+    # '' names the current directory and tmp_path a directory: neither is read
+    for arg in ("", str(tmp_path)):
+        assert run(capsys, "portrait", "validate", "--portrait", arg) == (
+            1, "", f"error: portrait text needs 'N:t1,...,tN', got {arg!r}\n"
+        )
+    path = tmp_path / "portrait.txt"
+    path.write_text("4:1,2,1,2\n")
+    code, out, _ = run(capsys, "portrait", "validate", "--portrait", str(path))
+    assert code == 0 and out.startswith("portrait 4:1,2,1,2 ")
+
+
 def test_byte_identical_reruns(capsys):
     first = run(capsys, "portrait", "enumerate", "--n", "12", "--cycles", "3,3", "--json")
     second = run(capsys, "portrait", "enumerate", "--n", "12", "--cycles", "3,3", "--json")

@@ -1,6 +1,7 @@
 """Finite-field lab tests: counting, bound checkers, residual period data."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -156,7 +157,7 @@ def test_full_models_are_recognized_in_memory_and_from_json(monkeypatch):
     monkeypatch.setattr(fflab, "iter_solutions", _no_solver)
     assert count_points(model, 5, 2).affine_count == 36
     assert count_points(model_from_json(model_to_json(model)), 5, 2).affine_count == 36
-    assert fflab._full_portrait(model) == lookup("12(3,3)").portrait
+    assert fflab._reference_route(model) == lookup("12(3,3)").portrait
 
 
 def test_edited_full_models_go_to_the_solver(monkeypatch):
@@ -173,7 +174,7 @@ def test_edited_full_models_go_to_the_solver(monkeypatch):
     dropped.inequations.remove(MultiPoly.parse("x5 - x6"))  # fixed point 5 and its twin
     renamed = model_from_json(model_to_json(model).replace('"full:', '"edited:'))
     for edited in (dropped, renamed):
-        assert fflab._full_portrait(edited) is None
+        assert fflab._reference_route(edited) is None
         got = count_points(edited, 7).affine_count
         assert got == sum(1 for _ in iter_solutions(edited, FFContext(7)))
         assert got == brute_counts(edited, 7)[0]
@@ -182,6 +183,155 @@ def test_edited_full_models_go_to_the_solver(monkeypatch):
     # 2-cycle of cube roots of unity mod 7 adds points
     assert count_points(dropped, 7).affine_count > fiber
     assert count_points(renamed, 7).affine_count == fiber
+
+
+_ORBIT_TYPE_MODELS = (
+    [plane_model(n) for n in range(1, 7)]
+    + [multi_level_model(levels) for levels in ((3, 3), (4, 2, 1), (4, 3))]
+    + [reduced_model(e.portrait) for e in generic_entries() if 0 < e.portrait.n <= 10]
+)
+
+
+def _solver_counts(model, ctx):
+    """(affine, nonsingular, cross) from iter_solutions, the partials
+    evaluated at every solution of a plane model."""
+    solutions = list(iter_solutions(model, ctx))
+    if not fflab._is_plane(model):
+        return len(solutions), None, None
+    f = model.equations[0]
+    partials = [f.partial(v).horner(ctx.ring) for v in model.variables]
+    nonsingular = sum(1 for s in solutions if any(pd(s) for pd in partials))
+    return len(solutions), nonsingular, len(solutions)
+
+
+@pytest.mark.parametrize(
+    "p, k", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (13, 1), (5, 2)]
+)
+def test_orbit_type_counts_match_solver_and_brute_oracle(p, k):
+    assert len(_ORBIT_TYPE_MODELS) == 34
+    ctx = FFContext(p, k)
+    for model in _ORBIT_TYPE_MODELS:
+        assert fflab._reference_route(model) is not None, model.name
+        r = count_points(model, p, k)
+        got = (r.affine_count, r.nonsingular_count, r.cross_count)
+        assert got == _solver_counts(model, ctx), (model.name, p, k)
+        assert not r.violations
+        # the brute oracle evaluates every term at all q^dims assignments;
+        # these bounds keep it to a few seconds over the grid
+        assignments = ctx.q ** len(model.enumeration_variables())
+        terms = sum(len(e.terms) for e in model.equations)
+        if assignments <= 2000 and assignments * terms <= 20000:
+            assert got == brute_counts(model, p, k), (model.name, p, k)
+
+
+def test_orbit_types_come_from_the_reference_model():
+    P = lookup("10(3,2)").portrait
+    model = reduced_model(P)
+    route = fflab._reference_route(model)
+    types = model.meta["orbit_types"]
+    assert route == tuple(tuple(types[str(g)]) for g in model.meta["generators"])
+    assert sorted(route) == [(0, 2), (0, 3)]
+    assert fflab._reference_route(multi_level_model((4, 2, 1))) == ((0, 4), (0, 2), (0, 1))
+    assert fflab._reference_route(plane_model(5)) == ((0, 5),)
+    # a file's meta is never read
+    edited = model_from_json(model_to_json(model))
+    edited.meta["orbit_types"] = {g: [7, 7] for g in edited.meta["orbit_types"]}
+    assert fflab._reference_route(edited) == route
+
+
+def test_only_candidates_off_the_orbit_type_are_evaluated(monkeypatch):
+    # at c = -3/4 the fixed point x = -1/2 has multiplier -1: it is a root
+    # of Phi_2, found only by evaluating Phi_2 at a candidate of period 1
+    model = plane_model(2)
+    ctx = FFContext(7)
+    c0, x0 = ctx.coerce(Fraction(-3, 4)), ctx.coerce(Fraction(-1, 2))
+    assert {"c": c0, "x": x0} in list(iter_solutions(model, ctx))
+    evaluated = []
+    horner = MultiPoly.horner
+
+    def spy(self, *args):
+        f = horner(self, *args)
+        if self != model.equations[0]:
+            return f
+        return lambda values: evaluated.append(dict(values)) or f(values)
+
+    monkeypatch.setattr(MultiPoly, "horner", spy)
+    assert count_points(model, 7).affine_count == 7
+    assert {"c": c0, "x": x0} in evaluated
+    # points of exact period 2 are roots with no evaluation
+    assert all(ctx.add(ctx.mul(v["x"], v["x"]), v["c"]) == v["x"] for v in evaluated)
+
+
+def test_partials_are_evaluated_only_where_the_multiplier_is_one(monkeypatch):
+    # every root of Phi_1 has exact period 1 and multiplier 2x, which is 1
+    # only at x = 1/2, c = 1/4
+    model = plane_model(1)
+    ctx = FFContext(7)
+    tested = []
+    nonsingular_test = fflab._nonsingular_test
+
+    def spy(*args):
+        test = nonsingular_test(*args)
+        return lambda values: tested.append(dict(values)) or test(values)
+
+    monkeypatch.setattr(fflab, "_nonsingular_test", spy)
+    r = count_points(model, 7)
+    assert (r.affine_count, r.nonsingular_count) == (7, 7)
+    assert tested == [{"c": ctx.coerce(Fraction(1, 4)), "x": ctx.coerce(Fraction(1, 2))}]
+
+
+def test_every_provenance_counts_without_the_solver(monkeypatch):
+    cases = [
+        (full_model(lookup("12(3,3)").portrait), 5, 2),
+        (plane_model(3), 7, 2),
+        (plane_model(4), 13, 1),
+        (multi_level_model((3, 3)), 13, 1),
+        (reduced_model(lookup("8(2,1,1)").portrait), 7, 1),
+        (reduced_model(lookup("10(1,1)b").portrait), 5, 1),
+    ]
+    expected = [count_points(model, p, k) for model, p, k in cases]
+    monkeypatch.setattr(fflab, "iter_solutions", _no_solver)
+    for (model, p, k), want in zip(cases, expected):
+        assert count_points(model, p, k) == want, model.name
+        assert count_points(model_from_json(model_to_json(model)), p, k) == want, model.name
+
+
+def test_edited_and_renamed_models_go_to_the_solver(monkeypatch):
+    solver_calls = []
+
+    def spy(*args, **kwargs):
+        solver_calls.append(args[0].name)
+        return iter_solutions(*args, **kwargs)
+
+    monkeypatch.setattr(fflab, "iter_solutions", spy)
+    base = plane_model(3)
+    negated = CurveModel(
+        name="plane:3:neg",
+        variables=base.variables,
+        equations=[e.substitute("x", -MultiPoly.var("x")) for e in base.equations],
+        inequations=[],
+        provenance="plane",
+        free_variables=base.variables,
+    )
+    relabeled = model_from_json(model_to_json(base).replace('"plane:3"', '"plane:4"'))
+    reduced = reduced_model(lookup("8(2)a").portrait)
+    assert reduced.inequations
+    dropped = model_from_json(model_to_json(reduced))
+    dropped.inequations.pop()
+    renamed = model_from_json(model_to_json(reduced).replace('"reduced:', '"edited:'))
+    stepped = model_from_json(model_to_json(multi_level_model((3, 3))))
+    stepped.free_variables = ("c", "y")
+    stepped.steps = [("image", "x", "y")]
+    # a negation between siblings turned into an image step no edge implies
+    flipped = model_from_json(model_to_json(full_model(lookup("8(2,1,1)").portrait)))
+    at = next(i for i, step in enumerate(flipped.steps) if step[0] == "negate")
+    flipped.steps[at] = ("image", *flipped.steps[at][1:])
+    edited = [negated, relabeled, dropped, renamed, stepped, flipped]
+    for model in edited:
+        assert fflab._reference_route(model) is None, model.name
+        r = count_points(model, 7)
+        assert (r.affine_count, r.nonsingular_count, r.cross_count) == brute_counts(model, 7)
+    assert solver_calls == [model.name for model in edited]
 
 
 def test_fiber_successors_match_field_arithmetic():
