@@ -6,7 +6,10 @@ The n-th dynatomic polynomial is computed by the Moebius product
 
 organized as a chain of exact divisions (see dynatomic_cx for the staging).
 Every division doubles as a correctness assertion, since a non-exact
-division can only come from a logic error.
+division can only come from a logic error.  The generalized dynatomic
+polynomials need no division: f = x^2 + c is even and permutes the roots
+of Phi_n, so Phi_n(c, f(x)) = Phi_n(c, x) * Phi_n(c, -x) and
+Phi_{m,n} = Phi_n(c, -f^(m-1)(x)) (generalized_dynatomic).
 
 Degree bookkeeping (all exact big-integer arithmetic):
 
@@ -172,16 +175,17 @@ def generalized_dynatomic(m: int, n: int, config: RunConfig = DEFAULT) -> MultiP
     """Dynatomic polynomial of preperiod m and eventual period n.
 
     For m = 0 this is Phi_n; for m >= 1 it is
-    Phi_n(c, f^m(x)) / Phi_n(c, f^{m-1}(x)).  That quotient is
-    Phi_{m-1,n}(c, f(x)), so Phi_{m,n} = Phi_{1,n} o f^{m-1}: the one exact
-    division is Phi_{1,n} = Phi_n(c, x^2 + c) / Phi_n(c, x), whose dividend
-    has x-degree 2*D1(n) whatever m is, and f^{m-1} is composed in after.
-    Both compositions are Taylor shifts (pk.cx_compose_f): A(c, x^2 + c) =
-    Q(c, x^2) with Q(c, y) = A(c, y + c), by Horner in y on packed c-rows,
-    shifts and adds only, in slots holding ||A o f||_1 <= ||A||_1 * 2^deg_x(A).
-    The result must have x-degree 2^{m-1}*D1(n) and be monic in x; an orbit
-    type wider in x than Phi_{max_dynatomic_n} is refused before anything
-    is built.
+    Phi_n(c, f^m(x)) / Phi_n(c, f^{m-1}(x)), which is
+    Phi_n(c, -f^{m-1}(x)), with no division.  Proof: f = x^2 + c permutes
+    the roots b of Phi_n and D1(n) is even, so
+    Phi_n(c, f(x)) = prod (x^2 + c - f(b)) = prod (x - b)(x + b)
+    = Phi_n(c, x) * Phi_n(c, -x); hence Phi_{1,n}(c, x) = Phi_n(c, -x) and
+    Phi_{m,n} = Phi_{1,n} o f^{m-1}.  Phi_n(c, -x) negates the odd x-rows
+    of Phi_n, and f^{m-1} is composed in by m - 1 Taylor shifts
+    (pk.cx_compose_f): A(c, x^2 + c) = Q(c, x^2) with Q(c, y) = A(c, y + c),
+    by Horner in y on packed c-rows, shifts and adds only.  The result must
+    have x-degree 2^{m-1}*D1(n) and be monic in x; an orbit type wider in x
+    than Phi_{max_dynatomic_n} is refused before anything is built.
     """
     if m < 0 or n < 1:
         raise ValueError("need m >= 0 and n >= 1")
@@ -196,17 +200,14 @@ def generalized_dynatomic(m: int, n: int, config: RunConfig = DEFAULT) -> MultiP
     phi = dynatomic_cx(n)
     if m == 0:
         return _cx_to_multipoly(phi)
-    try:
-        quot = pk.cx_divexact(pk.cx_compose_f(phi, 1), phi)
-    except ArithmeticError as exc:
-        raise NonExactDivision(f"generalized dynatomic ({m}, {n}): {exc}") from exc
-    quot = pk.cx_compose_f(quot, m - 1)
-    deg = pk.cx_deg_x(quot)
-    if deg != want or quot[-1] != [1]:
+    odd_negated = [[-v for v in s] if i % 2 and s else s for i, s in enumerate(phi)]
+    out = pk.cx_compose_f(odd_negated, m - 1)
+    deg = pk.cx_deg_x(out)
+    if deg != want or out[-1] != [1]:
         raise NonExactDivision(
             f"generalized dynatomic ({m}, {n}): x-degree {deg}, want {want}, monic in x"
         )
-    return _cx_to_multipoly(quot)
+    return _cx_to_multipoly(out)
 
 
 # --------------------------------------------------------------- degree reports

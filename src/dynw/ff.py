@@ -81,8 +81,9 @@ def poly_powmod(f: list[int], e: int, m: list[int], F: "FFContext") -> list[int]
     while e:
         if e & 1:
             result = poly_mod(poly_mul(result, base, F), m, F)
-        base = poly_mod(poly_mul(base, base, F), m, F)
         e >>= 1
+        if e:
+            base = poly_mod(poly_mul(base, base, F), m, F)
     return result
 
 

@@ -23,20 +23,24 @@ one fiber c at a time:
   the enumeration cap bounds q^2.  max_period_mod walks the same graphs.
 * A plane, multilevel or reduced model: each equation is Phi_{m,n} in one
   point variable, of orbit type (m, n) read off the reference (a plane
-  model is type (0, n)).  Its roots in a fiber are among the points y with
-  f^m(y) on a cycle of length dividing n, since Phi_{m,n} divides
-  f^{m+n} - f^m.  A candidate of exact preperiod m and exact period n is a
-  root with no evaluation: over Z[c], f^{m+n} - f^m is the product of the
-  Phi_{j,d} over d | n and j <= m, and a root of Phi_{j,d} has preperiod
-  at most j and period dividing d, so in every characteristic only the
-  (m, n) factor can vanish there.  Every other candidate is tested by
-  evaluating the equation.  The tuples of roots are then checked against
-  the model's inequations.  The cap bounds q^(free variables).  In a plane
-  model Phi_n, a root x of exact period n whose cycle has multiplier
-  lambda = 2^n * prod(cycle) != 1 is nonsingular: the x-partial of
-  f^n(x) - x = prod_{d | n} Phi_d(x) is lambda - 1, and at x it equals
-  Phi_n'(x) * prod_{d | n, d < n} Phi_d(x).  Both partials are evaluated
-  at every other root.
+  model is type (0, n)).  The roots of Phi_n in a fiber are the points of
+  its cycles of length d dividing n, since Phi_n divides f^n - x.  A point
+  with d = n is a root with no evaluation: over Z[c], f^n - x is the
+  product of the Phi_d over d | n, and a root of Phi_d with d < n has
+  period dividing d, so in every characteristic only Phi_n can vanish
+  there.  Every other cycle point is tested by evaluating Phi_n, the
+  reference's own, since only a model equal to its reference takes this
+  route.  For m >= 1, Phi_{m,n}(c, x) = Phi_n(c, -f^(m-1)(x)): f is even
+  and permutes the roots b of Phi_n, whose degree is even, so
+  Phi_n(c, f(x)) = prod (x - b)(x + b) = Phi_n(c, x) * Phi_n(c, -x).  The
+  roots of Phi_{m,n} are therefore the negated roots of Phi_n walked back
+  m - 1 times through square roots, with no evaluation.  The tuples of
+  roots are then checked against the model's inequations.  The cap bounds
+  q^(free variables).  In a plane model Phi_n, a root x of exact period n
+  whose cycle has multiplier lambda = 2^n * prod(cycle) != 1 is
+  nonsingular: the x-partial of f^n(x) - x = prod_{d | n} Phi_d(x) is
+  lambda - 1, and at x it equals Phi_n'(x) * prod_{d | n, d < n} Phi_d(x).
+  Both partials are evaluated at every other root.
 * Every other model, edited or renamed, is solved by iter_solutions.
   Solutions are enumerated in-process over the model's free variables, and
   each equation, inequation and propagation step is applied at the first
@@ -62,6 +66,7 @@ from functools import reduce
 from typing import Iterator
 
 from .config import RunConfig, DEFAULT
+from .dynatomic import dynatomic
 from .errors import DynwError
 from .ff import FFContext, FFElement, check_enumeration_cap, poly_gcd, poly_powmod, poly_trim
 from .models import CurveModel, full_system, multi_level_model, plane_model, reduced_model
@@ -145,21 +150,26 @@ def count_points(
     the maps of its portrait into the fiber's graph (_count_full), with
     q^2 held to the enumeration cap; a plane, multilevel or reduced model
     from the roots of each equation Phi_{m,n} (_count_by_orbit_types).
-    Those roots lie among the y with f^m(y) on a cycle of length dividing
-    n, and each y of exact preperiod m and exact period n is one, since
-    f^{m+n} - f^m = prod_{d | n, j <= m} Phi_{j,d} and a root of Phi_{j,d}
-    has preperiod at most j and period dividing d; every other candidate
-    is evaluated.  Edited and renamed models run through iter_solutions.
-    Every count but the full one holds q^(free variables) to the cap.
-    Either cap is checked before the field is built.  For two-variable
-    models other than full ones the report also carries the count of
-    solutions where some partial derivative is nonzero (nonsingular_count)
-    and the independent per-x root-counting total (cross_count).
+    The roots of Phi_n are the fiber's points of period d | n, those with
+    d = n without evaluation, since f^n - x = prod_{d | n} Phi_d and a root
+    of Phi_d has period dividing d; the others are evaluated in Phi_n.  For
+    m >= 1, Phi_{m,n}(c, x) = Phi_n(c, -f^(m-1)(x)), because f is even and
+    permutes the roots b of Phi_n, so Phi_n(c, f(x)) = prod (x - b)(x + b);
+    its roots are the negated roots of Phi_n walked back m - 1 times
+    through square roots.  Edited and renamed models run through
+    iter_solutions.  Every count but the full one holds q^(free variables)
+    to the cap.  q^min(2, free variables), a bound for every route, is
+    checked before the model's reference is rebuilt, and the exact cap
+    before the field is built.  For two-variable models other than full
+    ones the report also carries the count of solutions where some partial
+    derivative is nonzero (nonsingular_count) and the independent per-x
+    root-counting total (cross_count).
     """
+    dims = len(model.enumeration_variables())
+    check_enumeration_cap(p, min(2, dims), config, k=k)  # a bound for every route
     route = _reference_route(model, config)
     full = isinstance(route, Portrait)
-    dims = 2 if full else len(model.enumeration_variables())
-    check_enumeration_cap(p, dims, config, k=k)
+    check_enumeration_cap(p, 2 if full else dims, config, k=k)
     ctx = FFContext(p, k, config=config)
     if full:
         return PointCountReport(model_id=model.name, q=ctx.q, affine_count=_count_full(route, ctx))
@@ -167,7 +177,7 @@ def count_points(
     if route is None:
         affine, nonsingular = _count_by_solver(model, ctx, config, plane)
     else:
-        affine, nonsingular = _count_by_orbit_types(model, route, ctx, plane)
+        affine, nonsingular = _count_by_orbit_types(model, route, ctx, plane, config)
     report = PointCountReport(
         model_id=model.name,
         q=ctx.q,
@@ -397,7 +407,11 @@ def _enumerates_once(model: CurveModel, P: Portrait | None) -> bool:
 
 
 def _count_by_orbit_types(
-    model: CurveModel, types: tuple[tuple[int, int], ...], ctx: FFContext, plane: bool
+    model: CurveModel,
+    types: tuple[tuple[int, int], ...],
+    ctx: FFContext,
+    plane: bool,
+    config: RunConfig = DEFAULT,
 ) -> tuple[int, int]:
     """(affine, nonsingular) of a model whose i-th equation is Phi_{m,n}
     in its (i+1)-th variable, (m, n) = types[i], under the model's own
@@ -405,29 +419,30 @@ def _count_by_orbit_types(
     the model is a plane one.  The root and nonsingularity rules, with
     their proofs, are in the module docstring.
 
-    The candidates of type (m, n) are the points of the fiber's cycles of
-    length dividing n and the square roots walked back from them, up to m
-    steps.  The equation is compiled to its Horner form on first need, and
-    so are the partials.  Tuples of roots are enumerated with each
-    inequation checked at the first variable where it is bound, as in
-    iter_solutions.
+    The roots of Phi_n are the points of the fiber's cycles of length d
+    dividing n: those with d = n without evaluation, the others tested in
+    the Horner form of dynatomic(n, config).phi, compiled on first need.
+    The roots of Phi_{m,n}, m >= 1, are their negatives walked back m - 1
+    times through the square roots of y - c.  Tuples of roots are
+    enumerated with each inequation checked at the first variable where it
+    is bound, as in iter_solutions.
     """
     names = model.variables[1:]
-    sub, add, mul = ctx.sub, ctx.add, ctx.mul
+    sub, add, mul, neg = ctx.sub, ctx.add, ctx.mul, ctx.neg
     roots = _square_roots(ctx)
-    reach = max(m for m, _ in types)
     periods = {n for _, n in types}
-    equation_of = {}  # the first equation of each orbit type, with its variable
-    for t, poly, var in zip(types, model.equations, names):
-        equation_of.setdefault(t, (poly, var))
     compiled: dict = {}
 
-    def is_root(t: tuple[int, int], c: int, y: int) -> bool:
-        if t not in compiled:
-            poly, var = equation_of[t]
-            compiled[t] = poly.horner(ctx.ring), var
-        f, var = compiled[t]
-        return f({"c": c, var: y}) == 0
+    def phi_roots(n: int, c: int, cycles: list) -> list[int]:
+        found = []
+        for g in cycles:
+            if len(g) == n:
+                found += g
+            elif n % len(g) == 0:
+                if n not in compiled:
+                    compiled[n] = dynatomic(n, config).phi.horner(ctx.ring)
+                found += [y for y in g if compiled[n]({"c": c, "x": y}) == 0]
+        return found
 
     level = {v: i for i, v in enumerate(model.variables)}
     checks: list[list] = [[] for _ in model.variables]
@@ -452,23 +467,14 @@ def _count_by_orbit_types(
         values = {"c": c}
         if not all(check(values) for check in checks[0]):
             continue
-        cycles = [g for g in successor_cycles(succ) if any(n % len(g) == 0 for n in periods)]
-        layers = [[(y, len(g)) for g in cycles for y in g]]
-        if reach:  # a cycle point's other square root lies off the cycle
-            layers.append([
-                (u, len(g)) for g in cycles for i, y in enumerate(g)
-                for u in roots[sub(y, c)] if u != g[i - 1]
-            ])
-        for _ in range(1, reach):
-            layers.append([(u, d) for y, d in layers[-1] for u in roots[sub(y, c)]])
-        found = {
-            (m, n): [
-                y for j in range(m + 1) for y, d in layers[j]
-                if n % d == 0 and (j == m and d == n or is_root((m, n), c, y))
-            ]
-            for m, n in equation_of
-        }
-        lists = [found[t] for t in types]
+        cycles = successor_cycles(succ)
+        periodic = {n: phi_roots(n, c, cycles) for n in periods}
+        lists = []
+        for m, n in types:
+            ys = [neg(y) for y in periodic[n]] if m else periodic[n]
+            for _ in range(m - 1):
+                ys = [u for y in ys for u in roots[sub(y, c)]]
+            lists.append(ys)
         if plane:
             (m, n), = types
             certified = set()

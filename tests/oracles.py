@@ -19,9 +19,10 @@ closures are checked.
 arithmetic_full_system builds the full model's system by MultiPoly
 arithmetic, against which the library's term-by-term construction is checked.
 quotient_generalized_dynatomic builds Phi_{m,n} by the one big division of
-its definition, against which the library's composition form is checked;
-its compositions go through oracle_compose, Horner in x with the packed
-engine's products, which shares no code with the library's Taylor shifts.
+its definition, and is now the only route to Phi_{m,n} that divides: the
+library's Phi_n(c, -f^(m-1)(x)) is checked against it.  Its compositions go
+through oracle_compose, Horner in x with the packed engine's products,
+which shares no code with the library's Taylor shifts.
 """
 
 from fractions import Fraction

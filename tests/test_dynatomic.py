@@ -174,26 +174,24 @@ def test_generalized_dynatomic_8_2_matches_recorded_oracle():
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_generalized_dynatomic_divides_once(monkeypatch, n):
-    """Besides building Phi_n, Phi_{m,n} makes one exact division, whose
-    dividend has x-degree 2*D1(n) whatever m is."""
-    dividends = []
-    real = pk.cx_divexact
+    """Once Phi_n is built, Phi_{m,n} = Phi_n(c, -f^(m-1)(x)) makes no
+    exact division at all."""
+    divisions = []
 
-    def spy(N, D, *args):
-        dividends.append(pk.cx_deg_x(N))
-        return real(N, D, *args)
+    def spy(*args):
+        divisions.append(args)
+        raise AssertionError("divided")
 
     dynatomic(n)  # Phi_n is built and cached before the spy goes in
     monkeypatch.setattr(pk, "cx_divexact", spy)
     for m in range(1, 7):
-        dividends.clear()
-        generalized_dynatomic(m, n)
-        assert dividends == [2 * degree_d1(n)], m
+        assert generalized_dynatomic(m, n).degree("x") == degree_d1(n) << (m - 1)
+    assert divisions == []
 
 
 @pytest.mark.parametrize("damage", ["drop the top row", "double the top row"])
 def test_generalized_dynatomic_checks_degree_and_leading_term(monkeypatch, damage):
-    """Composing f^(m-1) into Phi_{1,n} runs after the one division, so the
+    """Composing f^(m-1) into Phi_n(c, -x) is the one composition, so the
     result's x-degree 2^(m-1)*D1(n) and monic leading term are checked."""
     real = pk.cx_compose_f
     calls = []
@@ -201,8 +199,6 @@ def test_generalized_dynatomic_checks_degree_and_leading_term(monkeypatch, damag
     def damaged(A, times):
         out = real(A, times)
         calls.append(times)
-        if len(calls) == 1:  # Phi_n(x^2 + c), the dividend, stays intact
-            return out
         if damage == "drop the top row":
             return out[:-1]
         return out[:-1] + [[2 * v for v in out[-1]]]
@@ -210,39 +206,40 @@ def test_generalized_dynatomic_checks_degree_and_leading_term(monkeypatch, damag
     monkeypatch.setattr(pk, "cx_compose_f", damaged)
     with pytest.raises(NonExactDivision, match=r"\(3, 2\): x-degree"):
         generalized_dynatomic(3, 2)
-    assert calls == [1, 2]
+    assert calls == [2]
 
 
 def test_generalized_dynatomic_composes_without_products(monkeypatch):
-    """Once Phi_n is cached, the only products Phi_{m,n} makes are the
-    re-multiplication check inside its one exact division: both
-    compositions are Taylor shifts, not Horner products with f^(m-1)."""
-    real_mul, real_square, real_div = pk.cx_mul, pk.cx_square, pk.cx_divexact
-    depth, inside, outside = [0], [], []
+    """Once Phi_n is cached, Phi_{m,n} makes no product: negating the odd
+    x-rows and the Taylor shifts of f^(m-1) are moves, shifts and adds."""
+    products = []
 
-    def mul(A, B):
-        (inside if depth[0] else outside).append(1)
-        return real_mul(A, B)
-
-    def divexact(N, D, *args):
-        depth[0] += 1
-        try:
-            return real_div(N, D, *args)
-        finally:
-            depth[0] -= 1
-
-    def square(A):
-        outside.append(1)
-        return real_square(A)
+    def spy(*args):
+        products.append(args)
+        raise AssertionError("multiplied")
 
     dynatomic(3)  # Phi_n is built and cached before the spies go in
-    monkeypatch.setattr(pk, "cx_mul", mul)
-    monkeypatch.setattr(pk, "cx_square", square)
-    monkeypatch.setattr(pk, "cx_divexact", divexact)
+    monkeypatch.setattr(pk, "cx_mul", spy)
+    monkeypatch.setattr(pk, "cx_square", spy)
     for m in range(1, 7):
         generalized_dynatomic(m, 3)
-    assert outside == []
-    assert len(inside) == 6  # one check per division
+    assert products == []
+
+
+def test_phi_n_of_f_splits_into_phi_n_and_its_mirror():
+    """Phi_n(c, x^2 + c) = Phi_n(c, x) * Phi_n(c, -x), so Phi_{1,n} is
+    Phi_n(c, -x): in MultiPoly arithmetic, which shares no code with the
+    packed engine, for n <= 4, and in cx form for n <= 7."""
+    x = MultiPoly.var("x")
+    for n in range(1, 5):
+        phi = dynatomic(n).phi
+        mirror = phi.substitute("x", -x)
+        assert phi.substitute("x", iterate_fc(1)) == phi * mirror, n
+        assert generalized_dynatomic(1, n) == mirror, n
+    for n in range(1, 8):
+        phi = dyn.dynatomic_cx(n)
+        mirror = [[-v for v in s] if i % 2 and s else s for i, s in enumerate(phi)]
+        assert pk.cx_eq(pk.cx_compose_f(phi, 1), pk.cx_mul(phi, mirror)), n
 
 
 def test_degree_report_values():

@@ -18,7 +18,8 @@ from dynw.errors import (
 )
 from dynw.config import RunConfig
 from dynw.dynatomic import dynatomic
-from dynw.ff import FFContext, FFElement
+from dynw import ff
+from dynw.ff import FFContext, FFElement, poly_mod, poly_mul
 from dynw.multipoly import MultiPoly
 from dynw.rational import parse_rational
 
@@ -264,6 +265,26 @@ def test_every_code_is_fixed_by_the_q_power():
     assert ctx.q == 8
     for z in range(ctx.q):
         assert ctx.pow(z, 8) == z
+
+
+def test_poly_powmod_matches_repeated_products(monkeypatch):
+    """f^e mod m against e products reduced one at a time, over F_5 and
+    F_9; square and multiply squares only while bits of e remain, so it
+    makes bit_length(e) - 1 squarings and popcount(e) multiplications."""
+    rng = random.Random(17)
+    for ctx in (FFContext(5), FFContext(3, 2)):
+        for _ in range(3):
+            m = [rng.randrange(ctx.q) for _ in range(3)] + [rng.randrange(1, ctx.q)]
+            f = [rng.randrange(ctx.q) for _ in range(5)]
+            want = [1]
+            for e in range(41):
+                products = []
+                with monkeypatch.context() as patch:
+                    patch.setattr(ff, "poly_mul", lambda a, b, F: products.append(1) or poly_mul(a, b, F))
+                    got = ff.poly_powmod(f, e, m, ctx)
+                assert got == want, (ctx.q, m, f, e)
+                assert len(products) == max(e.bit_length() - 1, 0) + bin(e).count("1"), e
+                want = poly_mod(poly_mul(want, f, ctx), m, ctx)
 
 
 def test_ff_modulus_validation():

@@ -12,6 +12,7 @@ from oracles import TupleElement, TupleField, brute_counts, brute_solutions, gen
 from dynw import fflab
 from dynw.catalog import generic_entries, lookup
 from dynw.config import RunConfig
+from dynw.dynatomic import dynatomic
 from dynw.errors import BudgetExceeded
 from dynw.ff import FFContext
 from dynw.fflab import (
@@ -262,6 +263,49 @@ def test_only_candidates_off_the_orbit_type_are_evaluated(monkeypatch):
     assert all(ctx.add(ctx.mul(v["x"], v["x"]), v["c"]) == v["x"] for v in evaluated)
 
 
+def test_only_phi_n_is_evaluated_and_only_at_points_of_smaller_period(monkeypatch):
+    """The roots of Phi_{m,n}, m >= 1, are walked back from the negated
+    roots of Phi_n with no evaluation; Phi_n itself is evaluated only at
+    cycle points whose period is a proper divisor of n."""
+    models = [reduced_model(e.portrait) for e in generic_entries() if e.portrait.n]
+    routes = [fflab._reference_route(model) for model in models]
+    cases = [(model, route) for model, route in zip(models, routes) if max(route)[0]]
+    assert len(cases) == 28
+    phis = {dynatomic(n).phi: n for n in range(1, 5)}
+    evaluated = []
+    horner = MultiPoly.horner
+
+    def spy(self, *args):
+        f = horner(self, *args)
+        return lambda values: evaluated.append((self, dict(values))) or f(values)
+
+    monkeypatch.setattr(MultiPoly, "horner", spy)
+    seen = set()
+    for p, k in ((2, 1), (2, 2), (7, 1), (3, 2)):
+        ctx = FFContext(p, k)
+
+        def image(y, c):
+            return ctx.add(ctx.mul(y, y), c)
+
+        for model, route in cases:
+            want = sum(1 for _ in iter_solutions(model, ctx))
+            evaluated.clear()
+            got = fflab._count_by_orbit_types(model, route, ctx, False)
+            assert got == (want, 0), (model.name, p, k)
+            for poly, values in evaluated:
+                if poly in model.inequations:
+                    continue
+                n = phis[poly]
+                assert n in {n for _, n in route}, (model.name, n)
+                c, y = values["c"], values["x"]
+                orbit = [y]
+                for _ in range(n - 1):
+                    orbit.append(image(orbit[-1], c))
+                assert any(n % d == 0 and image(orbit[d - 1], c) == y for d in range(1, n)), values
+                seen.add(n)
+    assert seen == {2, 3, 4}  # Phi_1 has no point to test: 1 has no proper divisor
+
+
 def test_partials_are_evaluated_only_where_the_multiplier_is_one(monkeypatch):
     # every root of Phi_1 has exact period 1 and multiplier 2x, which is 1
     # only at x = 1/2, c = 1/4
@@ -278,6 +322,34 @@ def test_partials_are_evaluated_only_where_the_multiplier_is_one(monkeypatch):
     r = count_points(model, 7)
     assert (r.affine_count, r.nonsingular_count) == (7, 7)
     assert tested == [{"c": ctx.coerce(Fraction(1, 4)), "x": ctx.coerce(Fraction(1, 2))}]
+
+
+def test_cap_on_q_squared_is_checked_before_the_reference_is_rebuilt(monkeypatch):
+    """q^min(2, free variables) bounds every route, so a field with q^2
+    over the cap is refused before Phi_n or a reduced model is rebuilt;
+    below it, the exact cap still names q^(free variables)."""
+    models = [
+        model_from_json(model_to_json(model))
+        for model in (
+            plane_model(3),
+            multi_level_model((3, 3)),
+            reduced_model(lookup("8(2)a").portrait),
+            full_model(lookup("8(2,1,1)").portrait),
+        )
+    ]
+
+    def not_rebuilt(*args, **kwargs):
+        raise AssertionError("rebuilt the reference")
+
+    with monkeypatch.context() as patch:
+        for name in ("plane_model", "multi_level_model", "reduced_model", "full_system"):
+            patch.setattr(fflab, name, not_rebuilt)
+        for model in models:
+            with pytest.raises(BudgetExceeded, match=r"^q\^2 = 10000600009 exceeds enumeration cap"):
+                count_points(model, 100003)
+    for model in models[1:3]:  # three variables, two of them free points
+        with pytest.raises(BudgetExceeded, match=r"^q\^3 = 1027243729 exceeds enumeration cap"):
+            count_points(model, 1009)
 
 
 def test_every_provenance_counts_without_the_solver(monkeypatch):
