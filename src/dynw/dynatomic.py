@@ -81,7 +81,7 @@ def branch_count(n: int) -> int:
 
 
 def _cx_to_multipoly(cx: list) -> MultiPoly:
-    terms = {e: Fraction(c) for e, c in pk.cx_to_terms(cx).items()}
+    terms = pk.cx_to_terms(cx)
     if any(ec for ec, _ in terms) and any(ex for _, ex in terms):  # both used
         return MultiPoly._normalized((VAR_C, VAR_X), terms)
     return MultiPoly((VAR_C, VAR_X), terms)

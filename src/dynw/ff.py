@@ -122,9 +122,10 @@ class FFContext:
 
     add, sub, neg, mul, inv and pow act on codes.  `ring` carries the
     operations MultiPoly.horner evaluates with: over a prime field it
-    evaluates over Z and reduces once mod p, which is exact.  An extension
-    field must fit the enumeration cap, q <= config.enumeration_cap,
-    because it keeps tables of about q entries.
+    reduces each power mod p as it forms it, evaluates the rest over Z and
+    reduces once mod p, which is exact.  An extension field must fit the
+    enumeration cap, q <= config.enumeration_cap, because it keeps tables
+    of about q entries.
     """
 
     __slots__ = ("p", "k", "q", "modulus", "ring", "_exp", "_log", "_zech")
@@ -148,7 +149,7 @@ class FFContext:
                 raise ValueError("modulus is reducible")
         self.modulus = modulus
         if k == 1:
-            self.ring = Ring(self.coerce, operator.add, operator.mul, operator.pow, p)
+            self.ring = Ring(self.coerce, operator.add, operator.mul, self.pow, p)
         else:
             self._build_tables()
             self.ring = Ring(self.coerce, self.add, self.mul, self.pow)

@@ -160,13 +160,19 @@ def count_points(
     iter_solutions.  Every count but the full one holds q^(free variables)
     to the cap.  q^min(2, free variables), a bound for every route, is
     checked before the model's reference is rebuilt, and the exact cap
-    before the field is built.  For two-variable models other than full
-    ones the report also carries the count of solutions where some partial
-    derivative is nonzero (nonsingular_count) and the independent per-x
-    root-counting total (cross_count).
+    before the field is built.  A coefficient whose denominator p divides
+    is refused with ValueError before the reference is rebuilt.  For
+    two-variable models other than full ones the report also carries the
+    count of solutions where some partial derivative is nonzero
+    (nonsingular_count) and the independent per-x root-counting total
+    (cross_count).
     """
     dims = len(model.enumeration_variables())
     check_enumeration_cap(p, min(2, dims), config, k=k)  # a bound for every route
+    for poly in (*model.equations, *model.inequations):
+        for coef in poly.terms.values():
+            if coef.denominator % p == 0:
+                raise ValueError(f"the denominator of coefficient {coef} vanishes mod {p}")
     route = _reference_route(model, config)
     full = isinstance(route, Portrait)
     check_enumeration_cap(p, 2 if full else dims, config, k=k)

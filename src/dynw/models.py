@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .config import RunConfig, DEFAULT
 from .dynatomic import degree_d0, dynatomic, generalized_dynatomic, iterate_fc
@@ -207,26 +206,26 @@ def full_system(P: Portrait) -> tuple[tuple[str, ...], list[MultiPoly], list[Mul
 
 
 # The full system is built from its terms, in MultiPoly's normal form:
-# variables sorted as strings (so x10 comes before x2), coefficients Fractions.
-_ONE, _MINUS_ONE = Fraction(1), Fraction(-1)
+# variables sorted as strings (so x10 comes before x2), and every coefficient
+# an int, as MultiPoly keeps an integral one.
 
 
 def _edge_equation(a: str, b: str) -> MultiPoly:
     """a^2 + c - b; a fixed point a = b gives a^2 - a + c."""
     if a == b:
-        return MultiPoly._normalized(("c", a), {(0, 2): _ONE, (0, 1): _MINUS_ONE, (1, 0): _ONE})
+        return MultiPoly._normalized(("c", a), {(0, 2): 1, (0, 1): -1, (1, 0): 1})
     if a < b:
-        terms = {(0, 2, 0): _ONE, (1, 0, 0): _ONE, (0, 0, 1): _MINUS_ONE}
+        terms = {(0, 2, 0): 1, (1, 0, 0): 1, (0, 0, 1): -1}
         return MultiPoly._normalized(("c", a, b), terms)
-    terms = {(0, 0, 2): _ONE, (1, 0, 0): _ONE, (0, 1, 0): _MINUS_ONE}
+    terms = {(0, 0, 2): 1, (1, 0, 0): 1, (0, 1, 0): -1}
     return MultiPoly._normalized(("c", b, a), terms)
 
 
 def _difference(a: str, b: str) -> MultiPoly:
     """a - b for distinct variables."""
     if a < b:
-        return MultiPoly._normalized((a, b), {(1, 0): _ONE, (0, 1): _MINUS_ONE})
-    return MultiPoly._normalized((b, a), {(0, 1): _ONE, (1, 0): _MINUS_ONE})
+        return MultiPoly._normalized((a, b), {(1, 0): 1, (0, 1): -1})
+    return MultiPoly._normalized((b, a), {(0, 1): 1, (1, 0): -1})
 
 
 # --------------------------------------------------------------- reduced model

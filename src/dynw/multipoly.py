@@ -1,7 +1,9 @@
 """Sparse multivariate polynomials with exact rational coefficients.
 
-A MultiPoly stores a map from exponent vectors to nonzero Rational
-coefficients over an ordered tuple of named variables.  Variables are kept
+A MultiPoly stores a map from exponent vectors to nonzero rational
+coefficients over an ordered tuple of named variables.  A coefficient is an
+int when it is integral and a Fraction with denominator > 1 otherwise, so a
+polynomial over Z, such as Phi_n, holds only ints.  Variables are kept
 sorted by name and pruned to those actually appearing, so two polynomials
 are equal exactly when they are the same polynomial, regardless of how they
 were built.
@@ -18,7 +20,7 @@ rational case with its input checked.
 Text grammar (round-trips with str()):
 
     poly   := term (('+' | '-') term)*
-    term   := [coeff] ('*'? factor)*
+    term   := (coeff | factor) ('*'? (coeff | factor))*
     factor := ident ('^' uint)?
     coeff  := ['-'] uint ('/' uint)?
 """
@@ -43,8 +45,9 @@ def _term_key(exps: tuple[int, ...]) -> tuple:
 
 class Ring(NamedTuple):
     """The scalar operations MultiPoly.horner evaluates with; coerce maps a
-    rational coefficient into the ring.  With a modulus, evaluation runs over
-    Z and reduces the result once, which is exact: Z -> Z/m is a ring map."""
+    rational coefficient into the ring.  With a modulus, power reduces each
+    power mod m as it forms it, the rest runs over Z, and the result is
+    reduced once, which is exact: Z -> Z/m is a ring map."""
 
     coerce: Callable
     add: Callable
@@ -62,23 +65,23 @@ class MultiPoly:
     def __init__(self, variables, terms):
         """Build from an ordered variable tuple and an exponent->coefficient map.
 
-        The input is normalized: coefficients become Fractions, zero
-        coefficients are dropped, variables are sorted by name, and unused
-        variables are pruned.
+        The input is normalized: coefficients become ints when integral and
+        Fractions otherwise, zero coefficients are dropped, variables are
+        sorted by name, and unused variables are pruned.
         """
         variables = tuple(variables)
-        clean: dict[tuple[int, ...], Fraction] = {}
+        clean: dict[tuple[int, ...], int | Fraction] = {}
         for exps, coef in terms.items():
-            coef = Fraction(coef)
-            if coef == 0:
+            coef = coef if type(coef) is int else Fraction(coef)
+            if not coef:
                 continue
             exps = tuple(int(e) for e in exps)
             if len(exps) != len(variables):
                 raise ValueError("exponent vector length does not match variables")
             if any(e < 0 for e in exps):
                 raise ValueError("negative exponent")
-            clean[exps] = clean.get(exps, Fraction(0)) + coef
-        clean = {e: c for e, c in clean.items() if c != 0}
+            clean[exps] = clean.get(exps, 0) + coef
+        clean = {e: c if c.denominator != 1 else c.numerator for e, c in clean.items() if c}
 
         used = [i for i in range(len(variables)) if any(e[i] for e in clean)]
         kept = [variables[i] for i in used]
@@ -93,7 +96,8 @@ class MultiPoly:
     @classmethod
     def _normalized(cls, variables: tuple[str, ...], terms: dict) -> "MultiPoly":
         """Build without normalizing, from input that already is normal:
-        variables sorted and all used, coefficients nonzero Fractions."""
+        variables sorted and all used, coefficients nonzero, each an int
+        when integral and a Fraction with denominator > 1 otherwise."""
         poly = object.__new__(cls)
         poly.variables = variables
         poly.terms = terms
@@ -103,12 +107,11 @@ class MultiPoly:
 
     @staticmethod
     def constant(value) -> "MultiPoly":
-        value = Fraction(value)
-        return MultiPoly((), {(): value} if value else {})
+        return MultiPoly((), {(): value})
 
     @staticmethod
     def var(name: str) -> "MultiPoly":
-        return MultiPoly((name,), {(1,): Fraction(1)})
+        return MultiPoly._normalized((name,), {(1,): 1})
 
     @staticmethod
     def zero() -> "MultiPoly":
@@ -135,7 +138,7 @@ class MultiPoly:
         i = self.variables.index(var)
         return max((e[i] for e in self.terms), default=-1)
 
-    def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
+    def sorted_terms(self) -> list[tuple[tuple[int, ...], int | Fraction]]:
         return sorted(self.terms.items(), key=lambda t: _term_key(t[0]), reverse=True)
 
     # -------------------------------------------------------------- arithmetic
@@ -161,7 +164,7 @@ class MultiPoly:
             return NotImplemented
         variables, a, b = self._align(other)
         for e, c in b.items():
-            a[e] = a.get(e, Fraction(0)) + c
+            a[e] = a.get(e, 0) + c
         return MultiPoly(variables, a)
 
     __radd__ = __add__
@@ -181,12 +184,11 @@ class MultiPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = Fraction(other)
             return MultiPoly(self.variables, {e: c * other for e, c in self.terms.items()})
         if not isinstance(other, MultiPoly):
             return NotImplemented
         variables, a, b = self._align(other)
-        out: dict[tuple[int, ...], Fraction] = {}
+        out: dict[tuple[int, ...], int | Fraction] = {}
         for ea, ca in a.items():
             for eb, cb in b.items():
                 key = tuple(x + y for x, y in zip(ea, eb))
@@ -231,7 +233,7 @@ class MultiPoly:
             if e[i] == 0:
                 continue
             key = e[:i] + (e[i] - 1,) + e[i + 1:]
-            terms[key] = terms.get(key, Fraction(0)) + c * e[i]
+            terms[key] = terms.get(key, 0) + c * e[i]
         return MultiPoly(self.variables, terms)
 
     def rename(self, mapping: dict[str, str]) -> "MultiPoly":
@@ -361,21 +363,14 @@ def _parse_poly(text: str) -> MultiPoly:
     tokens = _tokenize(text)
     if not tokens:
         raise ParseError("empty polynomial")
-    parsed: list[tuple[dict[str, int], Fraction]] = []
+    parsed: list[tuple[dict[str, int], int | Fraction]] = []
     i = 0
     sign = 1
     expecting_term = True
     while i < len(tokens):
         tok = tokens[i]
         if tok in "+-":
-            if expecting_term and tok == "-":
-                sign = -sign
-                i += 1
-                continue
-            if expecting_term:
-                i += 1
-                continue
-            sign = -1 if tok == "-" else 1
+            sign = -sign if tok == "-" else sign
             expecting_term = True
             i += 1
             continue
@@ -386,7 +381,7 @@ def _parse_poly(text: str) -> MultiPoly:
     if expecting_term:
         raise ParseError(f"dangling operator in {text!r}")
     variables = tuple(sorted({v for factors, _ in parsed for v in factors}))
-    terms: dict[tuple[int, ...], Fraction] = {}
+    terms: dict[tuple[int, ...], int | Fraction] = {}
     for factors, coef in parsed:
         exps = tuple(factors.get(v, 0) for v in variables)
         terms[exps] = terms.get(exps, 0) + coef
@@ -395,7 +390,7 @@ def _parse_poly(text: str) -> MultiPoly:
 
 def _parse_term(tokens: list[str], i: int):
     """(factor exponents, coefficient, next token index) of the term at i."""
-    coef = Fraction(1)
+    coef = 1
     factors: dict[str, int] = {}
     saw_factor = False
     while i < len(tokens):
@@ -403,6 +398,9 @@ def _parse_term(tokens: list[str], i: int):
         if tok in "+-":
             break
         if tok == "*":
+            after = tokens[i + 1] if i + 1 < len(tokens) else ""
+            if not saw_factor or not (after.isdigit() or _IDENT.fullmatch(after)):
+                raise ParseError("'*' must stand between two factors")
             i += 1
             continue
         if tok.isdigit():

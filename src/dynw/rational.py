@@ -2,7 +2,9 @@
 
 Rational is the base scalar for every exact computation in the package.  We
 use the standard-library Fraction, which already maintains the normal form
-we need (coprime numerator/denominator, denominator >= 1, zero as 0/1).
+we need (coprime numerator/denominator, denominator >= 1, zero as 0/1).  A
+polynomial coefficient that is integral is kept as an int instead, which
+has the same numerator and denominator, so format_rational prints both.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(num, den)
 
 
-def format_rational(q: Fraction) -> str:
+def format_rational(q: int | Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 

@@ -293,7 +293,7 @@ def poly_exact_divide(numerator: MultiPoly, denominator: MultiPoly) -> MultiPoly
         q_exp = tuple(a - b for a, b in zip(lead, den_lead))
         if any(e < 0 for e in q_exp):
             raise NonExactDivision(f"{denominator} does not divide {numerator}")
-        q_coef = rem[lead] / den_lead_coef
+        q_coef = Fraction(rem[lead], den_lead_coef)
         quot[q_exp] = quot.get(q_exp, Fraction(0)) + q_coef
         for e, c in den_map.items():
             key = tuple(a + b for a, b in zip(q_exp, e))

@@ -478,6 +478,19 @@ def test_malformed_model_file_is_one_error_line(capsys, tmp_path, case):
     )
 
 
+def test_a_denominator_that_vanishes_mod_p_is_one_error_line(capsys, tmp_path):
+    doc = {
+        "schema_version": 1, "name": "half", "provenance": "plane", "variables": ["c", "x"],
+        "free_variables": ["c", "x"], "equations": ["x^2 + 1/2*c - x"], "inequations": [],
+    }
+    path = tmp_path / "half.json"
+    path.write_text(json.dumps(doc))
+    for mode in ((), ("--json",)):
+        assert run(capsys, "ff", "count", "--model", str(path), "--p", "2", *mode) == (
+            1, "", "error: the denominator of coefficient 1/2 vanishes mod 2\n"
+        )
+
+
 def test_check_bounds_refuses_an_empty_range(capsys):
     for n in ("0", "-3"):
         for mode in ((), ("--json",)):

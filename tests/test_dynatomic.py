@@ -242,6 +242,28 @@ def test_phi_n_of_f_splits_into_phi_n_and_its_mirror():
         assert pk.cx_eq(pk.cx_compose_f(phi, 1), pk.cx_mul(phi, mirror)), n
 
 
+def _with_fractions(terms: dict) -> MultiPoly:
+    """The polynomial with a Fraction per term, as MultiPoly once held it."""
+    return MultiPoly._normalized(("c", "x"), {e: Fraction(c) for e, c in terms.items()})
+
+
+def test_dynatomic_polynomials_hold_only_ints():
+    """Phi_n and Phi_{m,n} lie in Z[c, x]: every coefficient is an int, and
+    the polynomial equals, hashes and prints as the one with a Fraction per
+    term, built from the packed form (Phi_n) or from its own terms
+    (Phi_{m,n}, which also equals the quotient oracle)."""
+    cases = [(dynatomic(n).phi, dyn.dynatomic_cx(n)) for n in range(1, 9)]
+    cases += [(generalized_dynatomic(m, n), (m, n)) for m, n in ((1, 3), (2, 2), (3, 1), (3, 4), (4, 3))]
+    for poly, source in cases:
+        assert all(type(c) is int for c in poly.terms.values()), source
+        if isinstance(source, tuple):
+            assert poly == quotient_generalized_dynatomic(*source), source
+            old = _with_fractions(poly.terms)
+        else:
+            old = _with_fractions(pk.cx_to_terms(source))
+        assert poly == old and hash(poly) == hash(old) and str(poly) == str(old), source
+
+
 def test_degree_report_values():
     r = degree_report(3)
     assert (r.D1, r.D0, r.B, r.genus_lb) == (6, 2, 1, Fraction(-1, 2))

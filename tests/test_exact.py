@@ -82,15 +82,15 @@ _NAMES = ("c", "x", "y", "x1", "u_2")
 
 
 @st.composite
-def polys(draw):
+def polys(draw, max_exp=5, max_size=6):
     """A MultiPoly over a subset of _NAMES with small exponents and
     coefficients whose denominators are at most 6."""
     names = draw(st.lists(st.sampled_from(_NAMES), unique=True, max_size=3))
     terms = draw(
         st.dictionaries(
-            st.tuples(*(st.integers(0, 5) for _ in names)),
+            st.tuples(*(st.integers(0, max_exp) for _ in names)),
             st.fractions(-40, 40, max_denominator=6),
-            max_size=6,
+            max_size=max_size,
         )
     )
     return MultiPoly(names, terms)
@@ -140,6 +140,44 @@ def test_rename_matches_construction_from_terms(f, data):
     assert f.rename(mapping) == MultiPoly(renamed, f.terms)
 
 
+def _check_the_coefficient_rule(f):
+    """Every coefficient is an int, or a Fraction with denominator > 1, and
+    f is the polynomial its text parses to, in ==, hash and str."""
+    for coef in f.terms.values():
+        assert type(coef) is int or (type(coef) is Fraction and coef.denominator > 1), f.terms
+    parsed = MultiPoly.parse(str(f))
+    assert parsed == f and hash(parsed) == hash(f) and str(parsed) == str(f)
+    assert {e: type(c) for e, c in parsed.terms.items()} == {e: type(c) for e, c in f.terms.items()}
+
+
+@settings(max_examples=100, deadline=None)
+@given(f=polys(), g=polys(), small=polys(max_exp=2, max_size=3), data=st.data())
+def test_integral_coefficients_are_ints(f, g, small, data):
+    """An integral coefficient is an int and every other one a Fraction
+    with denominator > 1, whichever operation made the polynomial."""
+    var = data.draw(st.sampled_from(_NAMES))
+    k = data.draw(st.integers(0, 3))
+    scalar = data.draw(st.sampled_from((0, 3, -1, Fraction(1, 2), Fraction(-4, 2))))
+    targets = data.draw(st.lists(st.sampled_from(("a", "b", "x", "z9")), unique=True,
+                                 min_size=len(f.variables), max_size=len(f.variables)))
+    for h in (
+        f, MultiPoly.parse(str(f)), f + g, f - g, f * g, f * scalar, scalar * f,
+        f + scalar, scalar - f, f ** k, small ** 3, f.partial(var), f.substitute(var, small),
+        f.rename(dict(zip(f.variables, targets))), f.coefficient_in(var, k),
+        MultiPoly.constant(scalar), MultiPoly.var(var),
+    ):
+        _check_the_coefficient_rule(h)
+
+
+def test_coefficients_are_ints_after_fraction_arithmetic():
+    half = P("1/2*x + 1/2")
+    assert (half * 2).terms == {(1,): 1, (0,): 1}
+    assert all(type(c) is int for c in (half + half).terms.values())
+    assert type(MultiPoly.constant(Fraction(6, 3)).terms[()]) is int
+    assert type(MultiPoly(("x",), {(1,): 2.0}).terms[(1,)]) is int
+    assert MultiPoly.var("x").terms == {(1,): 1}
+
+
 def test_rename_refuses_to_merge_variables():
     with pytest.raises(ValueError, match="duplicate variable names"):
         P("x*y + c").rename({"x": "y"})
@@ -172,6 +210,16 @@ def test_parse_errors():
     for bad in ("", "x +", "1/0", "x^", "x$y"):
         with pytest.raises(ParseError):
             MultiPoly.parse(bad)
+
+
+def test_a_star_stands_between_two_factors():
+    """x**2 once read as 2*x: every '*' was skipped and 2 read as a
+    coefficient.  A '*' not between two factors is now a ParseError."""
+    for bad in ("x**2", "2**x", "x*", "*x", "2*-x", "x*+y", "c*x**3 + 1", "x* * y"):
+        with pytest.raises(ParseError, match="between two factors"):
+            MultiPoly.parse(bad)
+    assert P("2 * x * c") == P("2*c*x") == P("2 c x")
+    assert P("x^2*3/4") == P("3/4*x^2")
 
 
 def test_ring_axioms():
@@ -285,6 +333,23 @@ def test_poly_powmod_matches_repeated_products(monkeypatch):
                 assert got == want, (ctx.q, m, f, e)
                 assert len(products) == max(e.bit_length() - 1, 0) + bin(e).count("1"), e
                 want = poly_mod(poly_mul(want, f, ctx), m, ctx)
+
+
+def test_prime_field_powers_are_reduced_as_they_are_formed():
+    """Horner over F_p reduces each power mod p as it forms it: every power
+    the prime field's ring returns is a code, below p."""
+    ctx = FFContext(7)
+    powers = []
+
+    def power(base, exp):
+        powers.append(ctx.ring.power(base, exp))
+        return powers[-1]
+
+    evaluate = P("x^100 - c + x^3*c^5").horner(ctx.ring._replace(power=power))
+    for x in range(7):
+        for c in range(7):
+            assert evaluate({"x": x, "c": c}) == (x**100 - c + x**3 * c**5) % 7
+    assert powers and all(0 <= value < 7 for value in powers)
 
 
 def test_ff_modulus_validation():

@@ -114,6 +114,19 @@ def test_count_points_matches_brute_oracle():
         assert not r.violations
 
 
+def test_a_denominator_that_vanishes_mod_p_is_refused_before_any_route(monkeypatch):
+    """x^2 + 1/2*c - x has no reduction mod 2: count_points refuses it with
+    one message naming the coefficient and p, before the reference model is
+    rebuilt, at p = 2 and over F_4, and counts it at p = 3."""
+    model = model_from_json(model_to_json(plane_model(1)).replace("x^2 - x + c", "x^2 + 1/2*c - x"))
+    assert str(model.equations[0]) == "x^2 - x + 1/2*c"
+    assert count_points(model, 3).affine_count == 3
+    monkeypatch.setattr(fflab, "_reference_route", lambda *a: pytest.fail("routed"))
+    for k in (1, 2):
+        with pytest.raises(ValueError, match="^the denominator of coefficient 1/2 vanishes mod 2$"):
+            count_points(model, 2, k)
+
+
 _CATALOG_FULL_MODELS = [
     full_model(e.portrait) for e in generic_entries() if 0 < e.portrait.n <= 12
 ]
