@@ -226,7 +226,7 @@ def _cmd_model_multilevel(args, config):
 
 
 def _cmd_model_trace_check(args, config):
-    r = mdl.trace_relation_check(args.p, config)
+    r = fflab.trace_relation_check(args.p, config)
     doc = {"p": r.p, "points": r.points, "violations": [list(v) for v in r.violations]}
     lines = [f"p={r.p} points={r.points} violations={len(r.violations)}"]
     lines += [f"violation at (c,x)=({c0},{x0})" for c0, x0 in r.violations]
@@ -367,7 +367,7 @@ def _reproduce_degrees(config) -> list:
 def _reproduce_trace(config) -> list:
     rows = []
     for p in (5, 7, 11, 13):
-        r = mdl.trace_relation_check(p, config)
+        r = fflab.trace_relation_check(p, config)
         _check(rows, f"trace violations p={p}", 0, len(r.violations))
     return rows
 

@@ -96,6 +96,12 @@ def _is_irreducible(m: list[int], Fp: "FFContext") -> bool:
     return True
 
 
+def require_prime(p: int) -> None:
+    """Raise ValueError when p is not prime, as FFContext(p) does."""
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+
+
 def check_enumeration_cap(q: int, dims: int, config: RunConfig = DEFAULT, k: int = 1) -> None:
     """Raise BudgetExceeded when (q^k)^dims exceeds the enumeration cap, and
     ValueError when k < 1.  Bit lengths bound (q^k)^dims before any power is
@@ -133,8 +139,7 @@ class FFContext:
     def __init__(
         self, p: int, k: int = 1, modulus: tuple | None = None, config: RunConfig = DEFAULT
     ):
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
+        require_prime(p)
         if k != 1:  # k >= 1, and the tables hold about q entries
             check_enumeration_cap(p, 1, config, k=k)
         self.p, self.k, self.q = p, k, p**k

@@ -1,5 +1,6 @@
 """Point counting over F_{p^k}, gonality and cover-degree bound checkers,
-and exhaustive residual period data for z -> z^2 + c.
+the 3-cycle trace check, and exhaustive residual period data for
+z -> z^2 + c.
 
 Counts are affine-model counts; points at infinity and singular-fiber
 corrections are out of scope, so gonality statements derived from them are
@@ -8,14 +9,16 @@ lower bounds computed from (nonsingular) affine points.
 All field arithmetic runs on the int codes of an FFContext, with the
 context's add, mul, neg, sub and inv; elements are the codes in range(q),
 and the only FFElement is max_period_mod's witness, kept for its
-coefficient vector.
+coefficient vector.  Polynomials are evaluated in the compiled Horner form
+of MultiPoly.horner over the context's ring.
 
-Which way a model is counted depends on what it is.  _reference_route
-rebuilds the model its name gives (full:, plane:, multilevel:, reduced:)
-with the caller's config.  Only a model with that reference's variables,
-equations and inequations, whose free variables and steps enumerate each
-solution once, is counted on the functional graph G_c of z -> z^2 + c,
-one fiber c at a time:
+Route rule.  _reference_route rebuilds the model a name gives ("full:P",
+"plane:n", "multilevel:n1,...", "reduced:P") with full_model, plane_model,
+multi_level_model or reduced_model and the caller's config.  A model with
+that reference's variables, equations, inequations, free variables and
+steps is counted on the functional graph G_c of z -> z^2 + c, one fiber c
+at a time; its meta is never read.  Every other model, edited, renamed or
+enumerated another way, is solved by iter_solutions.
 
 * A full model full_model(P): its points are the injective edge-preserving
   maps of P into G_c, found by portraits.map_search, the search that also
@@ -23,34 +26,36 @@ one fiber c at a time:
   the enumeration cap bounds q^2.  max_period_mod walks the same graphs.
 * A plane, multilevel or reduced model: each equation is Phi_{m,n} in one
   point variable, of orbit type (m, n) read off the reference (a plane
-  model is type (0, n)).  The roots of Phi_n in a fiber are the points of
-  its cycles of length d dividing n, since Phi_n divides f^n - x.  A point
-  with d = n is a root with no evaluation: over Z[c], f^n - x is the
-  product of the Phi_d over d | n, and a root of Phi_d with d < n has
-  period dividing d, so in every characteristic only Phi_n can vanish
-  there.  Every other cycle point is tested by evaluating Phi_n, the
-  reference's own, since only a model equal to its reference takes this
-  route.  For m >= 1, Phi_{m,n}(c, x) = Phi_n(c, -f^(m-1)(x)): f is even
-  and permutes the roots b of Phi_n, whose degree is even, so
-  Phi_n(c, f(x)) = prod (x - b)(x + b) = Phi_n(c, x) * Phi_n(c, -x).  The
-  roots of Phi_{m,n} are therefore the negated roots of Phi_n walked back
-  m - 1 times through square roots, with no evaluation.  The tuples of
-  roots are then checked against the model's inequations.  The cap bounds
-  q^(free variables).  In a plane model Phi_n, a root x of exact period n
-  whose cycle has multiplier lambda = 2^n * prod(cycle) != 1 is
-  nonsingular: the x-partial of f^n(x) - x = prod_{d | n} Phi_d(x) is
-  lambda - 1, and at x it equals Phi_n'(x) * prod_{d | n, d < n} Phi_d(x).
-  Both partials are evaluated at every other root.
-* Every other model, edited or renamed, is solved by iter_solutions.
-  Solutions are enumerated in-process over the model's free variables, and
-  each equation, inequation and propagation step is applied at the first
-  enumeration level where its variables are bound, so a failed condition
-  prunes everything below it.  The cap bounds q^(free variables).
+  model is type (0, n)).  Each variable is bound to the roots of its
+  equation in the fiber, by the root rule, and the tuples are checked
+  against the model's inequations.  The cap bounds q^(free variables).  In
+  a plane model Phi_n, a root x of exact period n whose cycle has
+  multiplier lambda = 2^n * prod(cycle) != 1 is nonsingular: the x-partial
+  of f^n(x) - x = prod_{d | n} Phi_d(x) is lambda - 1, and at x it equals
+  Phi_n'(x) * prod_{d | n, d < n} Phi_d(x).  Both partials are evaluated
+  at every other root.
 
-Polynomials are evaluated in the compiled Horner form of MultiPoly.horner
-over the context's ring.  iter_solutions, and the exhaustive enumeration on
-coefficient-tuple arithmetic that checks every condition only on complete
-assignments, are the test oracles of the fiber counts.
+Root rule (_fiber_roots).  The roots of Phi_n in a fiber are the points of
+its cycles of length d dividing n, since Phi_n divides f^n - x.  A point
+with d = n is a root with no evaluation: over Z[c], f^n - x is the product
+of the Phi_d over d | n, and a root of Phi_d with d < n has period dividing
+d, so in every characteristic only Phi_n can vanish there.  Every other
+cycle point is tested by evaluating Phi_n.  For m >= 1,
+Phi_{m,n}(c, x) = Phi_n(c, -f^(m-1)(x)): f is even and permutes the roots
+b of Phi_n, whose degree is even, so
+Phi_n(c, f(x)) = prod (x - b)(x + b) = Phi_n(c, x) * Phi_n(c, -x).  The
+roots of Phi_{m,n} are therefore the negated roots of Phi_n walked back
+m - 1 times through square roots, with no evaluation.  trace_relation_check
+takes the points of Phi_3 from the same rule.
+
+The solver and the orbit-type count share one walk (_plan, _walk): each
+free variable runs over a domain, range(q) for the solver and the roots of
+its equation for the count, and each propagation step, equation and
+inequation runs at the first level where its variables are bound, so a
+failed condition prunes everything below it.  iter_solutions, and the
+exhaustive enumeration on coefficient-tuple arithmetic that checks every
+condition only on complete assignments, are the test oracles of the fiber
+counts.
 
 For plane models the affine count is computed twice, by independent
 strategies: the fiber count (or, for an edited model, the solver), and
@@ -68,8 +73,10 @@ from typing import Iterator
 from .config import RunConfig, DEFAULT
 from .dynatomic import dynatomic
 from .errors import DynwError
-from .ff import FFContext, FFElement, check_enumeration_cap, poly_gcd, poly_powmod, poly_trim
-from .models import CurveModel, full_system, multi_level_model, plane_model, reduced_model
+from .ff import FFContext, FFElement, check_enumeration_cap, require_prime
+from .ff import poly_gcd, poly_powmod, poly_trim
+from .models import CurveModel, full_model, multi_level_model, plane_model, reduced_model
+from .multipoly import MultiPoly
 from .portraits import Portrait, map_search, successor_cycles
 
 
@@ -82,15 +89,24 @@ def iter_solutions(
     """All assignments over F_q satisfying every equation and inequation,
     as dicts from variable names to codes.
 
-    Enumeration runs over the model's free variables, in order; the
+    The walk runs every free variable over range(q), in order; the
     remaining variables are filled in by the recorded propagation steps
-    (forward image x -> x^2 + c and sibling negation).  Each step runs, and
-    each equation and inequation is checked, at the first enumeration level
-    where every variable it reads is bound, so a failed check prunes every
-    assignment below that level.
+    (forward image x -> x^2 + c and sibling negation).
     """
     free = model.enumeration_variables()
     check_enumeration_cap(ctx.q, len(free), config)
+    plan = _plan(model, model.equations, ctx)
+    for values in _walk(plan, [range(ctx.q)] * len(free), ctx):
+        yield dict(values)
+
+
+def _plan(model: CurveModel, equations: list, ctx: FFContext) -> tuple:
+    """(free, steps, checks) of a walk over the model's free variables:
+    steps[i] and checks[i] run once the first i free variables are bound,
+    each at the first level where every variable it reads is bound.  A
+    check is the Horner form of one of the given equations or of one of the
+    model's inequations, with True for an equation."""
+    free = model.enumeration_variables()
     level = {v: i + 1 for i, v in enumerate(free)}
     steps: list[list] = [[] for _ in range(len(free) + 1)]
     for kind, target, source in model.steps:
@@ -98,14 +114,23 @@ def iter_solutions(
         level[target] = max(level[v] for v in reads)
         steps[level[target]].append((kind, target, source))
     checks: list[list] = [[] for _ in range(len(free) + 1)]
-    for is_equation, polys in ((True, model.equations), (False, model.inequations)):
+    for is_equation, polys in ((True, equations), (False, model.inequations)):
         for poly in polys:
             at = max((level[v] for v in poly.variables), default=0)
             checks[at].append((poly.horner(ctx.ring), is_equation))
-    codes = range(ctx.q)
-    add, mul, neg = ctx.add, ctx.mul, ctx.neg
+    return free, steps, checks
 
-    def rec(depth: int, values: dict):
+
+def _walk(plan: tuple, domains: list, ctx: FFContext) -> Iterator[dict]:
+    """The assignments that bind the i-th free variable of the plan to each
+    value of domains[i] in turn, run its steps and pass its checks, pruned
+    at the first failed check.  Each is the walk's one dict, valid until
+    the next is asked for."""
+    free, steps, checks = plan
+    add, mul, neg = ctx.add, ctx.mul, ctx.neg
+    values: dict = {}
+
+    def rec(depth: int):
         for kind, target, source in steps[depth]:
             s = values[source]
             values[target] = add(mul(s, s), values["c"]) if kind == "image" else neg(s)
@@ -113,14 +138,14 @@ def iter_solutions(
             if (poly(values) == 0) != is_equation:
                 return
         if depth == len(free):
-            yield dict(values)
+            yield values
             return
         var = free[depth]
-        for z in codes:
+        for z in domains[depth]:
             values[var] = z
-            yield from rec(depth + 1, values)
+            yield from rec(depth + 1)
 
-    yield from rec(0, {})
+    return rec(0)
 
 
 # --------------------------------------------------------------- point counting
@@ -145,18 +170,12 @@ def count_points(
 ) -> PointCountReport:
     """Count F_{p^k} assignments satisfying the model.
 
-    A model equal to the one its name gives (_reference_route) is counted
-    on the graph of z -> z^2 + c, one fiber c at a time: a full model by
-    the maps of its portrait into the fiber's graph (_count_full), with
-    q^2 held to the enumeration cap; a plane, multilevel or reduced model
-    from the roots of each equation Phi_{m,n} (_count_by_orbit_types).
-    The roots of Phi_n are the fiber's points of period d | n, those with
-    d = n without evaluation, since f^n - x = prod_{d | n} Phi_d and a root
-    of Phi_d has period dividing d; the others are evaluated in Phi_n.  For
-    m >= 1, Phi_{m,n}(c, x) = Phi_n(c, -f^(m-1)(x)), because f is even and
-    permutes the roots b of Phi_n, so Phi_n(c, f(x)) = prod (x - b)(x + b);
-    its roots are the negated roots of Phi_n walked back m - 1 times
-    through square roots.  Edited and renamed models run through
+    A p that is not prime is refused first.  A model equal to the one its
+    name gives is counted one fiber c at a time, by the route rule of the
+    module docstring: a full model by the maps of its portrait into the
+    fiber's graph (_count_full), with q^2 held to the enumeration cap; a
+    plane, multilevel or reduced model from the roots of each equation
+    Phi_{m,n} (_count_by_orbit_types).  Every other model runs through
     iter_solutions.  Every count but the full one holds q^(free variables)
     to the cap.  q^min(2, free variables), a bound for every route, is
     checked before the model's reference is rebuilt, and the exact cap
@@ -167,6 +186,7 @@ def count_points(
     (nonsingular_count) and the independent per-x root-counting total
     (cross_count).
     """
+    require_prime(p)
     dims = len(model.enumeration_variables())
     check_enumeration_cap(p, min(2, dims), config, k=k)  # a bound for every route
     for poly in (*model.equations, *model.inequations):
@@ -286,6 +306,47 @@ def cs_obstruction(query: CSQuery) -> CSReport:
     return CSReport(query=query, bound=bound, inequality_holds=query.g <= bound)
 
 
+# --------------------------------------------------------- trace relation check
+
+
+@dataclass
+class TraceReport:
+    p: int
+    points: int
+    violations: list[tuple[int, int]]
+
+
+def trace_relation_check(p: int, config: RunConfig = DEFAULT) -> TraceReport:
+    """Check the 3-cycle trace invariant at every affine F_p point of the
+    level-3 plane model.
+
+    For a marked point x entering the 3-cycle (x, f(x), f^2(x)), the cycle
+    is classically parametrized by a single quadratic parameter t with
+
+        t^2 - 2*t + 29 + 16*c = 0.
+
+    The parameter is the affine normalization t = -(4*s + 1) of the raw
+    cycle sum s = x + f(x) + f^2(x); the raw sum itself satisfies
+    s^2 + s + c + 2 = 0, and the two statements are equivalent.  The
+    points are the roots of Phi_3 in each fiber, by the root rule; the
+    check evaluates the normalized relation at each and reports the
+    violations in (c, x) order (there should be none at any odd prime).
+    """
+    if p == 2:
+        raise ValueError("the trace normalization degenerates at p = 2")
+    check_enumeration_cap(p, 2, config)
+    ctx = FFContext(p)  # refuses a p that is not prime
+    x, c = MultiPoly.var("x"), MultiPoly.var("c")
+    fx = x * x + c
+    t = -(4 * (x + fx + fx * fx + c) + 1)
+    relation = (t * t - 2 * t + 29 + 16 * c).horner(ctx.ring)
+    points, violations = 0, []
+    for c0, _, (xs,) in _fiber_roots(ctx, ((0, 3),), config):
+        points += len(xs)
+        violations += [(c0, x0) for x0 in xs if relation({"c": c0, "x": x0})]
+    return TraceReport(p=p, points=points, violations=sorted(violations))
+
+
 # --------------------------------------------------------- residual period data
 
 
@@ -345,96 +406,15 @@ def _square_roots(ctx: FFContext) -> list[list[int]]:
     return roots
 
 
-def _reference_route(
-    model: CurveModel, config: RunConfig = DEFAULT
-) -> Portrait | tuple[tuple[int, int], ...] | None:
-    """How count_points counts the model on the graph of z -> z^2 + c.
-
-    The system (variables, equations, inequations) of the model its name
-    gives ("full:P", "plane:n", "multilevel:n1,...", "reduced:P") is
-    rebuilt with the caller's config.  When the model has that system and
-    its free variables and steps enumerate each solution once, the route
-    is the portrait P of a full model, or the orbit type (m, n) of each
-    equation's point variable, in the order of the equations, read off the
-    reference model (a plane model is type (0, n)).  None, the route of
-    the solver, for any other name, any failure to rebuild and any edited
-    model.
-    """
-    kind, _, arg = model.name.partition(":")
-    P = None
-    try:
-        if kind == "full":
-            P = route = Portrait.from_text(arg)
-            system = full_system(P)
-        else:
-            if kind == "plane":
-                reference = plane_model(int(arg), config)
-                route = ((0, int(arg)),)
-            elif kind == "multilevel":
-                reference = multi_level_model(arg.split(","), config)
-                route = tuple((0, n) for n in reference.meta["levels"])
-            elif kind == "reduced":
-                reference = reduced_model(Portrait.from_text(arg), config)
-                types = reference.meta["orbit_types"]
-                route = tuple(tuple(types[str(g)]) for g in reference.meta["generators"])
-            else:
-                return None
-            system = reference.variables, reference.equations, reference.inequations
-    except (DynwError, ValueError):
-        return None
-    if system != (model.variables, model.equations, model.inequations):
-        return None
-    return route if _enumerates_once(model, P) else None
-
-
-def _enumerates_once(model: CurveModel, P: Portrait | None) -> bool:
-    """True when iter_solutions, binding the model's free variables and
-    running its steps, visits each solution of its system once, so a count
-    of the system is the solver's count.  The free variables and the step
-    targets must be the variables, each once, and every step must follow
-    from the system: only full_system(P), with x_i the vertex i, has any.
-    An image step x_j = x_i^2 + c follows from the edge equation of i -> j,
-    and a negation x_j = -x_i from siblings i != j, whose squares are both
-    x_k - c and which are distinct.
-    """
-    targets = [target for _, target, _ in model.steps]
-    if sorted([*model.enumeration_variables(), *targets]) != sorted(model.variables):
-        return False
-    vertex = {f"x{i}": i for i in range(1, P.n + 1)} if P is not None else {}
-    for kind, target, source in model.steps:
-        j, i = vertex.get(target), vertex.get(source)
-        if i is None or j is None:
-            return False
-        if kind == "image" and P.image[i - 1] != j:
-            return False
-        if kind == "negate" and (i == j or P.image[i - 1] != P.image[j - 1]):
-            return False
-    return True
-
-
-def _count_by_orbit_types(
-    model: CurveModel,
-    types: tuple[tuple[int, int], ...],
-    ctx: FFContext,
-    plane: bool,
-    config: RunConfig = DEFAULT,
-) -> tuple[int, int]:
-    """(affine, nonsingular) of a model whose i-th equation is Phi_{m,n}
-    in its (i+1)-th variable, (m, n) = types[i], under the model's own
-    inequations, counted one fiber c at a time; nonsingular is 0 unless
-    the model is a plane one.  The root and nonsingularity rules, with
-    their proofs, are in the module docstring.
-
-    The roots of Phi_n are the points of the fiber's cycles of length d
-    dividing n: those with d = n without evaluation, the others tested in
-    the Horner form of dynatomic(n, config).phi, compiled on first need.
-    The roots of Phi_{m,n}, m >= 1, are their negatives walked back m - 1
-    times through the square roots of y - c.  Tuples of roots are
-    enumerated with each inequation checked at the first variable where it
-    is bound, as in iter_solutions.
-    """
-    names = model.variables[1:]
-    sub, add, mul, neg = ctx.sub, ctx.add, ctx.mul, ctx.neg
+def _fiber_roots(
+    ctx: FFContext, types: tuple[tuple[int, int], ...], config: RunConfig = DEFAULT
+) -> Iterator[tuple[int, list[list[int]], list[list[int]]]]:
+    """(c, cycles, lists) for every code c in order: the cycles of the
+    fiber's graph in successor order, and lists[i] the roots of Phi_{m,n}
+    in the fiber, (m, n) = types[i], by the root rule of the module
+    docstring.  Phi_n is evaluated in the Horner form of
+    dynatomic(n, config).phi, compiled on first need."""
+    sub, neg = ctx.sub, ctx.neg
     roots = _square_roots(ctx)
     periods = {n for _, n in types}
     compiled: dict = {}
@@ -450,29 +430,7 @@ def _count_by_orbit_types(
                 found += [y for y in g if compiled[n]({"c": c, "x": y}) == 0]
         return found
 
-    level = {v: i for i, v in enumerate(model.variables)}
-    checks: list[list] = [[] for _ in model.variables]
-    for poly in model.inequations:
-        checks[max((level[v] for v in poly.variables), default=0)].append(poly.horner(ctx.ring))
-
-    def tuples(i: int, lists: list[list[int]], values: dict) -> int:
-        """The tuples of lists[i:] that pass every inequation, checked
-        where its last variable is bound."""
-        if i == len(names):
-            return 1
-        total = 0
-        for y in lists[i]:
-            values[names[i]] = y
-            if all(check(values) for check in checks[i + 1]):
-                total += tuples(i + 1, lists, values)
-        return total
-
-    nonsingular_at = None
-    affine = nonsingular = 0
     for c, succ in _fiber_successors(ctx):
-        values = {"c": c}
-        if not all(check(values) for check in checks[0]):
-            continue
         cycles = successor_cycles(succ)
         periodic = {n: phi_roots(n, c, cycles) for n in periods}
         lists = []
@@ -481,6 +439,68 @@ def _count_by_orbit_types(
             for _ in range(m - 1):
                 ys = [u for y in ys for u in roots[sub(y, c)]]
             lists.append(ys)
+        yield c, cycles, lists
+
+
+def _reference_route(
+    model: CurveModel, config: RunConfig = DEFAULT
+) -> Portrait | tuple[tuple[int, int], ...] | None:
+    """How count_points counts the model, by the route rule of the module
+    docstring: the portrait P of a full model, or the orbit type (m, n) of
+    each equation's point variable, in the order of the equations, read off
+    the reference (a plane model is type (0, n)).  None, the route of the
+    solver, for any other name, any failure to rebuild and any model that
+    differs from its reference.
+    """
+    kind, _, arg = model.name.partition(":")
+    try:
+        if kind == "full":
+            route = Portrait.from_text(arg)
+            reference = full_model(route)
+        elif kind == "plane":
+            reference = plane_model(int(arg), config)
+            route = ((0, int(arg)),)
+        elif kind == "multilevel":
+            reference = multi_level_model(arg.split(","), config)
+            route = tuple((0, n) for n in reference.meta["levels"])
+        elif kind == "reduced":
+            reference = reduced_model(Portrait.from_text(arg), config)
+            types = reference.meta["orbit_types"]
+            route = tuple(tuple(types[str(g)]) for g in reference.meta["generators"])
+        else:
+            return None
+    except (DynwError, ValueError):
+        return None
+
+    def system(m: CurveModel) -> tuple:
+        return m.variables, m.equations, m.inequations, m.enumeration_variables(), m.steps
+
+    return route if system(model) == system(reference) else None
+
+
+def _count_by_orbit_types(
+    model: CurveModel,
+    types: tuple[tuple[int, int], ...],
+    ctx: FFContext,
+    plane: bool,
+    config: RunConfig = DEFAULT,
+) -> tuple[int, int]:
+    """(affine, nonsingular) of a model whose i-th equation is Phi_{m,n}
+    in its (i+1)-th variable, (m, n) = types[i], under the model's own
+    inequations, counted one fiber c at a time; nonsingular is 0 unless
+    the model is a plane one.
+
+    In each fiber the walk binds c to itself and each point variable to
+    the roots of its equation from _fiber_roots, so it checks only the
+    inequations.  The nonsingularity rule is in the module docstring.
+    """
+    add, mul = ctx.add, ctx.mul
+    plan = _plan(model, [], ctx)
+    name = model.variables[1]
+    nonsingular_at = None
+    affine = nonsingular = 0
+    for c, cycles, lists in _fiber_roots(ctx, types, config):
+        affine += sum(1 for _ in _walk(plan, [[c], *lists], ctx))
         if plane:
             (m, n), = types
             certified = set()
@@ -490,10 +510,9 @@ def _count_by_orbit_types(
             for y in lists[0]:
                 if y not in certified:
                     nonsingular_at = nonsingular_at or _nonsingular_test(model, ctx)
-                    if not nonsingular_at({"c": c, names[0]: y}):
+                    if not nonsingular_at({"c": c, name: y}):
                         continue
                 nonsingular += 1
-        affine += tuples(0, lists, values)
     return affine, nonsingular
 
 

@@ -1,6 +1,6 @@
 """Polynomial-system models of dynamical modular curves.
 
-Three constructions:
+Four constructions:
 
 * full_model(P): one variable per portrait vertex plus c, the N edge
   equations x_i^2 + c = x_j, and all pairwise distinctness inequations.
@@ -11,6 +11,7 @@ Three constructions:
   exclusions within a shared cycle; see reduced_model).
 * multi_level_model(n_1 >= ... >= n_m): the dynatomic equation at each
   level plus orbit-distinctness between equal levels.
+* plane_model(n): Phi_n in the variables (c, x).
 
 Generators are a greedy closure basis: a known vertex propagates forward
 along its edge, and a known vertex reveals its sibling (the second preimage
@@ -25,11 +26,10 @@ Point-variable naming: letters x, y, z, ... are assigned in ascending
 descending order, matching the usual presentation (c, z, y, x) for levels
 (3, 2, 1).
 
-Models are bookkeeping objects for counting and projection only; no
-normalization, genus computation, or projective closure happens here.
-fflab.count_points counts a model that is exactly the one its name gives,
-full, reduced, multilevel or plane, on the graph of z -> z^2 + c, fiber by
-fiber, and solves a model edited by hand with its pruned enumeration.
+Models are bookkeeping objects only: nothing here counts points or
+evaluates over a finite field, and no normalization, genus computation, or
+projective closure happens here.  fflab counts them, fiber by fiber when a
+model is exactly the one its name gives.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from dataclasses import dataclass, field
 from .config import RunConfig, DEFAULT
 from .dynatomic import degree_d0, dynatomic, generalized_dynatomic, iterate_fc
 from .errors import InadmissibleCycleStructure, NotGeneric, ParseError
-from .ff import FFContext, check_enumeration_cap
 from .multipoly import MultiPoly
 from .portraits import Portrait, find_cycles, indegrees, preimages, validate_generic, vertex_depths
 
@@ -173,36 +172,24 @@ def _generator_set(P: Portrait) -> GeneratorSet:
 
 def full_model(P: Portrait) -> CurveModel:
     """The affine model with one variable per vertex: N edge equations
-    x_i^2 + c = x_j and all pairwise distinctness conditions.
-
-    fflab.count_points counts a model that is exactly full_model(P) on the
-    graph of z -> z^2 + c, one fiber in c at a time; see fflab.
+    x_i^2 + c = x_j and all pairwise distinctness conditions.  The
+    generators are free and the rest follow by the closure steps.
     """
-    variables, equations, inequations = full_system(P)
-    names = variables[1:]
-    gens = _generator_set(P)  # full_system has checked that P is generic
+    _require_generic(P)
+    if P.n < 1:
+        raise ValueError("full_model needs at least one vertex")
+    names = [f"x{i}" for i in range(1, P.n + 1)]
+    gens = _generator_set(P)
     return CurveModel(
         name=f"full:{P.to_text()}",
-        variables=variables,
-        equations=equations,
-        inequations=inequations,
+        variables=("c",) + tuple(names),
+        equations=[_edge_equation(names[i - 1], names[j - 1]) for i, j in enumerate(P.image, 1)],
+        inequations=[_difference(a, b) for i, a in enumerate(names) for b in names[i + 1:]],
         provenance="full",
         free_variables=("c",) + tuple(names[g - 1] for g in gens.generators),
         steps=[(s.kind, names[s.vertex - 1], names[s.source - 1]) for s in gens.closure_trace],
         meta={"generators": gens.generators},
     )
-
-
-def full_system(P: Portrait) -> tuple[tuple[str, ...], list[MultiPoly], list[MultiPoly]]:
-    """The variables (c, x1, ..., xN), edge equations and inequations of
-    full_model(P), without its generators."""
-    _require_generic(P)
-    if P.n < 1:
-        raise ValueError("full_model needs at least one vertex")
-    names = [f"x{i}" for i in range(1, P.n + 1)]
-    equations = [_edge_equation(names[i - 1], names[j - 1]) for i, j in enumerate(P.image, 1)]
-    inequations = [_difference(a, b) for i, a in enumerate(names) for b in names[i + 1:]]
-    return ("c",) + tuple(names), equations, inequations
 
 
 # The full system is built from its terms, in MultiPoly's normal form:
@@ -341,61 +328,6 @@ def plane_model(n: int, config: RunConfig = DEFAULT) -> CurveModel:
     )
 
 
-# --------------------------------------------------------- trace relation check
-
-
-@dataclass
-class TraceReport:
-    p: int
-    points: int
-    violations: list[tuple[int, int]]
-
-
-def trace_relation_check(p: int, config: RunConfig = DEFAULT) -> TraceReport:
-    """Check the 3-cycle trace invariant at every affine F_p point of the
-    level-3 plane model.
-
-    For a marked point x entering the 3-cycle (x, f(x), f^2(x)), the cycle
-    is classically parametrized by a single quadratic parameter t with
-
-        t^2 - 2*t + 29 + 16*c = 0.
-
-    The parameter is the affine normalization t = -(4*s + 1) of the raw
-    cycle sum s = x + f(x) + f^2(x); the raw sum itself satisfies
-    s^2 + s + c + 2 = 0, and the two statements are equivalent.  The check
-    evaluates the normalized relation at every solution and reports
-    violations (there should be none at any odd prime).
-    """
-    if p == 2:
-        raise ValueError("the trace normalization degenerates at p = 2")
-    check_enumeration_cap(p, 2, config)
-    ctx = FFContext(p)  # refuses a p that is not prime
-    phi3 = dynatomic(3, config).phi
-    # Phi_3 by Horner's rule in x over Z, its coefficients in c evaluated
-    # on codes, highest degree first; one reduction mod p is exact
-    coeff_polys = [
-        phi3.coefficient_in("x", i).horner(ctx.ring) for i in range(phi3.degree("x"), -1, -1)
-    ]
-    points = 0
-    violations = []
-    for c0 in range(p):
-        coeffs = [poly({"c": c0}) for poly in coeff_polys]
-        for x0 in range(p):
-            acc = 0
-            for a in coeffs:
-                acc = acc * x0 + a
-            if acc % p:
-                continue
-            points += 1
-            fx = (x0 * x0 + c0) % p
-            f2x = (fx * fx + c0) % p
-            s = (x0 + fx + f2x) % p
-            t = (-(4 * s + 1)) % p
-            if (t * t - 2 * t + 29 + 16 * c0) % p:
-                violations.append((c0, x0))
-    return TraceReport(p=p, points=points, violations=violations)
-
-
 # ------------------------------------------------------------------------ JSON
 
 SCHEMA_VERSION = 1
@@ -430,10 +362,10 @@ def _strings(doc: dict, key: str) -> list[str]:
 
 def model_from_json(text: str) -> CurveModel:
     """The model of a JSON document, checked before it is used: one
-    ParseError names the field that is malformed or names an undeclared
-    variable, a variable read or left unbound, or a step that writes a bound
-    variable.  A variable is bound when it is free or the target of an
-    earlier step."""
+    ParseError names the field that is malformed, repeats a variable or
+    names an undeclared one, a variable read or left unbound, or a step that
+    writes a bound variable.  A variable is bound when it is free or the
+    target of an earlier step."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -442,6 +374,10 @@ def model_from_json(text: str) -> CurveModel:
         raise ParseError("model JSON must be an object")
     variables = tuple(_strings(doc, "variables"))
     free = tuple(_strings(doc, "free_variables")) if "free_variables" in doc else None
+    for key, names in (("variables", variables), ("free_variables", free or ())):
+        for i, v in enumerate(names):
+            if v in names[:i]:
+                raise ParseError(f"model JSON field {key!r} repeats variable {v!r}")
     steps = doc.get("steps", [])
     if not isinstance(steps, list) or not all(
         isinstance(s, list) and len(s) == 3 and s[0] in ("image", "negate") for s in steps

@@ -456,10 +456,20 @@ def minimal_extensions(P: Portrait, B: int) -> list[Portrait]:
     """All generic classes P' strictly containing P with no generic class
     strictly between, and no cycle longer than B.
 
-    Candidates come from the two growth moves (attach one preimage pair, or
-    adjoin a new minimally-decorated cycle of length <= B, where a first
-    fixed point brings its required twin along); each candidate is then
-    checked against an exhaustive search for intermediate classes.
+    They are the candidates of the two growth moves, with no search:
+    attach one preimage pair, or adjoin a block K, a new
+    minimally-decorated cycle of length L <= B (a first fixed point brings
+    its required twin along).  No generic Q lies strictly between P and a
+    candidate:
+
+    * an attached pair gives |P| + 2 vertices, and generic portraits have
+      even size;
+    * let P < Q < P + K.  An embedding sends components to distinct
+      components with equal cycle lengths.  If Q has the cycles of P + K,
+      the cycles that P's image misses need their own tails, so
+      |Q| >= |P| + |K|.  Otherwise Q has P's cycles (one fixed point alone
+      is not generic), so it misses K's component with its L-cycle (both
+      fixed-point components when L = 1) and |Q| <= |P|.
     """
     if B < 1:
         raise ValueError("cycle bound B must be >= 1")
@@ -485,36 +495,4 @@ def minimal_extensions(P: Portrait, B: int) -> list[Portrait]:
             block = minimal_portrait(CycleStructure.of([length]))
         grown = canonical_form(disjoint_union(P, block))
         candidates[grown.image] = grown
-
-    results = []
-    for cand in candidates.values():
-        if not _has_intermediate(P, cand):
-            results.append(cand)
-    return sorted(results, key=lambda p: (p.n, p.image))
-
-
-def _sub_multisets(extra: list[int]):
-    seen = set()
-    for mask in range(1 << len(extra)):
-        subset = tuple(sorted((extra[i] for i in range(len(extra)) if mask >> i & 1), reverse=True))
-        if subset not in seen:
-            seen.add(subset)
-            yield subset
-
-
-def _has_intermediate(P: Portrait, Pp: Portrait) -> bool:
-    """Exhaustive search for a generic Q with P strictly inside Q strictly inside Pp."""
-    sig_p = list(cycle_structure(P).lengths)
-    sig_pp = list(cycle_structure(Pp).lengths)
-    extra = list(sig_pp)
-    for l in sig_p:
-        extra.remove(l)
-    for size in range(P.n + 2, Pp.n, 2):
-        for subset in _sub_multisets(extra):
-            sigma = CycleStructure.of(sig_p + list(subset))
-            if not sigma.admissible():
-                continue
-            for Q in enumerate_generic(size, sigma):
-                if embeddings(P, Q) and embeddings(Q, Pp):
-                    return True
-    return False
+    return sorted(candidates.values(), key=lambda p: (p.n, p.image))

@@ -18,6 +18,9 @@ known set afresh for every candidate, against which the library's per-vertex
 closures are checked.
 arithmetic_full_system builds the full model's system by MultiPoly
 arithmetic, against which the library's term-by-term construction is checked.
+has_intermediate searches every generic class of every size between two
+portraits, against which minimal_extensions, which returns its candidates
+unsearched, is checked; it uses the library's enumeration and embeddings.
 quotient_generalized_dynatomic builds Phi_{m,n} by the one big division of
 its definition, and is now the only route to Phi_{m,n} that divides: the
 library's Phi_n(c, -f^(m-1)(x)) is checked against it.  Its compositions go
@@ -26,7 +29,7 @@ which shares no code with the library's Taylor shifts.
 """
 
 from fractions import Fraction
-from itertools import combinations_with_replacement, permutations, product
+from itertools import combinations, combinations_with_replacement, permutations, product
 from math import gcd
 
 from dynw import _packed as pk
@@ -39,6 +42,8 @@ from dynw.multipoly import MultiPoly, _term_key
 from dynw.portraits import (
     CycleStructure,
     Portrait,
+    cycle_structure,
+    embeddings,
     enumerate_generic,
     find_cycles,
     preimages,
@@ -63,6 +68,25 @@ def generic_classes(max_n: int) -> list[Portrait]:
         for n in range(2, max_n + 1, 2)
         for P in enumerate_generic(n, sigma)
     ]
+
+
+def has_intermediate(P: Portrait, Q: Portrait) -> bool:
+    """Whether a generic class R with P < R < Q exists: every generic class
+    of each even size strictly between, whose cycles are P's plus a
+    sub-multiset of those Q adds, is tried for P embedding in R and R in Q."""
+    base = list(cycle_structure(P).lengths)
+    extra = list(cycle_structure(Q).lengths)
+    for length in base:
+        extra.remove(length)
+    subsets = {tuple(c) for r in range(len(extra) + 1) for c in combinations(extra, r)}
+    for size in range(P.n + 2, Q.n, 2):
+        for subset in sorted(subsets):
+            sigma = CycleStructure.of(base + list(subset))
+            if sigma.admissible() and any(
+                embeddings(P, R) and embeddings(R, Q) for R in enumerate_generic(size, sigma)
+            ):
+                return True
+    return False
 
 
 def arithmetic_full_system(P: Portrait) -> tuple[list, list]:

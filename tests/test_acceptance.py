@@ -27,8 +27,15 @@ import dynw.dynatomic as dyn
 from dynw.catalog import build_portrait, generic_entries, lookup, L, T3
 from dynw.classify import classify, preperiodic_candidates, orbit, sweep
 from dynw.ff import FFContext
-from dynw.fflab import CSQuery, cs_obstruction, count_points, gonality_lower_bound, iter_solutions
-from dynw.models import full_model, multi_level_model, reduced_model, trace_relation_check
+from dynw.fflab import (
+    CSQuery,
+    cs_obstruction,
+    count_points,
+    gonality_lower_bound,
+    iter_solutions,
+    trace_relation_check,
+)
+from dynw.models import full_model, multi_level_model, reduced_model
 from dynw.portraits import (
     CycleStructure,
     automorphism_group,

@@ -461,6 +461,14 @@ MALFORMED_MODELS = {
         _edit("free_variables", lambda d: d["free_variables"] + ["x2"]),
         "model JSON field 'steps': ['image', 'x2', 'x1'] writes bound 'x2'",
     ),
+    "repeated-variable": (
+        _edit("variables", lambda d: d["variables"] + ["x1"]),
+        "model JSON field 'variables' repeats variable 'x1'",
+    ),
+    "repeated-free-variable": (
+        _edit("free_variables", lambda d: d["free_variables"] + d["free_variables"][-1:]),
+        "model JSON field 'free_variables' repeats variable 'x1'",
+    ),
     "empty-free-variables-with-steps": (
         _edit("free_variables", []),
         "model JSON field 'steps': ['image', 'x2', 'x1'] writes bound 'x2'",
@@ -476,6 +484,46 @@ def test_malformed_model_file_is_one_error_line(capsys, tmp_path, case):
     assert run(capsys, "ff", "count", "--model", str(path), "--p", "5") == (
         1, "", f"error: {message}\n"
     )
+
+
+def test_a_repeated_variable_is_one_error_line_not_a_multiplied_count(capsys, tmp_path):
+    doc = {
+        "schema_version": 1, "name": "twice", "provenance": "plane", "variables": ["c", "x"],
+        "free_variables": ["c", "x"], "equations": ["x^2 + c - x"], "inequations": [],
+    }
+    path = tmp_path / "twice.json"
+    path.write_text(json.dumps(doc))
+    assert run(capsys, "ff", "count", "--model", str(path), "--p", "5") == (
+        0, "model=twice q=5 affine=5 nonsingular=5\n", ""
+    )
+    for key in ("variables", "free_variables"):
+        path.write_text(json.dumps({**doc, key: ["c", "x", "x"]}))
+        assert run(capsys, "ff", "count", "--model", str(path), "--p", "5") == (
+            1, "", f"error: model JSON field '{key}' repeats variable 'x'\n"
+        )
+
+
+def test_a_p_that_is_not_prime_is_refused_first(capsys, monkeypatch, tmp_path):
+    from dynw import fflab
+    from dynw.models import full_model, model_to_json, plane_model
+    from dynw.portraits import Portrait
+
+    files = []
+    for tag, model in (("plane", plane_model(1)), ("full", full_model(Portrait.from_text("4:1,1,3,3")))):
+        files.append(tmp_path / f"{tag}.json")
+        files[-1].write_text(model_to_json(model))
+
+    def not_rebuilt(*args, **kwargs):
+        raise AssertionError("rebuilt the reference")
+
+    for name in ("plane_model", "multi_level_model", "reduced_model", "full_model"):
+        monkeypatch.setattr(fflab, name, not_rebuilt)
+    for path in files:
+        for p in ("0", "1", "4", "-3"):
+            for mode in ((), ("--json",)):
+                assert run(capsys, "ff", "count", "--model", str(path), "--p", p, *mode) == (
+                    1, "", f"error: {p} is not prime\n"
+                ), (path.name, p, mode)
 
 
 def test_a_denominator_that_vanishes_mod_p_is_one_error_line(capsys, tmp_path):

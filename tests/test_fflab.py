@@ -199,6 +199,32 @@ def test_edited_full_models_go_to_the_solver(monkeypatch):
     assert count_points(renamed, 7).affine_count == fiber
 
 
+def test_a_full_model_with_every_variable_free_goes_to_the_solver(monkeypatch):
+    """Free variables and steps are part of the reference: the 4(1,1) full
+    model with every variable free and no steps is solved, not routed."""
+    model = full_model(lookup("4(1,1)").portrait)
+    want = count_points(model, 5).affine_count
+    all_free = model_from_json(model_to_json(model))
+    all_free.free_variables, all_free.steps = all_free.variables, []
+    solver_calls = []
+
+    def spy(*args, **kwargs):
+        solver_calls.append(args[0].name)
+        return iter_solutions(*args, **kwargs)
+
+    monkeypatch.setattr(fflab, "iter_solutions", spy)
+    assert fflab._reference_route(all_free) is None
+    got = count_points(all_free, 5).affine_count
+    assert solver_calls == [model.name]
+    assert got == want == brute_counts(all_free, 5)[0] == brute_counts(model, 5)[0]
+    assert got > 0
+
+
+def test_trace_points_are_the_points_of_the_level_3_plane_model():
+    for p in (3, 5, 7, 11, 13, 31):
+        assert fflab.trace_relation_check(p).points == brute_counts(plane_model(3), p)[0], p
+
+
 _ORBIT_TYPE_MODELS = (
     [plane_model(n) for n in range(1, 7)]
     + [multi_level_model(levels) for levels in ((3, 3), (4, 2, 1), (4, 3))]
@@ -355,7 +381,7 @@ def test_cap_on_q_squared_is_checked_before_the_reference_is_rebuilt(monkeypatch
         raise AssertionError("rebuilt the reference")
 
     with monkeypatch.context() as patch:
-        for name in ("plane_model", "multi_level_model", "reduced_model", "full_system"):
+        for name in ("plane_model", "multi_level_model", "reduced_model", "full_model"):
             patch.setattr(fflab, name, not_rebuilt)
         for model in models:
             with pytest.raises(BudgetExceeded, match=r"^q\^2 = 10000600009 exceeds enumeration cap"):

@@ -1,6 +1,7 @@
 """Curve-model construction and consistency tests."""
 
 import hashlib
+import json
 from dataclasses import replace
 
 import pytest
@@ -10,9 +11,9 @@ from oracles import arithmetic_full_system, generic_classes, oracle_generator_se
 from dynw import models
 from dynw.catalog import generic_entries, lookup
 from dynw.dynatomic import dynatomic, generalized_dynatomic, iterate_fc
-from dynw.errors import InadmissibleCycleStructure, NotGeneric
+from dynw.errors import InadmissibleCycleStructure, NotGeneric, ParseError
 from dynw.ff import FFContext
-from dynw.fflab import count_points, iter_solutions
+from dynw.fflab import count_points, iter_solutions, trace_relation_check
 from dynw.models import (
     fc_power,
     full_model,
@@ -22,7 +23,6 @@ from dynw.models import (
     multi_level_model,
     plane_model,
     reduced_model,
-    trace_relation_check,
 )
 from dynw.multipoly import MultiPoly
 from dynw.portraits import CycleStructure, Portrait, find_cycles, minimal_portrait
@@ -194,6 +194,18 @@ def test_trace_relation():
         trace_relation_check(2)
     with pytest.raises(ValueError):
         trace_relation_check(9)
+
+
+def test_a_repeated_variable_name_is_one_parse_error():
+    doc = {
+        "name": "twice", "variables": ["c", "x"], "free_variables": ["c", "x"],
+        "equations": ["x^2 + c - x"], "inequations": [],
+    }
+    for key in ("variables", "free_variables"):
+        text = json.dumps({**doc, key: ["c", "x", "x"]})
+        with pytest.raises(ParseError, match=f"^model JSON field '{key}' repeats variable 'x'$"):
+            model_from_json(text)
+    assert model_from_json(json.dumps(doc)).variables == ("c", "x")
 
 
 def test_full_solutions_project_to_reduced(sample_primes=(3, 5, 7)):

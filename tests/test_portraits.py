@@ -11,6 +11,7 @@ from oracles import (
     brute_force_automorphism_count,
     brute_force_embeddings,
     generic_classes,
+    has_intermediate,
 )
 
 from dynw.catalog import (
@@ -24,6 +25,7 @@ from dynw import portraits
 from dynw.errors import BudgetExceeded, InadmissibleCycleStructure, NotGeneric, ParseError
 from dynw.portraits import (
     EMPTY,
+    ENUM_BUDGET,
     CycleStructure,
     Portrait,
     automorphism_group,
@@ -243,6 +245,23 @@ def test_minimal_extensions_of_three_cycle():
     assert sorted(match(Q).label for Q in exts) == ["10(3,1,1)", "10(3,2)", "12(3,3)", "8(3)"]
     for Q in exts:
         assert embeddings(base, Q)
+
+
+def test_no_generic_class_lies_between_a_portrait_and_its_minimal_extensions():
+    checked = 0
+    for P in [EMPTY, *generic_classes(12)]:
+        for B in range(1, 9):
+            if P.n + 2 * B > ENUM_BUDGET + 2:
+                with pytest.raises(BudgetExceeded):
+                    minimal_extensions(P, B)
+                continue
+            for Q in minimal_extensions(P, B):
+                assert Q.n > P.n and embeddings(P, Q), (P.to_text(), B, Q.to_text())
+                assert not has_intermediate(P, Q), (P.to_text(), B, Q.to_text())
+                checked += 1
+    assert checked == 1017
+    # the search does find a class between: 4(1,1) lies below 8(2,1,1)
+    assert has_intermediate(EMPTY, lookup("8(2,1,1)").portrait)
 
 
 def test_minimal_extensions_requires_generic():
