@@ -61,7 +61,7 @@ def _load_portrait(arg: str) -> Portrait:
 
 
 def _cmd_dynatomic_poly(args, config):
-    table = dyn.dynatomic(args.n, config)
+    table = dyn.dynatomic(args.n)
     phi = str(table.phi)
     doc = {"n": table.n, "phi": phi, "degree_x": table.degree_x, "degree_c": table.degree_c}
     return doc, [phi], 0
@@ -217,12 +217,12 @@ def _cmd_model_full(args, config):
 
 
 def _cmd_model_reduced(args, config):
-    return _model_report(mdl.reduced_model(_load_portrait(args.portrait), config))
+    return _model_report(mdl.reduced_model(_load_portrait(args.portrait)))
 
 
 def _cmd_model_multilevel(args, config):
     levels = [int(t) for t in args.cycles.strip().strip("()").split(",") if t.strip()]
-    return _model_report(mdl.multi_level_model(levels, config))
+    return _model_report(mdl.multi_level_model(levels))
 
 
 def _cmd_model_trace_check(args, config):
@@ -430,7 +430,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact-arithmetic workbench for preperiodic portraits of x^2 + c.",
     )
     parser.add_argument("--enumeration-cap", type=int, default=None)
-    parser.add_argument("--max-dynatomic-n", type=int, default=None)
     groups = parser.add_subparsers(dest="group", required=True)
 
     def with_json(p):
@@ -552,10 +551,7 @@ def dispatch(argv: list[str]) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        config = from_env(
-            enumeration_cap=args.enumeration_cap,
-            max_dynatomic_n=args.max_dynatomic_n,
-        )
+        config = from_env(enumeration_cap=args.enumeration_cap)
         output_format = os.environ.get("DYNW_OUTPUT_FORMAT", "text")
         if output_format not in _FORMATS:
             raise ValueError(f"output_format must be one of {_FORMATS}")

@@ -17,6 +17,11 @@ Degree bookkeeping (all exact big-integer arithmetic):
     D0(n) = D1(n) / n                        always an integer
     B(n)  = (D1(n) - sum_{k | n, k < n} D1(k) phi(n/k)) / 2
     genus_lb(n) = 1 + B(n)/2 - D0(n)         reported raw, may be negative
+
+Levels above MAX_DYNATOMIC_N = 11, and orbit types wider in x than Phi_11,
+are refused before anything is built: level 11 takes about 40 s and 1.1 GiB,
+and level 12 exhausts a 7 GB machine.  The cap is a constant, not a run
+setting, so every builder of Phi_n, Phi_{m,n} and their models sees one cap.
 """
 
 from __future__ import annotations
@@ -25,13 +30,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _packed as pk
-from .config import RunConfig, DEFAULT
 from .errors import NonExactDivision
 from .multipoly import MultiPoly
 from .rational import divisors_of, factorize
 
 VAR_C = "c"
 VAR_X = "x"
+MAX_DYNATOMIC_N = 11
 
 
 # ------------------------------------------------------- elementary functions
@@ -143,14 +148,12 @@ def _moebius_chain(n: int, primes: list) -> list:
     return pk.cx_divexact(_moebius_chain(n, rest), _moebius_chain(n // p, rest))
 
 
-def dynatomic(n: int, config: RunConfig = DEFAULT) -> DynatomicTable:
+def dynatomic(n: int) -> DynatomicTable:
     """The n-th dynatomic polynomial with its degree bookkeeping."""
     if n < 1:
         raise ValueError("dynatomic level must be >= 1")
-    if n > config.max_dynatomic_n:
-        raise ValueError(
-            f"n = {n} exceeds max_dynatomic_n = {config.max_dynatomic_n}"
-        )
+    if n > MAX_DYNATOMIC_N:
+        raise ValueError(f"n = {n} exceeds max_dynatomic_n = {MAX_DYNATOMIC_N}")
     phi_cx = dynatomic_cx(n)
     d1 = degree_d1(n)
     deg_x = pk.cx_deg_x(phi_cx)
@@ -171,7 +174,7 @@ def product_identity_holds(n: int) -> bool:
     return pk.cx_eq(prod, _fn_minus_x(n))
 
 
-def generalized_dynatomic(m: int, n: int, config: RunConfig = DEFAULT) -> MultiPoly:
+def generalized_dynatomic(m: int, n: int) -> MultiPoly:
     """Dynatomic polynomial of preperiod m and eventual period n.
 
     For m = 0 this is Phi_n; for m >= 1 it is
@@ -185,17 +188,17 @@ def generalized_dynatomic(m: int, n: int, config: RunConfig = DEFAULT) -> MultiP
     (pk.cx_compose_f): A(c, x^2 + c) = Q(c, x^2) with Q(c, y) = A(c, y + c),
     by Horner in y on packed c-rows, shifts and adds only.  The result must
     have x-degree 2^{m-1}*D1(n) and be monic in x; an orbit type wider in x
-    than Phi_{max_dynatomic_n} is refused before anything is built.
+    than Phi_11 (MAX_DYNATOMIC_N) is refused before anything is built.
     """
     if m < 0 or n < 1:
         raise ValueError("need m >= 0 and n >= 1")
-    if n > config.max_dynatomic_n:
-        raise ValueError(f"n = {n} exceeds max_dynatomic_n = {config.max_dynatomic_n}")
-    want, cap = degree_d1(n) << max(m - 1, 0), degree_d1(config.max_dynatomic_n)
+    if n > MAX_DYNATOMIC_N:
+        raise ValueError(f"n = {n} exceeds max_dynatomic_n = {MAX_DYNATOMIC_N}")
+    want, cap = degree_d1(n) << max(m - 1, 0), degree_d1(MAX_DYNATOMIC_N)
     if want > cap:
         raise ValueError(
             f"orbit type ({m}, {n}) has x-degree {want}, more than the {cap} of "
-            f"Phi_{config.max_dynatomic_n} (max_dynatomic_n)"
+            f"Phi_{MAX_DYNATOMIC_N} (max_dynatomic_n)"
         )
     phi = dynatomic_cx(n)
     if m == 0:

@@ -14,10 +14,11 @@ MultiPoly.horner(ctx.ring).  FFElement only pairs a code with its context,
 so that a report such as max_period_mod's witness can print its
 coefficient vector; it has no arithmetic.
 
-The modulus of a context is always verified irreducible at construction (a
-wrong modulus would silently corrupt every point count downstream): a monic
-degree-k polynomial m over F_p is reducible iff it has an irreducible factor
-of degree j <= k/2, iff gcd(m, x^{p^j} - x) is nonconstant for some such j.
+The modulus of a context is the smallest monic irreducible of degree k, so
+no caller can pass a reducible one, which would silently corrupt every point
+count downstream.  The search tests irreducibility: a monic degree-k m over
+F_p is reducible iff it has an irreducible factor of degree j <= k/2, iff
+gcd(m, x^{p^j} - x) is nonconstant for some such j.
 """
 
 from __future__ import annotations
@@ -136,23 +137,13 @@ class FFContext:
 
     __slots__ = ("p", "k", "q", "modulus", "ring", "_exp", "_log", "_zech")
 
-    def __init__(
-        self, p: int, k: int = 1, modulus: tuple | None = None, config: RunConfig = DEFAULT
-    ):
+    def __init__(self, p: int, k: int = 1, config: RunConfig = DEFAULT):
         require_prime(p)
         if k != 1:  # k >= 1, and the tables hold about q entries
             check_enumeration_cap(p, 1, config, k=k)
         self.p, self.k, self.q = p, k, p**k
         self._exp = self._log = self._zech = None
-        if modulus is None:
-            modulus = self._find_modulus()
-        else:
-            modulus = tuple(c % p for c in modulus)
-            if len(modulus) != k + 1 or modulus[-1] != 1:
-                raise ValueError("modulus must be monic of degree k")
-            if not _is_irreducible(list(modulus), FFContext(p)):
-                raise ValueError("modulus is reducible")
-        self.modulus = modulus
+        self.modulus = self._find_modulus()
         if k == 1:
             self.ring = Ring(self.coerce, operator.add, operator.mul, self.pow, p)
         else:

@@ -14,11 +14,12 @@ of MultiPoly.horner over the context's ring.
 
 Route rule.  _reference_route rebuilds the model a name gives ("full:P",
 "plane:n", "multilevel:n1,...", "reduced:P") with full_model, plane_model,
-multi_level_model or reduced_model and the caller's config.  A model with
-that reference's variables, equations, inequations, free variables and
-steps is counted on the functional graph G_c of z -> z^2 + c, one fiber c
-at a time; its meta is never read.  Every other model, edited, renamed or
-enumerated another way, is solved by iter_solutions.
+multi_level_model or reduced_model, unless what the name alone fixes
+already differs.  A model with that reference's variables, equations,
+inequations, free variables and steps is counted on the functional graph
+G_c of z -> z^2 + c, one fiber c at a time; its meta is never read.  Every
+other model, edited, renamed or enumerated another way, is solved by
+iter_solutions.
 
 * A full model full_model(P): its points are the injective edge-preserving
   maps of P into G_c, found by portraits.map_search, the search that also
@@ -71,11 +72,12 @@ from functools import reduce
 from typing import Iterator
 
 from .config import RunConfig, DEFAULT
-from .dynatomic import dynatomic
+from .dynatomic import MAX_DYNATOMIC_N, degree_d1, dynatomic
 from .errors import DynwError
 from .ff import FFContext, FFElement, check_enumeration_cap, require_prime
 from .ff import poly_gcd, poly_powmod, poly_trim
-from .models import CurveModel, full_model, multi_level_model, plane_model, reduced_model
+from .models import CurveModel, full_model, generator_set, multi_level_model, plane_model
+from .models import reduced_model
 from .multipoly import MultiPoly
 from .portraits import Portrait, map_search, successor_cycles
 
@@ -193,7 +195,7 @@ def count_points(
         for coef in poly.terms.values():
             if coef.denominator % p == 0:
                 raise ValueError(f"the denominator of coefficient {coef} vanishes mod {p}")
-    route = _reference_route(model, config)
+    route = _reference_route(model)
     full = isinstance(route, Portrait)
     check_enumeration_cap(p, 2 if full else dims, config, k=k)
     ctx = FFContext(p, k, config=config)
@@ -203,7 +205,7 @@ def count_points(
     if route is None:
         affine, nonsingular = _count_by_solver(model, ctx, config, plane)
     else:
-        affine, nonsingular = _count_by_orbit_types(model, route, ctx, plane, config)
+        affine, nonsingular = _count_by_orbit_types(model, route, ctx, plane)
     report = PointCountReport(
         model_id=model.name,
         q=ctx.q,
@@ -341,7 +343,7 @@ def trace_relation_check(p: int, config: RunConfig = DEFAULT) -> TraceReport:
     t = -(4 * (x + fx + fx * fx + c) + 1)
     relation = (t * t - 2 * t + 29 + 16 * c).horner(ctx.ring)
     points, violations = 0, []
-    for c0, _, (xs,) in _fiber_roots(ctx, ((0, 3),), config):
+    for c0, _, (xs,) in _fiber_roots(ctx, ((0, 3),)):
         points += len(xs)
         violations += [(c0, x0) for x0 in xs if relation({"c": c0, "x": x0})]
     return TraceReport(p=p, points=points, violations=sorted(violations))
@@ -407,13 +409,13 @@ def _square_roots(ctx: FFContext) -> list[list[int]]:
 
 
 def _fiber_roots(
-    ctx: FFContext, types: tuple[tuple[int, int], ...], config: RunConfig = DEFAULT
+    ctx: FFContext, types: tuple[tuple[int, int], ...]
 ) -> Iterator[tuple[int, list[list[int]], list[list[int]]]]:
     """(c, cycles, lists) for every code c in order: the cycles of the
     fiber's graph in successor order, and lists[i] the roots of Phi_{m,n}
     in the fiber, (m, n) = types[i], by the root rule of the module
     docstring.  Phi_n is evaluated in the Horner form of
-    dynatomic(n, config).phi, compiled on first need."""
+    dynatomic(n).phi, compiled on first need."""
     sub, neg = ctx.sub, ctx.neg
     roots = _square_roots(ctx)
     periods = {n for _, n in types}
@@ -426,7 +428,7 @@ def _fiber_roots(
                 found += g
             elif n % len(g) == 0:
                 if n not in compiled:
-                    compiled[n] = dynatomic(n, config).phi.horner(ctx.ring)
+                    compiled[n] = dynatomic(n).phi.horner(ctx.ring)
                 found += [y for y in g if compiled[n]({"c": c, "x": y}) == 0]
         return found
 
@@ -442,29 +444,39 @@ def _fiber_roots(
         yield c, cycles, lists
 
 
-def _reference_route(
-    model: CurveModel, config: RunConfig = DEFAULT
-) -> Portrait | tuple[tuple[int, int], ...] | None:
+def _reference_route(model: CurveModel) -> Portrait | tuple[tuple[int, int], ...] | None:
     """How count_points counts the model, by the route rule of the module
     docstring: the portrait P of a full model, or the orbit type (m, n) of
     each equation's point variable, in the order of the equations, read off
     the reference (a plane model is type (0, n)).  None, the route of the
     solver, for any other name, any failure to rebuild and any model that
-    differs from its reference.
-    """
+    differs from its reference.  What the name alone fixes is compared
+    first: the shape of a full system, the total degree D1(n) of each Phi_n
+    (each level checked against the cap before D1 is formed) and a reduced
+    model's generator count."""
     kind, _, arg = model.name.partition(":")
     try:
         if kind == "full":
             route = Portrait.from_text(arg)
+            n = route.n
+            shape = (len(model.variables), len(model.equations), len(model.inequations))
+            if shape != (n + 1, n, n * (n - 1) // 2):
+                return None
             reference = full_model(route)
-        elif kind == "plane":
-            reference = plane_model(int(arg), config)
-            route = ((0, int(arg)),)
-        elif kind == "multilevel":
-            reference = multi_level_model(arg.split(","), config)
-            route = tuple((0, n) for n in reference.meta["levels"])
+        elif kind in ("plane", "multilevel"):
+            levels = sorted(map(int, arg.split(",") if kind == "multilevel" else [arg]))
+            if not all(0 < n <= MAX_DYNATOMIC_N for n in levels):
+                return None
+            degrees = sorted(max(map(sum, e.terms), default=-1) for e in model.equations)
+            if degrees != sorted(map(degree_d1, levels)):
+                return None
+            reference = plane_model(levels[0]) if kind == "plane" else multi_level_model(levels)
+            route = tuple((0, n) for n in reversed(levels))
         elif kind == "reduced":
-            reference = reduced_model(Portrait.from_text(arg), config)
+            P = Portrait.from_text(arg)
+            if len(model.variables) != len(generator_set(P).generators) + 1:
+                return None
+            reference = reduced_model(P)
             types = reference.meta["orbit_types"]
             route = tuple(tuple(types[str(g)]) for g in reference.meta["generators"])
         else:
@@ -479,11 +491,7 @@ def _reference_route(
 
 
 def _count_by_orbit_types(
-    model: CurveModel,
-    types: tuple[tuple[int, int], ...],
-    ctx: FFContext,
-    plane: bool,
-    config: RunConfig = DEFAULT,
+    model: CurveModel, types: tuple[tuple[int, int], ...], ctx: FFContext, plane: bool
 ) -> tuple[int, int]:
     """(affine, nonsingular) of a model whose i-th equation is Phi_{m,n}
     in its (i+1)-th variable, (m, n) = types[i], under the model's own
@@ -499,7 +507,7 @@ def _count_by_orbit_types(
     name = model.variables[1]
     nonsingular_at = None
     affine = nonsingular = 0
-    for c, cycles, lists in _fiber_roots(ctx, types, config):
+    for c, cycles, lists in _fiber_roots(ctx, types):
         affine += sum(1 for _ in _walk(plan, [[c], *lists], ctx))
         if plane:
             (m, n), = types

@@ -37,7 +37,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .config import RunConfig, DEFAULT
 from .dynatomic import degree_d0, dynatomic, generalized_dynatomic, iterate_fc
 from .errors import InadmissibleCycleStructure, NotGeneric, ParseError
 from .multipoly import MultiPoly
@@ -98,10 +97,10 @@ def _orbit_data(P: Portrait) -> dict[int, tuple[int, int, int]]:
     return {v: (depth[v], len(cycles[entry[v]]), entry[v]) for v in range(1, P.n + 1)}
 
 
-def _propagate(P: Portrait, start) -> tuple[set[int], list[PropagationStep]]:
-    """The closure of the start vertices under forward images and sibling
-    negation, with the steps that derive it: image steps first in each
-    round, then negations, each in increasing order of the source."""
+def _propagate(P: Portrait, start) -> list[PropagationStep]:
+    """The steps that derive the closure of the start vertices under
+    forward images and sibling negation: image steps first in each round,
+    then negations, each in increasing order of the source."""
     pre = preimages(P)
     have = set(start)
     trace: list[PropagationStep] = []
@@ -120,7 +119,7 @@ def _propagate(P: Portrait, start) -> tuple[set[int], list[PropagationStep]]:
                     have.add(u)
                     trace.append(PropagationStep("negate", u, v))
                     progress = True
-    return have, trace
+    return trace
 
 
 def generator_set(P: Portrait) -> GeneratorSet:
@@ -156,15 +155,26 @@ def _generator_set(P: Portrait) -> GeneratorSet:
             return (1, -depth[v], v)
         return (2, v)
 
+    pre = preimages(P)
+
+    def closure(v: int) -> set[int]:
+        """v's forward orbit with every preimage of each orbit vertex's image:
+        a sibling's image and its other siblings are already in that set."""
+        orbit: set[int] = set()
+        while v not in orbit:
+            orbit.add(v)
+            v = P.successor(v)
+        return {u for w in orbit for u in pre[P.successor(w) - 1]}
+
     order = sorted(range(1, P.n + 1), key=tie_key)
-    reach = {v: _propagate(P, [v])[0] for v in order}
+    reach = {v: closure(v) for v in order}
     generators: list[int] = []
     known: set[int] = set()
     while len(known) < P.n:
         best = max((v for v in order if v not in known), key=lambda v: len(reach[v] - known))
         generators.append(best)
         known |= reach[best]
-    return GeneratorSet(generators=generators, closure_trace=_propagate(P, generators)[1])
+    return GeneratorSet(generators=generators, closure_trace=_propagate(P, generators))
 
 
 # ------------------------------------------------------------------ full model
@@ -218,7 +228,7 @@ def _difference(a: str, b: str) -> MultiPoly:
 # --------------------------------------------------------------- reduced model
 
 
-def reduced_model(P: Portrait, config: RunConfig = DEFAULT) -> CurveModel:
+def reduced_model(P: Portrait) -> CurveModel:
     """Generator-reduced model: one dynatomic equation per generator plus
     distinctness inequations between generators of equal eventual period.
 
@@ -245,7 +255,7 @@ def reduced_model(P: Portrait, config: RunConfig = DEFAULT) -> CurveModel:
     variables = ("c",) + tuple(var_of[g] for g in generators)
     equations = []
     for g, m, n, _ in ordered:
-        eq = generalized_dynatomic(m, n, config) if m else dynatomic(n, config).phi
+        eq = generalized_dynatomic(m, n) if m else dynatomic(n).phi
         equations.append(eq.rename({"x": var_of[g]}))
     inequations = []
     for i, (gi, mi, ni, ei) in enumerate(ordered):
@@ -279,7 +289,7 @@ def reduced_model(P: Portrait, config: RunConfig = DEFAULT) -> CurveModel:
 # ------------------------------------------------------------ multilevel model
 
 
-def multi_level_model(n_list, config: RunConfig = DEFAULT) -> CurveModel:
+def multi_level_model(n_list) -> CurveModel:
     """Model for several marked periodic orbits: dynatomic equation at each
     level, plus distinctness from earlier orbits of the same length."""
     levels = sorted((int(n) for n in n_list), reverse=True)
@@ -293,9 +303,7 @@ def multi_level_model(n_list, config: RunConfig = DEFAULT) -> CurveModel:
     by_asc = sorted(range(len(levels)), key=lambda i: (levels[i], i))
     var_of = {idx: _point_var(pos) for pos, idx in enumerate(by_asc)}
     variables = ("c",) + tuple(var_of[i] for i in range(len(levels)))
-    equations = [
-        dynatomic(n, config).phi.rename({"x": var_of[i]}) for i, n in enumerate(levels)
-    ]
+    equations = [dynatomic(n).phi.rename({"x": var_of[i]}) for i, n in enumerate(levels)]
     inequations = []
     for i in range(len(levels)):
         for j in range(i + 1, len(levels)):
@@ -315,9 +323,9 @@ def multi_level_model(n_list, config: RunConfig = DEFAULT) -> CurveModel:
     )
 
 
-def plane_model(n: int, config: RunConfig = DEFAULT) -> CurveModel:
+def plane_model(n: int) -> CurveModel:
     """The plane dynatomic model at level n, in variables (c, x)."""
-    phi = dynatomic(n, config).phi
+    phi = dynatomic(n).phi
     return CurveModel(
         name=f"plane:{n}",
         variables=("c", "x"),

@@ -289,19 +289,23 @@ def test_default_config_refuses_level_12_before_building(capsys, monkeypatch):
 
 
 def test_max_dynatomic_n_above_11_is_refused_up_front(capsys, monkeypatch):
+    # the level cap is a constant: DYNW_MAX_DYNATOMIC_N is not read, and
+    # level 12 is refused before f^n is built
     from dynw import _packed
-    from dynw.config import RunConfig
 
     def no_build(n):
         raise AssertionError("started building f^n")
 
     monkeypatch.setattr(_packed, "fc_iterate", no_build)
-    refusal = (2, "", "error: max_dynatomic_n must be at most 11, got 12\n")
-    assert run(capsys, "--max-dynatomic-n", "12", "dynatomic", "poly", "--n", "12") == refusal
     monkeypatch.setenv("DYNW_MAX_DYNATOMIC_N", "12")
+    refusal = (1, "", "error: n = 12 exceeds max_dynatomic_n = 11\n")
     assert run(capsys, "dynatomic", "poly", "--n", "12") == refusal
-    with pytest.raises(ValueError, match="at most 11"):
-        RunConfig(max_dynatomic_n=12)
+
+
+def test_the_removed_level_cap_flag_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "--max-dynatomic-n", "5", "dynatomic", "poly", "--n", "3")
+    assert (code, out) == (2, "") and err.startswith("usage: dynw")
+    assert "\ndynw: error: " in err
 
 
 def test_domain_error_exit_code(capsys):
@@ -333,11 +337,12 @@ def test_byte_identical_reruns(capsys):
 
 
 def test_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("DYNW_MAX_DYNATOMIC_N", "2")
-    code, _, err = run(capsys, "dynatomic", "poly", "--n", "3")
-    assert code == 1 and "max_dynatomic_n" in err
-    monkeypatch.delenv("DYNW_MAX_DYNATOMIC_N")
-    assert run(capsys, "dynatomic", "poly", "--n", "3")[0] == 0
+    monkeypatch.setenv("DYNW_ENUMERATION_CAP", "10")
+    assert run(capsys, "ff", "max-period", "--p", "5") == (
+        1, "", "error: q^2 = 25 exceeds enumeration cap 10\n"
+    )
+    monkeypatch.delenv("DYNW_ENUMERATION_CAP")
+    assert run(capsys, "ff", "max-period", "--p", "5")[0] == 0
 
 
 def test_oversized_numbers_are_named_not_printed(capsys):

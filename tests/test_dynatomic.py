@@ -11,7 +11,6 @@ from oracles import poly_exact_divide, quotient_generalized_dynatomic
 
 import dynw._packed as pk
 import dynw.dynatomic as dyn
-from dynw.config import RunConfig
 from dynw.dynatomic import (
     asymptotic_genus_check,
     branch_count,
@@ -61,10 +60,15 @@ def test_dynatomic_degree_bookkeeping():
         assert 2 * t.degree_c == degree_d1(n)
 
 
-def test_dynatomic_level_cap():
-    cfg = RunConfig(max_dynatomic_n=3)
-    with pytest.raises(ValueError):
-        dynatomic(4, cfg)
+def test_dynatomic_level_cap(monkeypatch):
+    def no_build(n):
+        raise AssertionError("started building f^n")
+
+    monkeypatch.setattr(pk, "fc_iterate", no_build)
+    monkeypatch.setenv("DYNW_MAX_DYNATOMIC_N", "12")  # not a setting: never read
+    assert dyn.MAX_DYNATOMIC_N == 11
+    with pytest.raises(ValueError, match=r"^n = 12 exceeds max_dynatomic_n = 11$"):
+        dynatomic(12)
     with pytest.raises(ValueError):
         dynatomic(0)
 
@@ -117,18 +121,18 @@ def test_generalized_dynatomic():
 
 
 def test_generalized_dynatomic_refuses_orbit_types_wider_than_the_level_cap(monkeypatch):
-    # x-degree 2^(m-1) D1(n) against D1(max_dynatomic_n): D1(3) = 6, D1(11) = 2046
-    cfg = RunConfig(max_dynatomic_n=3)
-    assert generalized_dynatomic(1, 3, cfg).degree("x") == 6
+    # x-degree 2^(m-1) D1(n) against D1(11) = 2046: D1(2) = 2, D1(10) = 990
     def not_built(*args):
         raise AssertionError("built Phi_n or a composition")
 
     monkeypatch.setattr(dyn, "dynatomic_cx", not_built)
     monkeypatch.setattr(pk, "cx_compose_f", not_built)
-    with pytest.raises(ValueError, match=r"\(2, 3\) has x-degree 12, more than the 6 of Phi_3"):
-        generalized_dynatomic(2, 3, cfg)
-    with pytest.raises(ValueError, match=r"\(11, 2\) has x-degree 2048, more than the 2046"):
-        generalized_dynatomic(11, 2)
+    for (m, n), width in (((11, 2), 2048), ((3, 10), 3960)):
+        with pytest.raises(ValueError, match=(
+            rf"^orbit type \({m}, {n}\) has x-degree {width}, more than the 2046 of "
+            r"Phi_11 \(max_dynatomic_n\)$"
+        )):
+            generalized_dynatomic(m, n)
 
 
 def test_generalized_dynatomic_identity_grid():

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 from oracles import TupleElement, TupleField, brute_counts, brute_solutions, generic_classes
 
+import dynw.dynatomic as dyn
 from dynw import fflab
-from dynw.catalog import generic_entries, lookup
+from dynw.catalog import build_portrait, generic_entries, lookup
 from dynw.config import RunConfig
 from dynw.dynatomic import dynatomic
 from dynw.errors import BudgetExceeded
@@ -218,6 +219,37 @@ def test_a_full_model_with_every_variable_free_goes_to_the_solver(monkeypatch):
     assert solver_calls == [model.name]
     assert got == want == brute_counts(all_free, 5)[0] == brute_counts(model, 5)[0]
     assert got > 0
+
+
+def test_routing_builds_no_reference_the_model_cannot_equal(monkeypatch):
+    """A model file whose shape or degrees differ from what its name fixes
+    goes to the solver without its reference being rebuilt: here the
+    two-variable model x - c under names whose references are Phi_10, a
+    pair Phi_10 and Phi_9, an 802-vertex full system, a three-variable
+    reduced model, and a level whose D1 would have 10^9 bits."""
+    tree = ()
+    for _ in range(399):
+        tree = (tree, ())
+    chain = build_portrait([(2, [tree, ()])])
+    assert chain.n == 802
+    names = [
+        "plane:10", "multilevel:10,9", "plane:1000000000", "multilevel:3,1000000000",
+        f"full:{chain.to_text()}", f"reduced:{lookup('10(3,2)').portrait.to_text()}",
+    ]
+
+    def not_built(*args):
+        raise AssertionError("rebuilt a reference the model cannot equal")
+
+    monkeypatch.setattr(dyn, "dynatomic_cx", not_built)
+    monkeypatch.setattr(fflab, "full_model", not_built)
+    monkeypatch.setattr(fflab, "reduced_model", not_built)
+    line = MultiPoly.parse("x - c")
+    for name in names:
+        model = CurveModel(name, ("c", "x"), [line], [], "plane", ("c", "x"))
+        assert fflab._reference_route(model) is None, name
+        r = count_points(model, 7)
+        assert (r.affine_count, r.nonsingular_count, r.cross_count) == brute_counts(model, 7)
+        assert r.affine_count == 7 and not r.violations
 
 
 def test_trace_points_are_the_points_of_the_level_3_plane_model():
