@@ -58,7 +58,7 @@ def _trim(u: list[int]) -> list[int]:
 
 
 def _bits(u: list[int]) -> int:
-    return max((abs(c).bit_length() for c in u), default=0)
+    return max(max(u, default=0), -min(u, default=0)).bit_length()
 
 
 def _width_for(bits: int) -> int:
@@ -66,39 +66,28 @@ def _width_for(bits: int) -> int:
 
 
 def _pack(u: list[int], W: int) -> int:
-    """Encode sum u[i] * 2^(W*i); a negative slot borrows from the slot
-    above."""
+    """Encode sum u[i] * 2^(W*i) as the packed positive parts minus the
+    packed negative parts; OverflowError when some |u[i]| >= 2^W."""
     nbytes = W // 8
-    mask = (1 << W) - 1
-    parts = []
-    borrow = 0
-    for v in u:
-        v += borrow
-        borrow = -1 if v < 0 else 0
-        parts.append((v & mask).to_bytes(nbytes, "little"))
-    raw = b"".join(parts)
-    packed = int.from_bytes(raw, "little")
-    return packed - (1 << (8 * len(raw))) if borrow else packed
+    zero = bytes(nbytes)
+    pos = b"".join([v.to_bytes(nbytes, "little") if v > 0 else zero for v in u])
+    neg = b"".join([(-v).to_bytes(nbytes, "little") if v < 0 else zero for v in u])
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
 def _slots(packed: int, W: int, nslots: int) -> list[int]:
     """The nslots signed base-2^W digits of packed, each in [-2^(W-1), 2^(W-1)).
 
-    OverflowError when packed does not fit; digits that overflowed their
-    slot are caught by the callers' exactness checks, not here.
+    Each is an unsigned slot of packed plus half a slot in every slot, less
+    that half.  OverflowError when packed does not fit; digits that
+    overflowed their slot are caught by the callers' exactness checks.
     """
     nbytes = W // 8
     half = 1 << (W - 1)
-    raw = packed.to_bytes(nbytes * nslots, "little", signed=True)
-    out = []
-    carry = 0
-    for k in range(0, nbytes * nslots, nbytes):
-        t = int.from_bytes(raw[k : k + nbytes], "little") + carry
-        carry = 1 if t >= half else 0
-        out.append(t - (carry << W))
-    if carry != (packed < 0):
-        raise OverflowError("packed value out of range; slot width too small")
-    return out
+    halves = int.from_bytes((bytes(nbytes - 1) + b"\x80") * nslots, "little")
+    raw = (packed + halves).to_bytes(nbytes * nslots, "little")
+    starts = range(0, len(raw), nbytes)
+    return [int.from_bytes(raw[k : k + nbytes], "little") - half for k in starts]
 
 
 def _unpack(packed: int, W: int) -> list[int]:

@@ -31,23 +31,27 @@ iter_solutions.
   equation in the fiber, by the root rule, and the tuples are checked
   against the model's inequations.  The cap bounds q^(free variables).  In
   a plane model Phi_n, a root x of exact period n whose cycle has
-  multiplier lambda = 2^n * prod(cycle) != 1 is nonsingular: the x-partial
-  of f^n(x) - x = prod_{d | n} Phi_d(x) is lambda - 1, and at x it equals
-  Phi_n'(x) * prod_{d | n, d < n} Phi_d(x).  Both partials are evaluated
-  at every other root.
+  multiplier lambda != 1 (lambda as in the root rule) is nonsingular: the
+  x-partial of f^n(x) - x = prod_{d | n} Phi_d(x) is lambda - 1, and at x
+  it equals Phi_n'(x) * prod_{d | n, d < n} Phi_d(x).  Both partials are
+  evaluated at every other root.
 
 Root rule (_fiber_roots).  The roots of Phi_n in a fiber are the points of
-its cycles of length d dividing n, since Phi_n divides f^n - x.  A point
-with d = n is a root with no evaluation: over Z[c], f^n - x is the product
-of the Phi_d over d | n, and a root of Phi_d with d < n has period dividing
-d, so in every characteristic only Phi_n can vanish there.  Every other
-cycle point is tested by evaluating Phi_n.  For m >= 1,
+its cycles of length d dividing n, since Phi_n divides f^n - x, and the
+formal-period rule (Morton and Silverman 1994, "Rational periodic points of
+rational functions", IMRN) reads them off each cycle's length d and
+multiplier lambda = prod over the cycle of 2y, with no evaluation: a point
+with d = n is a root; one with d < n is a root exactly when lambda != 0,
+the order r of lambda divides n/d, and n/(d*r) is a power of p.  In
+brief: f^(dk) - x has a simple root at the point unless lambda^k = 1, and
+Moebius inversion of f^n - x = prod_{e | n} Phi_e leaves it a root of
+Phi_{dk} exactly for k = 1, r and r*p^e, e >= 1.  For m >= 1,
 Phi_{m,n}(c, x) = Phi_n(c, -f^(m-1)(x)): f is even and permutes the roots
 b of Phi_n, whose degree is even, so
 Phi_n(c, f(x)) = prod (x - b)(x + b) = Phi_n(c, x) * Phi_n(c, -x).  The
 roots of Phi_{m,n} are therefore the negated roots of Phi_n walked back
-m - 1 times through square roots, with no evaluation.  trace_relation_check
-takes the points of Phi_3 from the same rule.
+m - 1 times through square roots.  trace_relation_check takes the points
+of Phi_3 from the same rule.
 
 The solver and the orbit-type count share one walk (_plan, _walk): each
 free variable runs over a domain, range(q) for the solver and the roots of
@@ -72,7 +76,7 @@ from functools import reduce
 from typing import Iterator
 
 from .config import RunConfig, DEFAULT
-from .dynatomic import MAX_DYNATOMIC_N, degree_d1, dynatomic
+from .dynatomic import MAX_DYNATOMIC_N, degree_d1
 from .errors import DynwError
 from .ff import FFContext, FFElement, check_enumeration_cap, require_prime
 from .ff import poly_gcd, poly_powmod, poly_trim
@@ -177,16 +181,19 @@ def count_points(
     module docstring: a full model by the maps of its portrait into the
     fiber's graph (_count_full), with q^2 held to the enumeration cap; a
     plane, multilevel or reduced model from the roots of each equation
-    Phi_{m,n} (_count_by_orbit_types).  Every other model runs through
-    iter_solutions.  Every count but the full one holds q^(free variables)
-    to the cap.  q^min(2, free variables), a bound for every route, is
-    checked before the model's reference is rebuilt, and the exact cap
-    before the field is built.  A coefficient whose denominator p divides
-    is refused with ValueError before the reference is rebuilt.  For
-    two-variable models other than full ones the report also carries the
-    count of solutions where some partial derivative is nonzero
-    (nonsingular_count) and the independent per-x root-counting total
-    (cross_count).
+    Phi_{m,n} (_count_by_orbit_types).  A point of period d | n on a cycle
+    of multiplier lambda is a root of Phi_n when d = n, or when lambda != 0
+    has order r | n/d and n/(d*r) is a power of p: the formal-period rule
+    (Morton and Silverman 1994), with its reason in the module docstring.
+    Every other model runs through iter_solutions.  Every count but the
+    full one holds q^(free variables) to the cap.  q^min(2, free
+    variables), a bound for every route, is checked before the model's
+    reference is rebuilt, and the exact cap before the field is built.  A
+    coefficient whose denominator p divides is refused with ValueError
+    before the reference is rebuilt.  For two-variable models other than
+    full ones the report also carries the count of solutions where some
+    partial derivative is nonzero (nonsingular_count) and the independent
+    per-x root-counting total (cross_count).
     """
     require_prime(p)
     dims = len(model.enumeration_variables())
@@ -410,31 +417,35 @@ def _square_roots(ctx: FFContext) -> list[list[int]]:
 
 def _fiber_roots(
     ctx: FFContext, types: tuple[tuple[int, int], ...]
-) -> Iterator[tuple[int, list[list[int]], list[list[int]]]]:
+) -> Iterator[tuple[int, list[tuple[list[int], int]], list[list[int]]]]:
     """(c, cycles, lists) for every code c in order: the cycles of the
-    fiber's graph in successor order, and lists[i] the roots of Phi_{m,n}
-    in the fiber, (m, n) = types[i], by the root rule of the module
-    docstring.  Phi_n is evaluated in the Horner form of
-    dynatomic(n).phi, compiled on first need."""
-    sub, neg = ctx.sub, ctx.neg
+    fiber's graph whose length divides some n of types, in successor
+    order, each with its multiplier lambda = prod 2y, and lists[i] the
+    roots of Phi_{m,n} in the fiber, (m, n) = types[i].  A point of exact
+    period d | n is a root of Phi_n when d = n, or when lambda != 0, its
+    order r divides n/d and n/(d*r) is a power of p: the formal-period
+    rule (Morton and Silverman 1994) of the module docstring, which
+    evaluates nothing."""
+    add, mul, sub, neg = ctx.add, ctx.mul, ctx.sub, ctx.neg
     roots = _square_roots(ctx)
     periods = {n for _, n in types}
-    compiled: dict = {}
 
-    def phi_roots(n: int, c: int, cycles: list) -> list[int]:
-        found = []
-        for g in cycles:
-            if len(g) == n:
-                found += g
-            elif n % len(g) == 0:
-                if n not in compiled:
-                    compiled[n] = dynatomic(n).phi.horner(ctx.ring)
-                found += [y for y in g if compiled[n]({"c": c, "x": y}) == 0]
-        return found
+    def is_root(n: int, d: int, lam: int) -> bool:
+        if d == n or n % d or not lam:  # period n, or no root at all
+            return d == n
+        k = n // d  # a root when k = r * p^e, r the order of lam
+        r = next((j for j in range(1, k + 1) if k % j == 0 and ctx.pow(lam, j) == 1), k + 1)
+        return any(r * ctx.p**e == k for e in range(k.bit_length()))
 
     for c, succ in _fiber_successors(ctx):
-        cycles = successor_cycles(succ)
-        periodic = {n: phi_roots(n, c, cycles) for n in periods}
+        cycles = [
+            (g, reduce(mul, [add(y, y) for y in g]))
+            for g in successor_cycles(succ)
+            if any(n % len(g) == 0 for n in periods)
+        ]
+        periodic = {
+            n: [y for g, lam in cycles if is_root(n, len(g), lam) for y in g] for n in periods
+        }
         lists = []
         for m, n in types:
             ys = [neg(y) for y in periodic[n]] if m else periodic[n]
@@ -500,9 +511,9 @@ def _count_by_orbit_types(
 
     In each fiber the walk binds c to itself and each point variable to
     the roots of its equation from _fiber_roots, so it checks only the
-    inequations.  The nonsingularity rule is in the module docstring.
+    inequations.  The nonsingularity rule is in the module docstring; it
+    reads the multiplier _fiber_roots gives each cycle.
     """
-    add, mul = ctx.add, ctx.mul
     plan = _plan(model, [], ctx)
     name = model.variables[1]
     nonsingular_at = None
@@ -511,10 +522,7 @@ def _count_by_orbit_types(
         affine += sum(1 for _ in _walk(plan, [[c], *lists], ctx))
         if plane:
             (m, n), = types
-            certified = set()
-            for g in cycles if m == 0 else ():
-                if len(g) == n and reduce(mul, [add(y, y) for y in g]) != 1:
-                    certified.update(g)
+            certified = {y for g, lam in cycles if not m and len(g) == n and lam != 1 for y in g}
             for y in lists[0]:
                 if y not in certified:
                     nonsingular_at = nonsingular_at or _nonsingular_test(model, ctx)

@@ -37,7 +37,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .dynatomic import degree_d0, dynatomic, generalized_dynatomic, iterate_fc
+from .dynatomic import MAX_DYNATOMIC_N, degree_d0, dynatomic, generalized_dynatomic, iterate_fc
 from .errors import InadmissibleCycleStructure, NotGeneric, ParseError
 from .multipoly import MultiPoly
 from .portraits import Portrait, find_cycles, indegrees, preimages, validate_generic, vertex_depths
@@ -295,6 +295,8 @@ def multi_level_model(n_list) -> CurveModel:
     levels = sorted((int(n) for n in n_list), reverse=True)
     if not levels or any(n < 1 for n in levels):
         raise InadmissibleCycleStructure("levels must be positive integers")
+    if levels[0] > MAX_DYNATOMIC_N:  # before D0(n) forms 2^n
+        raise ValueError(f"n = {levels[0]} exceeds max_dynatomic_n = {MAX_DYNATOMIC_N}")
     for n in set(levels):
         if levels.count(n) > degree_d0(n):
             raise InadmissibleCycleStructure(

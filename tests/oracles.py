@@ -26,15 +26,21 @@ its definition, and is now the only route to Phi_{m,n} that divides: the
 library's Phi_n(c, -f^(m-1)(x)) is checked against it.  Its compositions go
 through oracle_compose, Horner in x with the packed engine's products,
 which shares no code with the library's Taylor shifts.
+dynatomic_roots_by_evaluation finds the roots of Phi_n over F_q by
+iterating every point and evaluating Phi_n at those of smaller period,
+against which fflab's formal-period rule, which evaluates nothing, is
+checked.
 """
 
+import operator
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations, combinations_with_replacement, permutations, product
 from math import gcd
 
 from dynw import _packed as pk
 from dynw.config import DEFAULT, RunConfig
-from dynw.dynatomic import _cx_to_multipoly, dynatomic_cx
+from dynw.dynatomic import _cx_to_multipoly, dynatomic, dynatomic_cx
 from dynw.errors import BudgetExceeded, NonExactDivision
 from dynw.ff import FFContext
 from dynw.models import CurveModel
@@ -611,3 +617,60 @@ def brute_counts(model: CurveModel, p: int, k: int = 1) -> tuple:
     if not plane:
         return affine, None, None
     return affine, nonsingular, affine
+
+
+# ------------------------------------------------------ roots of Phi_n over F_q
+
+
+def dynatomic_roots_by_evaluation(n: int, ctx: FFContext) -> tuple[set, list]:
+    """(roots, evaluated): the roots (c, y) of Phi_n over F_q, and
+    (c, y, d, vanishes) for every point y of exact period d, d a proper
+    divisor of n, at which Phi_n was evaluated.
+
+    Each point's exact period comes from iterating z -> z^2 + c from it in
+    the context's arithmetic, with no cycle search.  A point of exact
+    period n is a root unevaluated: over Z[c], f^n - x is the product of
+    the Phi_d over d | n, and Phi_d vanishes only at points of period
+    dividing d.  Every other periodic point of period dividing n is tested
+    by evaluating dynatomic(n).phi, the test fflab made before the
+    formal-period rule replaced it.  Once per fiber that has such a point,
+    each coefficient of x is evaluated at c term by term: its integer
+    coefficients reduced mod p weigh the coefficient vectors of the powers
+    of c, one F_p sum per vector entry.  The polynomial in x that results
+    is evaluated at each point."""
+    p, add, mul = ctx.p, ctx.add, ctx.mul
+    table = dynatomic(n)
+    rows: dict = {}  # x-degree -> ([c-degree], [coefficient mod p])
+    for (ec, ex), coef in table.phi.terms.items():
+        row = rows.setdefault(ex, ([], []))
+        row[0].append(ec)
+        row[1].append(coef % p)
+
+    def coefficients_in_x(c: int) -> list[tuple[int, int]]:
+        power = [1]
+        for _ in range(table.degree_c):
+            power.append(mul(power[-1], c))
+        vectors = [entry.__getitem__ for entry in zip(*map(ctx.digits, power))]
+        return [
+            (ex, sum(sum(map(operator.mul, coefs, map(v, degrees))) % p * p**j
+                     for j, v in enumerate(vectors)))
+            for ex, (degrees, coefs) in rows.items()
+        ]
+
+    roots, evaluated = set(), []
+    for c in range(ctx.q):
+        in_x = None
+        for y in range(ctx.q):
+            z, d = add(mul(y, y), c), 1
+            while z != y and d < n:
+                z, d = add(mul(z, z), c), d + 1
+            if z != y or n % d:
+                continue
+            vanishes = d == n
+            if d < n:
+                in_x = in_x or coefficients_in_x(c)
+                vanishes = reduce(add, [mul(a, ctx.pow(y, ex)) for ex, a in in_x]) == 0
+                evaluated.append((c, y, d, vanishes))
+            if vanishes:
+                roots.add((c, y))
+    return roots, evaluated

@@ -302,6 +302,21 @@ def test_max_dynatomic_n_above_11_is_refused_up_front(capsys, monkeypatch):
     assert run(capsys, "dynatomic", "poly", "--n", "12") == refusal
 
 
+def test_a_multilevel_level_over_the_cap_is_refused_before_d0_is_formed(capsys, monkeypatch):
+    # D0(n) forms 2^n, so the count bound on marked cycles must not run first
+    from dynw import models
+
+    calls = []
+    degree_d0 = models.degree_d0
+    monkeypatch.setattr(models, "degree_d0", lambda n: calls.append(n) or degree_d0(n))
+    refusal = (1, "", "error: n = 100000000 exceeds max_dynatomic_n = 11\n")
+    assert run(capsys, "model", "multilevel", "--cycles", "100000000") == refusal
+    assert run(capsys, "model", "multilevel", "--cycles", "2,100000000,2")[0] == 1
+    assert calls == []
+    code, out, _ = run(capsys, "model", "multilevel", "--cycles", "3,3")
+    assert code == 0 and calls == [3]
+
+
 def test_the_removed_level_cap_flag_is_a_usage_error(capsys):
     code, out, err = run(capsys, "--max-dynatomic-n", "5", "dynatomic", "poly", "--n", "3")
     assert (code, out) == (2, "") and err.startswith("usage: dynw")

@@ -2,18 +2,19 @@
 
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import TupleElement, TupleField, brute_counts, brute_solutions, generic_classes
+from oracles import dynatomic_roots_by_evaluation
 
 import dynw.dynatomic as dyn
 from dynw import fflab
 from dynw.catalog import build_portrait, generic_entries, lookup
 from dynw.config import RunConfig
-from dynw.dynatomic import dynatomic
 from dynw.errors import BudgetExceeded
 from dynw.ff import FFContext
 from dynw.fflab import (
@@ -311,70 +312,69 @@ def test_orbit_types_come_from_the_reference_model():
     assert fflab._reference_route(edited) == route
 
 
-def test_only_candidates_off_the_orbit_type_are_evaluated(monkeypatch):
-    # at c = -3/4 the fixed point x = -1/2 has multiplier -1: it is a root
-    # of Phi_2, found only by evaluating Phi_2 at a candidate of period 1
-    model = plane_model(2)
+@pytest.mark.parametrize("p, k", [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2), (5, 2)])
+def test_formal_period_rule_finds_the_roots_that_evaluating_phi_n_finds(p, k):
+    """For n <= 10, the roots of Phi_n that _fiber_roots reads off each
+    cycle's length and multiplier are exactly the points of exact period n
+    and the points of smaller period d | n where dynatomic(n).phi
+    vanishes.  Every field of the grid has points of multiplier 0, none a
+    root of a Phi_n of higher level; every odd one has roots of smaller
+    period, among them roots where p divides n/d.  In characteristic 2
+    every multiplier is 0."""
+    ctx = FFContext(p, k)
+    smaller = p_divides = zero_multiplier = 0
+    for n in range(1, 11):
+        want, evaluated = dynatomic_roots_by_evaluation(n, ctx)
+        got = {(c, y) for c, _, (ys,) in fflab._fiber_roots(ctx, ((0, n),)) for y in ys}
+        assert got == want, (p, k, n)
+        for c, y, d, vanishes in evaluated:
+            orbit = [y]
+            for _ in range(d - 1):
+                orbit.append(ctx.add(ctx.mul(orbit[-1], orbit[-1]), c))
+            multiplier = reduce(ctx.mul, [ctx.add(z, z) for z in orbit])
+            assert not (vanishes and multiplier == 0)
+            smaller += vanishes
+            p_divides += vanishes and (n // d) % p == 0
+            zero_multiplier += multiplier == 0
+    assert zero_multiplier
+    assert (smaller > 0, p_divides > 0) == ((True, True) if p > 2 else (False, False))
+
+
+def test_the_fixed_point_of_multiplier_minus_one_is_a_root_of_phi_2():
+    # at c = -3/4 the fixed point x = -1/2 has multiplier 2x = -1, of
+    # order 2, so it is a root of Phi_2 (n/d = 2 = r) but not of Phi_3
     ctx = FFContext(7)
     c0, x0 = ctx.coerce(Fraction(-3, 4)), ctx.coerce(Fraction(-1, 2))
-    assert {"c": c0, "x": x0} in list(iter_solutions(model, ctx))
-    evaluated = []
-    horner = MultiPoly.horner
-
-    def spy(self, *args):
-        f = horner(self, *args)
-        if self != model.equations[0]:
-            return f
-        return lambda values: evaluated.append(dict(values)) or f(values)
-
-    monkeypatch.setattr(MultiPoly, "horner", spy)
-    assert count_points(model, 7).affine_count == 7
-    assert {"c": c0, "x": x0} in evaluated
-    # points of exact period 2 are roots with no evaluation
-    assert all(ctx.add(ctx.mul(v["x"], v["x"]), v["c"]) == v["x"] for v in evaluated)
+    fibers = fflab._fiber_roots(ctx, ((0, 1), (0, 2), (0, 3)))
+    (cycles, (fixed, two, three)), = [(cy, lists) for c, cy, lists in fibers if c == c0]
+    assert ([x0], ctx.coerce(-1)) in cycles
+    assert x0 in fixed and x0 in two and x0 not in three
+    assert {"c": c0, "x": x0} in list(iter_solutions(plane_model(2), ctx))
 
 
-def test_only_phi_n_is_evaluated_and_only_at_points_of_smaller_period(monkeypatch):
-    """The roots of Phi_{m,n}, m >= 1, are walked back from the negated
-    roots of Phi_n with no evaluation; Phi_n itself is evaluated only at
-    cycle points whose period is a proper divisor of n."""
+def test_fiber_roots_and_the_trace_check_build_no_dynatomic_polynomial(monkeypatch):
+    """The roots of every Phi_{m,n}, and the trace check's points of Phi_3,
+    come from the cycles alone: with dynatomic and dynatomic_cx patched to
+    raise, the 28 reduced models of generic entries with an m >= 1
+    generator count as the solver counts them, and the trace check runs."""
     models = [reduced_model(e.portrait) for e in generic_entries() if e.portrait.n]
     routes = [fflab._reference_route(model) for model in models]
     cases = [(model, route) for model, route in zip(models, routes) if max(route)[0]]
     assert len(cases) == 28
-    phis = {dynatomic(n).phi: n for n in range(1, 5)}
-    evaluated = []
-    horner = MultiPoly.horner
 
-    def spy(self, *args):
-        f = horner(self, *args)
-        return lambda values: evaluated.append((self, dict(values))) or f(values)
+    def no_build(n):
+        raise AssertionError(f"built Phi_{n}")
 
-    monkeypatch.setattr(MultiPoly, "horner", spy)
-    seen = set()
+    monkeypatch.setattr(dyn, "dynatomic", no_build)
+    monkeypatch.setattr(dyn, "dynatomic_cx", no_build)
     for p, k in ((2, 1), (2, 2), (7, 1), (3, 2)):
         ctx = FFContext(p, k)
-
-        def image(y, c):
-            return ctx.add(ctx.mul(y, y), c)
-
         for model, route in cases:
             want = sum(1 for _ in iter_solutions(model, ctx))
-            evaluated.clear()
-            got = fflab._count_by_orbit_types(model, route, ctx, False)
-            assert got == (want, 0), (model.name, p, k)
-            for poly, values in evaluated:
-                if poly in model.inequations:
-                    continue
-                n = phis[poly]
-                assert n in {n for _, n in route}, (model.name, n)
-                c, y = values["c"], values["x"]
-                orbit = [y]
-                for _ in range(n - 1):
-                    orbit.append(image(orbit[-1], c))
-                assert any(n % d == 0 and image(orbit[d - 1], c) == y for d in range(1, n)), values
-                seen.add(n)
-    assert seen == {2, 3, 4}  # Phi_1 has no point to test: 1 has no proper divisor
+            assert fflab._count_by_orbit_types(model, route, ctx, False) == (want, 0)
+        for _ in fflab._fiber_roots(ctx, tuple((0, n) for n in range(1, 13))):
+            pass
+    assert fflab.trace_relation_check(101) == fflab.TraceReport(p=101, points=99, violations=[])
 
 
 def test_partials_are_evaluated_only_where_the_multiplier_is_one(monkeypatch):

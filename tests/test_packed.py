@@ -44,6 +44,30 @@ def test_pack_round_trip():
         assert pk._unpack(pk._pack(u, W), W) == u
 
 
+def test_slot_codecs_are_exact_or_raise_overflow():
+    """_pack is exact for every |v| < 2^W and raises OverflowError above;
+    _slots gives the signed digits of every value they can hold, the
+    lowest, -2^(W-1) in every slot, included, and raises OverflowError for
+    a value one below or above its range, which _div_packed relies on."""
+    rng = random.Random(11)
+    for W in (8, 16, 64):
+        top, half = (1 << W) - 1, 1 << (W - 1)
+        for _ in range(200):
+            u = [rng.choice((top, -top, half, -half, 0, rng.randint(-top, top))) for _ in range(5)]
+            assert pk._pack(u, W) == sum(v << (W * i) for i, v in enumerate(u))
+        for bad in ([top + 1], [0, -top - 1, 3]):
+            with pytest.raises(OverflowError):
+                pk._pack(bad, W)
+        for n in (1, 3):
+            lowest = sum(-half << (W * i) for i in range(n))
+            highest = sum((half - 1) << (W * i) for i in range(n))
+            assert pk._slots(lowest, W, n) == [-half] * n
+            assert pk._slots(highest, W, n) == [half - 1] * n
+            for beyond in (lowest - 1, highest + 1):
+                with pytest.raises(OverflowError):
+                    pk._slots(beyond, W, n)
+
+
 def test_mul_matches_reference():
     rng = random.Random(2)
     for _ in range(100):
