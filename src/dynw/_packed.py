@@ -27,8 +27,10 @@ model in ``_termwise_is_cheaper`` expects to be faster:
   a number-theoretic transform.  A slot is converted between int and str,
   so a slot wider than the interpreter's digit limit is refused.
 
-Exact division is long division over packed c-rows that applies the
-divisor term by term, verified by re-multiplication.
+Exact division is long division of N(2^W, x) by the x-monic D(2^W, x) over
+Z, on packed c-rows.  A zero remainder proves that E = N - quot*D vanishes
+at c = 2^W, and E = 0 once its coefficients are below 2^W in absolute
+value: its lowest nonzero one would be a nonzero multiple of 2^W.
 
 Composition with f = x^2 + c is a Taylor shift: A(c, x^2 + c) = Q(c, x^2)
 with Q(c, y) = A(c, y + c).  Horner in y on packed c-rows makes each step
@@ -329,12 +331,12 @@ def _product(A: list, B: list) -> list:
 def cx_divexact(N: list, D: list) -> list:
     """Exact quotient N / D for D monic in x; ArithmeticError if not exact.
 
-    Classical long division in (Z[c])[x] over Kronecker-packed c-rows: each
-    quotient row is applied to the remainder term by term of D.  The slot
-    width is a heuristic bound on the intermediate coefficient sizes; the
-    final re-multiplication check makes the result rigorous regardless, and
-    a failed check retries with doubled width before concluding the
-    division is not exact.
+    Classical long division in (Z[c])[x] over Kronecker-packed c-rows, at a
+    heuristic slot width W that N fits in.  A pass with zero remainder is
+    certified (module docstring) when bits(quot) + bits(D) + bits(pairs) + 1
+    < W, pairs being _product's pair bound; otherwise the next pass is at
+    least twice as wide, and twice that sum.  After the third pass an exact
+    quotient several times wider than N and D together is still refused.
     """
     N = cx_trim(N)
     D = cx_trim(D)
@@ -351,12 +353,15 @@ def cx_divexact(N: list, D: list) -> list:
     nc = (cx_deg_c(N) + 1) + (cx_deg_c(D) + 1)
     base_bits = cx_bits(N) + cx_bits(D) + nc.bit_length() + 40
     negated = [(j, l, -v) for j, l, v in _terms(D[:deg_d])]
+    needed = 0
     for attempt in range(3):
-        W = _width_for(base_bits << attempt)
+        W = _width_for(max(base_bits << attempt, 2 * needed))
         quot = _div_packed(N, negated, deg_d, W)
         if quot is None:
             continue
-        if cx_eq(cx_mul(quot, D), N):
+        pairs = min(_nc(quot), _nc(D)) * min(cx_nnz(quot), cx_nnz(D))
+        needed = cx_bits(quot) + cx_bits(D) + pairs.bit_length() + 1
+        if needed < W:
             return quot
     raise ArithmeticError("non-exact division: nonzero remainder")
 

@@ -4,11 +4,11 @@ The n-th dynatomic polynomial is computed by the Moebius product
 
     Phi_n(c, x) = prod_{d | n} (f^d(x) - x)^{mu(n/d)},
 
-organized as a chain of exact divisions (see dynatomic_cx for the staging).
-Every division doubles as a correctness assertion, since a non-exact
-division can only come from a logic error.  The generalized dynatomic
-polynomials need no division: f = x^2 + c is even and permutes the roots
-of Phi_n, so Phi_n(c, f(x)) = Phi_n(c, x) * Phi_n(c, -x) and
+organized as a chain of exact divisions (see dynatomic_cx for the staging),
+each certified with no product and each a correctness assertion, since a
+non-exact division can only come from a logic error.  The generalized
+dynatomic polynomials need no division: f = x^2 + c is even and permutes
+the roots of Phi_n, so Phi_n(c, f(x)) = Phi_n(c, x) * Phi_n(c, -x) and
 Phi_{m,n} = Phi_n(c, -f^(m-1)(x)) (generalized_dynatomic).
 
 Degree bookkeeping (all exact big-integer arithmetic):

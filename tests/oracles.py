@@ -110,7 +110,7 @@ def arithmetic_full_system(P: Portrait) -> tuple[list, list]:
 def quotient_generalized_dynatomic(m: int, n: int) -> MultiPoly:
     """Phi_{m,n} for m >= 1 as its definition reads: Phi_n composed with
     f^m, exactly divided by Phi_n composed with f^(m-1), on the packed
-    engine with the division's re-multiplication check."""
+    engine, whose division certifies its quotient by a coefficient bound."""
     phi = dynatomic_cx(n)
     numer = oracle_compose(phi, pk.fc_iterate(m))
     denom = oracle_compose(phi, pk.fc_iterate(m - 1))

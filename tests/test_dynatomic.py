@@ -89,6 +89,38 @@ def test_product_identity_engine():
         assert product_identity_holds(n)
 
 
+def test_moebius_chain_certifies_each_division_on_its_first_pass(monkeypatch):
+    """Built from a cold cache, Phi_1..Phi_9 make one packed pass per
+    division and form no product inside a division; the polynomials are
+    pinned by one sha256 over their exponent maps."""
+    divisions, passes, products = [], [], []
+    real_divexact, real_pass, real_product = pk.cx_divexact, pk._div_packed, pk._product
+
+    def divexact(N, D):
+        before = len(products)
+        divisions.append(real_divexact(N, D))
+        assert len(products) == before, "a product inside cx_divexact"
+        return divisions[-1]
+
+    def one_pass(*args):
+        passes.append(args[-1])
+        return real_pass(*args)
+
+    def product(A, B):
+        products.append(B)
+        return real_product(A, B)
+
+    monkeypatch.setattr(dyn, "_dynatomic_cache", {})
+    monkeypatch.setattr(pk, "cx_divexact", divexact)
+    monkeypatch.setattr(pk, "_div_packed", one_pass)
+    monkeypatch.setattr(pk, "_product", product)
+    digest = hashlib.sha256()
+    for n in range(1, 10):
+        digest.update(repr(sorted(pk.cx_to_terms(dyn.dynatomic_cx(n)).items())).encode())
+    assert len(divisions) == len(passes) == 10  # levels 2..9, and three at 6
+    assert digest.hexdigest() == "9a42dbb7e70c3f3302744348d4d58be7790bf160fb90ee59aa9e6dbfffd48878"
+
+
 @pytest.mark.parametrize("n", [8, 12, 30, 210])
 def test_moebius_chain_divides_exactly(monkeypatch, n):
     """Levels with three or more prime factors (30 and up) are far too large

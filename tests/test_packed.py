@@ -1,6 +1,7 @@
 """Engine-level tests for the packed integer-polynomial arithmetic."""
 
 import decimal
+import math
 import random
 import sys
 
@@ -122,7 +123,7 @@ def test_divexact_accepts_untrimmed_rows():
 
 def division_pass(N, D):
     """The first packed long-division pass of cx_divexact(N, D), with no
-    re-multiplication check."""
+    exactness certificate."""
     nc = (pk.cx_deg_c(N) + 1) + (pk.cx_deg_c(D) + 1)
     W = pk._width_for(pk.cx_bits(N) + pk.cx_bits(D) + nc.bit_length() + 40)
     negated = [(j, l, -v) for j, l, v in pk._terms(D[:-1])]
@@ -278,29 +279,6 @@ def check_even_operands(monkeypatch):
     assert len(kron[0][0]) == 17
 
 
-def test_divexact_matches_reference_and_rejects_remainders():
-    """Dividends built by the reference product, not by the engine; adding
-    any nonzero remainder of lower x-degree than the divisor must raise."""
-    rng = random.Random(12)
-    checked = 0
-    for _ in range(60):
-        bits = rng.choice((1, 15, 64, 200))
-        Q = random_cx(rng, max_x=20, max_c=10, bits=bits)
-        D = random_cx(rng, max_x=8, max_c=6, bits=bits)
-        if not Q or len(D) < 2:
-            continue
-        D[-1] = [1]
-        N = from_terms(reference_mul(Q, D))
-        assert pk.cx_to_terms(pk.cx_divexact(N, D)) == pk.cx_to_terms(Q)
-        assert pk.cx_to_terms(division_pass(N, D)) == pk.cx_to_terms(Q)
-        R = random_cx(rng, max_x=len(D) - 1, max_c=6, bits=bits)
-        if pk.cx_to_terms(R):  # R can be the zero polynomial, e.g. [[0, 0]]
-            with pytest.raises(ArithmeticError):
-                pk.cx_divexact(pk.cx_add(N, R), D)
-            checked += 1
-    assert checked >= 30
-
-
 # signed cx forms with absent rows, odd and even x-degrees and coefficients
 # up to 2^200; an all-None draw is the zero polynomial
 cx_forms = st.lists(
@@ -308,6 +286,113 @@ cx_forms = st.lists(
     min_size=1,
     max_size=8,
 )
+
+
+def drawn_cx(max_x, max_c):
+    """cx_forms, or a seeded random_cx of up to max_x rows and max_c slots."""
+    bits = st.sampled_from((1, 15, 64, 200))
+    rngs = st.randoms(use_true_random=False)
+    seeded = st.builds(random_cx, rngs, st.just(max_x), st.just(max_c), bits)
+    return st.one_of(cx_forms, seeded)
+
+
+@settings(max_examples=80, deadline=None)
+@given(Q=drawn_cx(20, 10), D=drawn_cx(8, 6), R=drawn_cx(8, 6))
+def test_divexact_matches_reference_and_rejects_remainders(Q, D, R):
+    """Dividends built by the reference product, not by the engine, over a
+    divisor made monic by one more row; adding any nonzero remainder of
+    lower x-degree than the divisor must raise."""
+    Q, D = pk.cx_trim(Q), pk.cx_trim(D + [[1]])
+    N = from_terms(reference_mul(Q, D)) if pk.cx_to_terms(Q) else []
+    assert pk.cx_to_terms(pk.cx_divexact(N, D)) == pk.cx_to_terms(Q)
+    if N:
+        assert pk.cx_to_terms(division_pass(N, D)) == pk.cx_to_terms(Q)
+    if len(D) > 1:  # a remainder needs a divisor of positive x-degree
+        R = pk.cx_trim(R[: len(D) - 1])
+        if not pk.cx_to_terms(R):  # R drew the zero polynomial, e.g. [[0, 0]]
+            R = [[1]]
+        with pytest.raises(ArithmeticError):
+            pk.cx_divexact(pk.cx_add(N, R), D)
+
+
+def binomial_power(step, e):
+    """cx form of (x^step - 1)^e, free of c."""
+    out = [None] * (step * e + 1)
+    for k in range(e + 1):
+        out[step * k] = [math.comb(e, k) * (-1) ** (e - k)]
+    return out
+
+
+def record_passes(monkeypatch):
+    """Record (W, quotient or None) for every _div_packed pass."""
+    passes = []
+    real = pk._div_packed
+
+    def spy(N, negated, deg_d, W):
+        quot = real(N, negated, deg_d, W)
+        passes.append((W, quot))
+        return quot
+
+    monkeypatch.setattr(pk, "_div_packed", spy)
+    return passes
+
+
+def test_an_aliased_quotient_is_refused_and_the_retry_is_exact(monkeypatch):
+    """(x^16 - 1)^30 / (x - 1)^30 = (1 + x + ... + x^15)^30 has 115-bit
+    coefficients, wider than the first 104-bit slot.  The first pass still
+    leaves a zero remainder at c = 2^104, with a quotient aliased into c;
+    the certificate refuses it (103 + 28 bits, 5 of pairs, one spare: 137),
+    and the second pass, sized at twice that, is exact."""
+    N, D = binomial_power(16, 30), binomial_power(1, 30)
+    Q = [[1]] * 16
+    for _ in range(29):
+        Q = from_terms(reference_mul(Q, [[1]] * 16))
+    assert pk.cx_bits(Q) == 115 and reference_mul(Q, D) == pk.cx_to_terms(N)
+    passes = record_passes(monkeypatch)
+    products = spy_on(monkeypatch, "_product")
+    assert pk.cx_to_terms(pk.cx_divexact(N, D)) == pk.cx_to_terms(Q)
+    (w1, aliased), (w2, exact) = passes
+    assert (w1, w2) == (104, pk._width_for(2 * 137)) and not products
+    assert pk.cx_bits(aliased) == 103 and pk.cx_deg_c(aliased) == 1
+    assert pk.cx_deg_c(exact) == 0
+    # the aliased quotient is the exact one read in base 2^104 digits
+    assert [sum(v << (w1 * l) for l, v in enumerate(s)) for s in aliased] == [s[0] for s in Q]
+
+
+def test_an_exact_pass_too_narrow_to_certify_is_repeated(monkeypatch):
+    """(x^16 - 1)^15 / (x - 1)^15: the 72-bit first pass finds the exact
+    quotient (55-bit coefficients), but 55 + 13 bits, 5 of pairs and one
+    spare make 74, so only the next pass, sized at twice that, certifies
+    it."""
+    N, D = binomial_power(16, 15), binomial_power(1, 15)
+    passes = record_passes(monkeypatch)
+    quot = pk.cx_divexact(N, D)
+    assert reference_mul(quot, D) == pk.cx_to_terms(N)
+    (w1, first), (w2, second) = passes
+    assert (w1, w2) == (72, pk._width_for(2 * 74)) and first == second == quot
+    assert pk.cx_bits(quot) == 55
+
+
+def test_a_quotient_wider_than_doubling_reaches_is_certified(monkeypatch):
+    """(x^1024 - 1)^54 / (x - 1)^54 has a 528-bit quotient from 51-bit
+    operands, so the first width is sized from 51 + 51 + 2 + 40 = 144 bits.
+    Certifying it needs 528 + 51 + 6 + 1 = 586 bits, more than the 584-bit
+    slot that doubling those 144 bits twice gives; each pass
+    after an aliased one is sized from that pass's bound, so the third is
+    968 bits wide.  Coefficients are checked against the closed form
+    [x^k] ((1 - x^s)/(1 - x))^e = sum_j (-1)^j C(e, j) C(k - s*j + e - 1, e - 1).
+    About 4 s: each pass applies 55 divisor terms to 55,000 rows."""
+    s, e = 1024, 54
+    passes = record_passes(monkeypatch)
+    quot = pk.cx_divexact(binomial_power(s, e), binomial_power(1, e))
+    assert [w for w, _ in passes] == [152, 424, 968]
+    assert pk.cx_deg_c(passes[0][1]) == 3 and pk.cx_deg_c(passes[1][1]) == 1
+    assert len(quot) == (s - 1) * e + 1 and pk.cx_deg_c(quot) == 0
+    assert pk.cx_bits(quot) == 528 and pk._width_for(144 << 2) == 584
+    rng = random.Random(7)
+    for k in [0, 1, (s - 1) * e // 2, (s - 1) * e] + rng.sample(range(len(quot)), 20):
+        terms = (math.comb(e, j) * math.comb(k - s * j + e - 1, e - 1) for j in range(k // s + 1))
+        assert quot[k] == [sum((-1) ** j * t for j, t in enumerate(terms))]
 
 
 @settings(max_examples=80, deadline=None)
