@@ -168,9 +168,11 @@ class FFContext:
         exp[n] = g^n for 0 <= n < 2(q - 1), so a sum of two logs indexes it
         directly; log[exp[n]] = n; zech[n] = log(1 + g^n), or -1 where
         1 + g^n = 0.  They are arrays of 8-byte ints, 32 bytes per element
-        in all.  The powers of g come from polynomial products over F_p.
+        in all.  Each power of g is the previous one times g, formed on its
+        digit list with int arithmetic and reduced mod p and the monic
+        modulus once per power.
         """
-        p, q, m = self.p, self.q, list(self.modulus)
+        p, q, k, m = self.p, self.q, self.k, list(self.modulus)
         Fp = FFContext(p)
         cofactors = [(q - 1) // r for r in factorize(q - 1)]
         # codes below p are the prime field, of order dividing p - 1 < q - 1
@@ -178,7 +180,9 @@ class FFContext:
             g = poly_trim(list(self.digits(code)))
             if all(poly_powmod(g, e, m, Fp) != [1] for e in cofactors):
                 break
-        place = [p**i for i in range(self.k)]
+        g_terms = [(j, b) for j, b in enumerate(g) if b]
+        m_low = m[:k]  # t^k = -m_low(t) mod m
+        place = [p**i for i in range(k)]
         exp = array("q", [0]) * (2 * q - 2)
         log = array("q", [0]) * q
         power = [1]
@@ -186,7 +190,16 @@ class FFContext:
             code = sum(c * w for c, w in zip(power, place))
             exp[n] = exp[n + q - 1] = code
             log[code] = n
-            power = poly_mod(poly_mul(g, power, Fp), m, Fp)
+            prod = [0] * (k + len(g) - 1)
+            for j, b in g_terms:
+                for i, a in enumerate(power, j):
+                    prod[i] += a * b
+            for top in range(len(prod) - 1, k - 1, -1):
+                lead = prod.pop() % p
+                if lead:
+                    for i, a in enumerate(m_low, top - k):
+                        prod[i] -= lead * a
+            power = [a % p for a in prod]
         zech = array("q", [-1]) * (q - 1)
         for n in range(q - 1):
             low = exp[n] % p

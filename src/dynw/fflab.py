@@ -62,6 +62,18 @@ exhaustive enumeration on coefficient-tuple arithmetic that checks every
 condition only on complete assignments, are the test oracles of the fiber
 counts.
 
+Frobenius rule (_frobenius_classes).  The fiber counts and
+max_period_mod visit one fiber per orbit of c -> c^p, its smallest code,
+and weight its counts by the orbit's size.  Proof: sigma(z) = z^p is a
+field automorphism fixing F_p, so sigma(z^2 + c) = sigma(z)^2 + sigma(c)
+and sigma maps the graph G_c isomorphically onto G_{sigma(c)}; every
+equation, inequation and partial derivative a routed model holds has
+coefficients in F_p, so sigma maps its points, and its nonsingular points,
+in fiber c one to one onto those in fiber sigma(c).  Over a prime field
+every class has size 1.  The solver, the cross count, the trace check and
+the test oracles still visit every fiber or every x, so each stays an
+independent check of the weighted count.
+
 For plane models the affine count is computed twice, by independent
 strategies: the fiber count (or, for an edited model, the solver), and
 per-x root counting in c via gcd(f, z^q - z).  Disagreement is reported as
@@ -73,7 +85,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .config import RunConfig, DEFAULT
 from .dynatomic import MAX_DYNATOMIC_N, degree_d1
@@ -185,12 +197,15 @@ def count_points(
     of multiplier lambda is a root of Phi_n when d = n, or when lambda != 0
     has order r | n/d and n/(d*r) is a power of p: the formal-period rule
     (Morton and Silverman 1994), with its reason in the module docstring.
-    Every other model runs through iter_solutions.  Every count but the
-    full one holds q^(free variables) to the cap.  q^min(2, free
-    variables), a bound for every route, is checked before the model's
-    reference is rebuilt, and the exact cap before the field is built.  A
-    coefficient whose denominator p divides is refused with ValueError
-    before the reference is rebuilt.  For two-variable models other than
+    Both fiber routes visit one fiber per orbit of c -> c^p and weight its
+    counts by the orbit's size: Frobenius maps fiber c, its points and its
+    nonsingular points onto those of fiber c^p (the Frobenius rule of the
+    module docstring).  Every other model runs through iter_solutions.
+    Every count but the full one holds q^(free variables) to the cap.
+    q^min(2, free variables), a bound for every route, is checked before
+    the model's reference is rebuilt, and the exact cap before the field is
+    built.  A coefficient whose denominator p divides is refused with
+    ValueError before the reference is rebuilt.  For two-variable models other than
     full ones the report also carries the count of solutions where some
     partial derivative is nonzero (nonsingular_count) and the independent
     per-x root-counting total (cross_count).
@@ -350,7 +365,7 @@ def trace_relation_check(p: int, config: RunConfig = DEFAULT) -> TraceReport:
     t = -(4 * (x + fx + fx * fx + c) + 1)
     relation = (t * t - 2 * t + 29 + 16 * c).horner(ctx.ring)
     points, violations = 0, []
-    for c0, _, (xs,) in _fiber_roots(ctx, ((0, 3),)):
+    for c0, _, (xs,) in _fiber_roots(ctx, ((0, 3),), range(ctx.q)):
         points += len(xs)
         violations += [(c0, x0) for x0 in xs if relation({"c": c0, "x": x0})]
     return TraceReport(p=p, points=points, violations=sorted(violations))
@@ -369,14 +384,18 @@ class MaxPeriodReport:
 
 
 def max_period_mod(ctx: FFContext, config: RunConfig = DEFAULT) -> MaxPeriodReport:
-    """Largest cycle length of z -> z^2 + c on F_q over all c, with witness.
+    """Largest cycle length of z -> z^2 + c on F_q over all c, with witness:
+    the smallest code c whose graph has a cycle of that length.
 
-    The enumeration visits all q^2 pairs (c, z), so q^2 is held to the
-    enumeration cap.
+    By the Frobenius rule of the module docstring, c^p has the cycle lengths
+    of c, so only the smallest code of each class is visited, and the first
+    one with the longest cycle is the smallest such code of all.  The
+    enumeration visits about q^2/k pairs (c, z); the enumeration cap still
+    bounds q^2.
     """
     check_enumeration_cap(ctx.q, 2, config)
     best, witness = 0, 0
-    for c, succ in _fiber_successors(ctx):
+    for c, succ in _fiber_successors(ctx, [c for c, _ in _frobenius_classes(ctx)]):
         longest = max(map(len, successor_cycles(succ)))
         if longest > best:
             best, witness = longest, c
@@ -386,8 +405,29 @@ def max_period_mod(ctx: FFContext, config: RunConfig = DEFAULT) -> MaxPeriodRepo
 # ------------------------------------------------- the graph of z -> z^2 + c
 
 
-def _fiber_successors(ctx: FFContext) -> Iterator[tuple[int, list[int]]]:
-    """(c, succ) for every code c in order, succ[z] the code of z^2 + c.
+def _frobenius_classes(ctx: FFContext) -> list[tuple[int, int]]:
+    """(smallest code, size) of each orbit of c -> c^p, in code order.  The
+    size of c's class is the degree of F_p(c) over F_p, a divisor of k;
+    over a prime field every class has size 1."""
+    seen = bytearray(ctx.q)
+    classes = []
+    for c in range(ctx.q):
+        if seen[c]:
+            continue
+        size, z = 0, c
+        while not seen[z]:
+            seen[z] = 1
+            size += 1
+            z = ctx.pow(z, ctx.p)
+        classes.append((c, size))
+    return classes
+
+
+def _fiber_successors(
+    ctx: FFContext, codes: Iterable[int]
+) -> Iterator[tuple[int, list[int]]]:
+    """(c, succ) for each code c of codes in turn, succ[z] the code of
+    z^2 + c.
 
     Adding c moves each base-p digit of a code independently, so the table
     of z -> z + c is built digit by digit from rotations of range(p),
@@ -395,7 +435,7 @@ def _fiber_successors(ctx: FFContext) -> Iterator[tuple[int, list[int]]]:
     whole table), and succ indexes it by the list of squares."""
     p = ctx.p
     squares = [ctx.mul(z, z) for z in range(ctx.q)]
-    for c in range(ctx.q):
+    for c in codes:
         low, *high = ctx.digits(c)
         shift = [*range(low, p), *range(low)]
         place = p
@@ -416,9 +456,9 @@ def _square_roots(ctx: FFContext) -> list[list[int]]:
 
 
 def _fiber_roots(
-    ctx: FFContext, types: tuple[tuple[int, int], ...]
+    ctx: FFContext, types: tuple[tuple[int, int], ...], codes: Iterable[int]
 ) -> Iterator[tuple[int, list[tuple[list[int], int]], list[list[int]]]]:
-    """(c, cycles, lists) for every code c in order: the cycles of the
+    """(c, cycles, lists) for each code c of codes in turn: the cycles of the
     fiber's graph whose length divides some n of types, in successor
     order, each with its multiplier lambda = prod 2y, and lists[i] the
     roots of Phi_{m,n} in the fiber, (m, n) = types[i].  A point of exact
@@ -437,7 +477,7 @@ def _fiber_roots(
         r = next((j for j in range(1, k + 1) if k % j == 0 and ctx.pow(lam, j) == 1), k + 1)
         return any(r * ctx.p**e == k for e in range(k.bit_length()))
 
-    for c, succ in _fiber_successors(ctx):
+    for c, succ in _fiber_successors(ctx, codes):
         cycles = [
             (g, reduce(mul, [add(y, y) for y in g]))
             for g in successor_cycles(succ)
@@ -512,14 +552,19 @@ def _count_by_orbit_types(
     In each fiber the walk binds c to itself and each point variable to
     the roots of its equation from _fiber_roots, so it checks only the
     inequations.  The nonsingularity rule is in the module docstring; it
-    reads the multiplier _fiber_roots gives each cycle.
+    reads the multiplier _fiber_roots gives each cycle.  Only the smallest
+    code of each Frobenius class is visited, and its affine and nonsingular
+    counts are weighted by the class size (the Frobenius rule of the module
+    docstring).
     """
     plan = _plan(model, [], ctx)
     name = model.variables[1]
     nonsingular_at = None
     affine = nonsingular = 0
-    for c, cycles, lists in _fiber_roots(ctx, types):
-        affine += sum(1 for _ in _walk(plan, [[c], *lists], ctx))
+    classes = _frobenius_classes(ctx)
+    fibers = _fiber_roots(ctx, types, [c for c, _ in classes])
+    for (c, cycles, lists), (_, size) in zip(fibers, classes):
+        affine += size * sum(1 for _ in _walk(plan, [[c], *lists], ctx))
         if plane:
             (m, n), = types
             certified = {y for g, lam in cycles if not m and len(g) == n and lam != 1 for y in g}
@@ -528,7 +573,7 @@ def _count_by_orbit_types(
                     nonsingular_at = nonsingular_at or _nonsingular_test(model, ctx)
                     if not nonsingular_at({"c": c, name: y}):
                         continue
-                nonsingular += 1
+                nonsingular += size
     return affine, nonsingular
 
 
@@ -543,13 +588,19 @@ def _count_full(P: Portrait, ctx: FFContext) -> int:
     0, a point with a single square root (y = c, or every point in
     characteristic 2) and a cycle predecessor already taken each leave a
     vertex of the generic P without an unused preimage, so injectivity
-    alone excludes them.
+    alone excludes them.  Only the smallest code of each Frobenius class
+    is visited, and its count is weighted by the class size (the Frobenius
+    rule of the module docstring).
     """
     add, neg = ctx.add, ctx.neg
     roots = _square_roots(ctx)
     maps = map_search(P)
     total = 0
-    for c, succ in _fiber_successors(ctx):
+    classes = _frobenius_classes(ctx)
+    fibers = _fiber_successors(ctx, [c for c, _ in classes])
+    for (c, succ), (_, size) in zip(fibers, classes):
         minus_c = neg(c)
-        total += sum(1 for _ in maps(successor_cycles(succ), lambda y: roots[add(y, minus_c)]))
+        total += size * sum(
+            1 for _ in maps(successor_cycles(succ), lambda y: roots[add(y, minus_c)])
+        )
     return total

@@ -238,10 +238,14 @@ class MultiPoly:
 
     def rename(self, mapping: dict[str, str]) -> "MultiPoly":
         """Rename variables; the exponent vectors are permuted into the sorted
-        order of the new names, and the coefficients are kept as they are."""
+        order of the new names, and the coefficients are kept as they are.
+        When the new names keep the order, the terms are shared, since no
+        MultiPoly mutates its terms."""
         names = [mapping.get(v, v) for v in self.variables]
         if len(set(names)) != len(names):
             raise ValueError("duplicate variable names")
+        if names == sorted(names):
+            return MultiPoly._normalized(tuple(names), self.terms)
         order = sorted(range(len(names)), key=names.__getitem__)
         terms = {tuple(e[j] for j in order): c for e, c in self.terms.items()}
         return MultiPoly._normalized(tuple(names[j] for j in order), terms)

@@ -178,6 +178,19 @@ def test_coefficients_are_ints_after_fraction_arithmetic():
     assert MultiPoly.var("x").terms == {(1,): 1}
 
 
+def test_an_order_keeping_rename_shares_the_terms():
+    """x -> y keeps c before the new name, so the renamed polynomial is
+    equal to one built afresh and shares the exponent table; x -> a
+    reorders, so its exponents are permuted."""
+    f = P("x^3*c + 2*x - c^2")
+    kept = f.rename({"x": "y"})
+    assert kept == MultiPoly(("c", "y"), f.terms) == P("y^3*c + 2*y - c^2")
+    assert kept.terms is f.terms
+    moved = f.rename({"x": "a"})
+    assert moved == P("a^3*c + 2*a - c^2") and moved.variables == ("a", "c")
+    assert moved.terms == {(e[1], e[0]): coef for e, coef in f.terms.items()}
+
+
 def test_rename_refuses_to_merge_variables():
     with pytest.raises(ValueError, match="duplicate variable names"):
         P("x*y + c").rename({"x": "y"})
@@ -395,6 +408,23 @@ def test_ff_arithmetic_consistency():
         for b in sample:
             assert frob(add(a, b)) == add(frob(a), frob(b))
             assert frob(mul(a, b)) == mul(frob(a), frob(b))
+
+
+def test_exp_table_holds_the_powers_of_the_primitive_element():
+    """exp[n] is g^n mod the modulus, g = exp[1], by square and multiply
+    over F_p at sampled n, and the first q - 1 entries are every nonzero
+    code once, over F_{2^10}, F_{3^5} and F_{7^3}."""
+    rng = random.Random(5)
+    for p, k in ((2, 10), (3, 5), (7, 3)):
+        ctx, Fp = FFContext(p, k), FFContext(p)
+        q, modulus = ctx.q, list(ctx.modulus)
+        g = ff.poly_trim(list(ctx.digits(ctx._exp[1])))
+        assert len(g) > 1  # not in the prime field
+        for n in [0, 1, 2, k, q - 2, *rng.sample(range(q - 1), 40)]:
+            want = ff.poly_powmod(g, n, modulus, Fp)
+            assert ff.poly_trim(list(ctx.digits(ctx._exp[n]))) == want, (p, k, n)
+            assert ctx._exp[n + q - 1] == ctx._exp[n] and ctx._log[ctx._exp[n]] == n
+        assert sorted(ctx._exp[: q - 1]) == list(range(1, q))
 
 
 def test_context_refuses_a_field_over_the_cap():

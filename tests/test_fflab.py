@@ -325,7 +325,8 @@ def test_formal_period_rule_finds_the_roots_that_evaluating_phi_n_finds(p, k):
     smaller = p_divides = zero_multiplier = 0
     for n in range(1, 11):
         want, evaluated = dynatomic_roots_by_evaluation(n, ctx)
-        got = {(c, y) for c, _, (ys,) in fflab._fiber_roots(ctx, ((0, n),)) for y in ys}
+        fibers = fflab._fiber_roots(ctx, ((0, n),), range(ctx.q))
+        got = {(c, y) for c, _, (ys,) in fibers for y in ys}
         assert got == want, (p, k, n)
         for c, y, d, vanishes in evaluated:
             orbit = [y]
@@ -345,7 +346,7 @@ def test_the_fixed_point_of_multiplier_minus_one_is_a_root_of_phi_2():
     # order 2, so it is a root of Phi_2 (n/d = 2 = r) but not of Phi_3
     ctx = FFContext(7)
     c0, x0 = ctx.coerce(Fraction(-3, 4)), ctx.coerce(Fraction(-1, 2))
-    fibers = fflab._fiber_roots(ctx, ((0, 1), (0, 2), (0, 3)))
+    fibers = fflab._fiber_roots(ctx, ((0, 1), (0, 2), (0, 3)), range(ctx.q))
     (cycles, (fixed, two, three)), = [(cy, lists) for c, cy, lists in fibers if c == c0]
     assert ([x0], ctx.coerce(-1)) in cycles
     assert x0 in fixed and x0 in two and x0 not in three
@@ -372,7 +373,7 @@ def test_fiber_roots_and_the_trace_check_build_no_dynatomic_polynomial(monkeypat
         for model, route in cases:
             want = sum(1 for _ in iter_solutions(model, ctx))
             assert fflab._count_by_orbit_types(model, route, ctx, False) == (want, 0)
-        for _ in fflab._fiber_roots(ctx, tuple((0, n) for n in range(1, 13))):
+        for _ in fflab._fiber_roots(ctx, tuple((0, n) for n in range(1, 13)), range(ctx.q)):
             pass
     assert fflab.trace_relation_check(101) == fflab.TraceReport(p=101, points=99, violations=[])
 
@@ -477,10 +478,127 @@ def test_edited_and_renamed_models_go_to_the_solver(monkeypatch):
     assert solver_calls == [model.name for model in edited]
 
 
+_FROBENIUS_FIELDS = [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (5, 2), (7, 2)]
+
+
+def _orbit(ctx, c):
+    orbit = [c]
+    while ctx.pow(orbit[-1], ctx.p) != c:
+        orbit.append(ctx.pow(orbit[-1], ctx.p))
+    return orbit
+
+
+@pytest.mark.parametrize("p, k", [(2, 1), (7, 1), *_FROBENIUS_FIELDS, (2, 6), (7, 3)])
+def test_frobenius_classes_partition_the_field(p, k):
+    """Each class is an orbit of c -> c^p listed by its smallest code, in
+    code order, with its size; the sizes sum to q and divide k, and the
+    classes of size k are the (1/k) sum_{d | k} mu(d) p^(k/d) orbits of
+    elements of degree k.  At k = 1 every class has size 1."""
+    ctx = FFContext(p, k)
+    classes = fflab._frobenius_classes(ctx)
+    assert [c for c, _ in classes] == sorted(c for c, _ in classes)
+    covered = set()
+    for c, size in classes:
+        orbit = _orbit(ctx, c)
+        assert len(orbit) == size and k % size == 0 and min(orbit) == c
+        assert covered.isdisjoint(orbit)
+        covered.update(orbit)
+    assert covered == set(range(ctx.q)) and sum(size for _, size in classes) == ctx.q
+    full = sum(dyn.moebius(d) * p ** (k // d) for d in range(1, k + 1) if k % d == 0) // k
+    assert sum(1 for _, size in classes if size == k) == full
+    if k == 1:
+        assert classes == [(c, 1) for c in range(p)]
+
+
+def _visited_codes(patch):
+    """Spy on _fiber_successors: the list of the codes of each call."""
+    visited = []
+    fiber_successors = fflab._fiber_successors
+
+    def spy(ctx, codes):
+        visited.append(list(codes))
+        return fiber_successors(ctx, visited[-1])
+
+    patch.setattr(fflab, "_fiber_successors", spy)
+    return visited
+
+
+@pytest.mark.parametrize("p, k", _FROBENIUS_FIELDS)
+def test_frobenius_weighted_counts_equal_the_every_fiber_sums(p, k, monkeypatch):
+    """The full and orbit-type counts visit only the smallest code of each
+    Frobenius class and weight it by the class size; the affine and
+    nonsingular counts equal the sums over every code, each a class of
+    size 1."""
+    ctx = FFContext(p, k)
+    classes = fflab._frobenius_classes(ctx)
+    assert len(classes) < ctx.q
+    full = [fflab._reference_route(model) for model in _CATALOG_FULL_MODELS]
+    orbit = [(model, fflab._reference_route(model)) for model in _ORBIT_TYPE_MODELS]
+
+    def counts():
+        return [fflab._count_full(route, ctx) for route in full] + [
+            fflab._count_by_orbit_types(model, route, ctx, fflab._is_plane(model))
+            for model, route in orbit
+        ]
+
+    fibers = len(full) + len(orbit)
+    with monkeypatch.context() as patch:
+        visited = _visited_codes(patch)
+        weighted = counts()
+    assert visited == [[c for c, _ in classes]] * fibers
+    with monkeypatch.context() as patch:
+        visited = _visited_codes(patch)
+        patch.setattr(fflab, "_frobenius_classes", lambda ctx: [(c, 1) for c in range(ctx.q)])
+        summed = counts()
+    assert visited == [list(range(ctx.q))] * fibers
+    assert weighted == summed
+    assert any(a for a, _ in summed[len(full) :]) and any(n for _, n in summed[len(full) :])
+    if p > 2:  # no full model of a generic portrait has points in characteristic 2
+        assert any(summed[: len(full)])
+
+
+@pytest.mark.parametrize("p, k", [*_FROBENIUS_FIELDS, (7, 3), (19, 2)])
+def test_max_period_equals_the_every_fiber_scan(p, k):
+    """max_period_mod visits the class representatives only; its period and
+    witness are those of a scan of every fiber, the witness the smallest
+    code with the longest cycle."""
+    ctx = FFContext(p, k)
+    longest = [
+        max(map(len, successor_cycles(succ)))
+        for _, succ in fflab._fiber_successors(ctx, range(ctx.q))
+    ]
+    report = max_period_mod(ctx)
+    assert report.max_period == max(longest)
+    assert report.witness_c.code == longest.index(max(longest))
+
+
+def test_the_cross_count_still_evaluates_every_x(monkeypatch):
+    """The per-x root count of a plane model stays an independent check of
+    the weighted fiber count: over F_49 it evaluates its coefficients of c
+    at all 49 values of x."""
+    seen = []
+    horner = MultiPoly.horner
+
+    def spy(poly, ring):
+        evaluate = horner(poly, ring)
+
+        def record(values):
+            if set(values) == {"x"}:
+                seen.append(values["x"])
+            return evaluate(values)
+
+        return record
+
+    monkeypatch.setattr(MultiPoly, "horner", spy)
+    r = count_points(plane_model(3), 7, 2)
+    assert r.cross_count == r.affine_count > 0 and not r.violations
+    assert sorted(set(seen)) == list(range(49))
+
+
 def test_fiber_successors_match_field_arithmetic():
     for p, k in ((2, 3), (3, 4), (101, 1), (7, 3), (19, 2)):
         ctx = FFContext(p, k)
-        for c, succ in fflab._fiber_successors(ctx):
+        for c, succ in fflab._fiber_successors(ctx, range(ctx.q)):
             assert succ == [ctx.add(ctx.mul(z, z), c) for z in range(ctx.q)], (p, k, c)
         assert c == ctx.q - 1
 
@@ -488,7 +606,7 @@ def test_fiber_successors_match_field_arithmetic():
 def test_cycles_are_the_periodic_points_in_successor_order():
     for p, k in ((13, 1), (3, 4)):
         ctx = FFContext(p, k)
-        for c, succ in fflab._fiber_successors(ctx):
+        for c, succ in fflab._fiber_successors(ctx, range(ctx.q)):
             cycles = successor_cycles(succ)
             # after q steps every orbit is on its cycle
             image = list(range(ctx.q))
