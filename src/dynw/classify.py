@@ -44,8 +44,8 @@ from functools import lru_cache
 from math import gcd, isqrt
 
 from .catalog import TWELVE_RATIONAL_LABELS, match
-from .config import DEFAULT, RunConfig
 from .errors import BudgetExceeded, StepBudgetExceeded
+from .ff import ENUMERATION_CAP
 from .portraits import Portrait, canonical_form, validate_generic
 from .rational import isqrt_ceil, perfect_square_root
 
@@ -199,19 +199,17 @@ def _verdict(n: int, image: tuple[int, ...]) -> tuple[Portrait, str | None, bool
     return P, entry.label if entry else None, report.is_generic, flags
 
 
-def classify(c: Fraction, config: RunConfig = DEFAULT) -> ClassificationRecord:
+def classify(c: Fraction, cap: int = ENUMERATION_CAP) -> ClassificationRecord:
     """The exact rational preperiodic portrait of x^2 + c.  BudgetExceeded
-    when its 2*u_max + 1 candidates exceed the enumeration cap."""
+    when its 2*u_max + 1 candidates exceed the enumeration cap `cap`."""
     c = Fraction(c)
     points: list[Fraction] = []
     image: tuple[int, ...] = ()
     window = _window(c)
     if window is not None:
         m, a, u_max = window
-        if 2 * u_max + 1 > config.enumeration_cap:
-            raise BudgetExceeded(
-                f"{2 * u_max + 1} candidates exceed enumeration cap {config.enumeration_cap}"
-            )
+        if 2 * u_max + 1 > cap:
+            raise BudgetExceeded(f"{2 * u_max + 1} candidates exceed enumeration cap {cap}")
         # when c > 1/4, x^2 + c - x = (x - 1/2)^2 + c - 1/4 > 0, so every
         # real orbit strictly increases and no point is preperiodic
         if 4 * a <= m * m:
@@ -258,7 +256,7 @@ def _sweep_domain(height_bound: int) -> list[Fraction]:
     return out
 
 
-def sweep(height_bound: int, out=None, config: RunConfig = DEFAULT) -> SweepSummary:
+def sweep(height_bound: int, out=None, cap: int = ENUMERATION_CAP) -> SweepSummary:
     """Classify every square-denominator c up to the height bound.
 
     Writes CSV rows to `out` (a text stream) when given.  The summary
@@ -270,11 +268,9 @@ def sweep(height_bound: int, out=None, config: RunConfig = DEFAULT) -> SweepSumm
     """
     if height_bound < 1:
         raise ValueError("height bound must be >= 1")
-    if isqrt(height_bound) * (2 * height_bound + 1) > config.enumeration_cap:
-        raise BudgetExceeded(
-            f"sweep to height {height_bound} exceeds enumeration cap {config.enumeration_cap}"
-        )
-    records = [classify(c, config) for c in _sweep_domain(height_bound)]
+    if isqrt(height_bound) * (2 * height_bound + 1) > cap:
+        raise BudgetExceeded(f"sweep to height {height_bound} exceeds enumeration cap {cap}")
+    records = [classify(c, cap) for c in _sweep_domain(height_bound)]
 
     tally: dict[str, int] = {}
     anomalies = []

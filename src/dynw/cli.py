@@ -5,12 +5,14 @@ reproduce.  Exit codes: 0 success, 1 domain error, 2 usage error.  For a
 fixed argv and configuration, stdout is byte-identical across runs; wall
 -clock timings (reproduce) go to stderr.
 
-Each `_cmd_*` handler returns its report as (doc, lines, code): the JSON
-document without `schema_version` (None for a text-only command), the text
-lines and the exit code.  `dispatch` alone decides the output format.  It
-prints the document, with `schema_version` added, when the command has one
-and `--json` or DYNW_OUTPUT_FORMAT=json asks for it; otherwise it prints
-the lines.
+`dispatch` resolves the one run setting, the enumeration cap, into
+`args.enumeration_cap` (see _enumeration_cap).  Each `_cmd_*` handler
+takes the parsed args alone and returns its report as (doc, lines, code):
+the JSON document without `schema_version` (None for a text-only command),
+the text lines and the exit code.  `dispatch` alone decides the output
+format.  It prints the document, with `schema_version` added, when the
+command has one and `--json` or DYNW_OUTPUT_FORMAT=json asks for it;
+otherwise it prints the lines.
 
 Portrait arguments accept either a literal "N:t1,...,tN" string or a path
 to a file containing one.  Model files are the JSON documents emitted by
@@ -32,9 +34,8 @@ from . import classify as cls
 from . import dynatomic as dyn
 from . import fflab
 from . import models as mdl
-from .config import from_env
 from .errors import DynwError, UnknownReport
-from .ff import FFContext
+from .ff import ENUMERATION_CAP, FFContext
 from .portraits import (
     CycleStructure,
     Portrait,
@@ -60,14 +61,14 @@ def _load_portrait(arg: str) -> Portrait:
 # ------------------------------------------------------------------- dynatomic
 
 
-def _cmd_dynatomic_poly(args, config):
+def _cmd_dynatomic_poly(args):
     table = dyn.dynatomic(args.n)
     phi = str(table.phi)
     doc = {"n": table.n, "phi": phi, "degree_x": table.degree_x, "degree_c": table.degree_c}
     return doc, [phi], 0
 
 
-def _cmd_dynatomic_degrees(args, config):
+def _cmd_dynatomic_degrees(args):
     r = dyn.degree_report(args.n)
     genus_lb = format_rational(r.genus_lb)
     doc = {"n": r.n, "D1": r.D1, "D0": r.D0, "B": r.B, "genus_lb": genus_lb}
@@ -82,7 +83,7 @@ def _check_printable(flag: str, n: int) -> None:
         raise ValueError(f"{flag} {n} gives integers too long to print; use {flag} <= {3 * limit}")
 
 
-def _cmd_dynatomic_check_bounds(args, config):
+def _cmd_dynatomic_check_bounds(args):
     if args.max < 1:
         raise ValueError(f"--max must be >= 1, got {args.max}")
     _check_printable("--max", args.max)
@@ -102,7 +103,7 @@ def _cmd_dynatomic_check_bounds(args, config):
     return doc, lines, 0 if ok else 1
 
 
-def _cmd_dynatomic_asymptotic(args, config):
+def _cmd_dynatomic_asymptotic(args):
     _check_printable("--n", args.n)
     r = dyn.asymptotic_genus_check(args.n)
     doc = {
@@ -124,7 +125,7 @@ def _cmd_dynatomic_asymptotic(args, config):
 # -------------------------------------------------------------------- portrait
 
 
-def _cmd_portrait_validate(args, config):
+def _cmd_portrait_validate(args):
     P = _load_portrait(args.portrait)
     report = validate_generic(P)
     doc = {
@@ -140,21 +141,21 @@ def _cmd_portrait_validate(args, config):
     return doc, lines, 0
 
 
-def _cmd_portrait_enumerate(args, config):
+def _cmd_portrait_enumerate(args):
     sigma = CycleStructure.parse(args.cycles)
     classes = [P.to_text() for P in enumerate_generic(args.n, sigma)]
     doc = {"n": args.n, "cycles": str(sigma), "count": len(classes), "classes": classes}
     return doc, classes + [f"count: {len(classes)}"], 0
 
 
-def _cmd_portrait_autgroup(args, config):
+def _cmd_portrait_autgroup(args):
     P = _load_portrait(args.portrait)
     auts = automorphism_group(P)
     doc = {"portrait": P.to_text(), "order": len(auts), "automorphisms": [list(a) for a in auts]}
     return doc, [f"order: {len(auts)}"] + [",".join(map(str, a)) for a in auts], 0
 
 
-def _cmd_portrait_embeds(args, config):
+def _cmd_portrait_embeds(args):
     sub = _load_portrait(args.sub)
     sup = _load_portrait(args.super)
     maps = embeddings(sub, sup)
@@ -167,7 +168,7 @@ def _cmd_portrait_embeds(args, config):
     return doc, [f"count: {len(maps)}"] + [",".join(map(str, m)) for m in maps], 0
 
 
-def _cmd_portrait_catalog(args, config):
+def _cmd_portrait_catalog(args):
     entries = cat.catalog()
     doc = {
         "entries": [
@@ -190,7 +191,7 @@ def _cmd_portrait_catalog(args, config):
     return doc, lines, 0
 
 
-def _cmd_portrait_extensions(args, config):
+def _cmd_portrait_extensions(args):
     P = _load_portrait(args.portrait)
     matched = [(Q, cat.match(Q)) for Q in minimal_extensions(P, args.b)]
     doc = {
@@ -212,21 +213,21 @@ def _model_report(model):
     return None, [mdl.model_to_json(model).rstrip("\n")], 0
 
 
-def _cmd_model_full(args, config):
+def _cmd_model_full(args):
     return _model_report(mdl.full_model(_load_portrait(args.portrait)))
 
 
-def _cmd_model_reduced(args, config):
+def _cmd_model_reduced(args):
     return _model_report(mdl.reduced_model(_load_portrait(args.portrait)))
 
 
-def _cmd_model_multilevel(args, config):
+def _cmd_model_multilevel(args):
     levels = [int(t) for t in args.cycles.strip().strip("()").split(",") if t.strip()]
     return _model_report(mdl.multi_level_model(levels))
 
 
-def _cmd_model_trace_check(args, config):
-    r = fflab.trace_relation_check(args.p, config)
+def _cmd_model_trace_check(args):
+    r = fflab.trace_relation_check(args.p, args.enumeration_cap)
     doc = {"p": r.p, "points": r.points, "violations": [list(v) for v in r.violations]}
     lines = [f"p={r.p} points={r.points} violations={len(r.violations)}"]
     lines += [f"violation at (c,x)=({c0},{x0})" for c0, x0 in r.violations]
@@ -236,11 +237,9 @@ def _cmd_model_trace_check(args, config):
 # -------------------------------------------------------------------------- ff
 
 
-def _cmd_ff_count(args, config):
-    """Count serially in this process; the enumeration cap is checked before
-    the field's modulus is searched for."""
+def _cmd_ff_count(args):
     model = mdl.model_from_json(Path(args.model).read_text())
-    r = fflab.count_points(model, args.p, args.k, config)
+    r = fflab.count_points(model, args.p, args.k, args.enumeration_cap)
     doc = {
         "model": r.model_id,
         "q": r.q,
@@ -255,11 +254,11 @@ def _cmd_ff_count(args, config):
     return doc, lines, 0 if not r.violations else 1
 
 
-def _cmd_ff_gonality_lb(args, config):
+def _cmd_ff_gonality_lb(args):
     return None, [str(fflab.gonality_lower_bound(args.count, args.q))], 0
 
 
-def _cmd_ff_cs(args, config):
+def _cmd_ff_cs(args):
     q = fflab.CSQuery(g=args.g, g1=args.g1, g2=args.g2, d1=args.d1, d2=args.d2)
     r = fflab.cs_obstruction(q)
     doc = {
@@ -275,10 +274,10 @@ def _cmd_ff_cs(args, config):
     return doc, [f"bound={r.bound} inequality {verdict}"], 0
 
 
-def _cmd_ff_max_period(args, config):
-    fflab.check_enumeration_cap(args.p, 2, config, k=args.k)
-    ctx = FFContext(args.p, args.k, config=config)
-    r = fflab.max_period_mod(ctx, config)
+def _cmd_ff_max_period(args):
+    cap = args.enumeration_cap
+    fflab.check_enumeration_cap(args.p, 2, cap, k=args.k)
+    r = fflab.max_period_mod(FFContext(args.p, args.k, cap), cap)
     witness = list(r.witness_c.coeffs)
     doc = {"p": r.p, "k": r.k, "q": r.q, "max_period": r.max_period, "witness_c": witness}
     return doc, [f"q={r.q} max_period={r.max_period} witness_c={witness}"], 0
@@ -287,8 +286,8 @@ def _cmd_ff_max_period(args, config):
 # ------------------------------------------------------------ classify / sweep
 
 
-def _cmd_classify(args, config):
-    r = cls.classify(parse_rational(args.c), config)
+def _cmd_classify(args):
+    r = cls.classify(parse_rational(args.c), args.enumeration_cap)
     c = format_rational(r.c)
     points = [format_rational(x) for x in r.points]
     doc = {
@@ -309,8 +308,8 @@ def _cmd_classify(args, config):
     return doc, lines, 0
 
 
-def _cmd_sweep(args, config):
-    summary = cls.sweep(args.height, None, config)
+def _cmd_sweep(args):
+    summary = cls.sweep(args.height, None, args.enumeration_cap)
     if args.out:  # opened only after the sweep, so a refused sweep leaves it untouched
         out_path = Path(args.out)
         with out_path.open("w") as out:
@@ -333,7 +332,7 @@ def _check(rows, name, expected, got) -> None:
     rows.append((name, str(expected), str(got), expected == got))
 
 
-def _reproduce_figures(config) -> list:
+def _reproduce_figures(cap: int) -> list:
     rows = []
     expected = [
         (8, (1, 1), 2), (10, (1, 1), 3), (8, (2,), 2), (10, (2,), 3),
@@ -347,7 +346,7 @@ def _reproduce_figures(config) -> list:
     return rows
 
 
-def _reproduce_degrees(config) -> list:
+def _reproduce_degrees(cap: int) -> list:
     rows = []
     r3 = dyn.degree_report(3)
     _check(rows, "D1(3)", 6, r3.D1)
@@ -364,25 +363,25 @@ def _reproduce_degrees(config) -> list:
     return rows
 
 
-def _reproduce_trace(config) -> list:
+def _reproduce_trace(cap: int) -> list:
     rows = []
     for p in (5, 7, 11, 13):
-        r = fflab.trace_relation_check(p, config)
+        r = fflab.trace_relation_check(p, cap)
         _check(rows, f"trace violations p={p}", 0, len(r.violations))
     return rows
 
 
-def _reproduce_sweep(config) -> list:
+def _reproduce_sweep(cap: int) -> list:
     rows = []
-    _check(rows, "classify(-3/4)", "4(1,1)", cls.classify(Fraction(-3, 4), config).label)
-    _check(rows, "classify(1)", "empty", cls.classify(Fraction(1), config).label)
-    _check(rows, "classify(-1) generic", False, cls.classify(Fraction(-1), config).generic)
-    summary = cls.sweep(20, config=config)
+    _check(rows, "classify(-3/4)", "4(1,1)", cls.classify(Fraction(-3, 4), cap).label)
+    _check(rows, "classify(1)", "empty", cls.classify(Fraction(1), cap).label)
+    _check(rows, "classify(-1) generic", False, cls.classify(Fraction(-1), cap).generic)
+    summary = cls.sweep(20, cap=cap)
     _check(rows, "sweep(20) anomalies", 0, len(summary.anomalies))
     return rows
 
 
-def _reproduce_bounds(config) -> list:
+def _reproduce_bounds(cap: int) -> list:
     rows = []
     _check(rows, "degree bounds ok for n <= 30", True,
            all(dyn.check_degree_bounds(n).ok for n in range(1, 31)))
@@ -402,13 +401,13 @@ _REPORTS = {
 }
 
 
-def _cmd_reproduce(args, config):
+def _cmd_reproduce(args):
     if args.report not in _REPORTS:
         raise UnknownReport(
             f"unknown report {args.report!r}; choose from {', '.join(sorted(_REPORTS))}"
         )
     t0 = time.monotonic()
-    rows = _REPORTS[args.report](config)
+    rows = _REPORTS[args.report](args.enumeration_cap)
     print(f"[{args.report}] elapsed {time.monotonic() - t0:.2f}s", file=sys.stderr)
     width = max(len(r[0]) for r in rows)
     lines = [
@@ -544,6 +543,21 @@ def _merge_value_flags(argv: list[str]) -> list[str]:
     return out
 
 
+def _enumeration_cap(flag: int | None) -> int:
+    """The cap --enumeration-cap gives, else DYNW_ENUMERATION_CAP, else
+    ff.ENUMERATION_CAP.  The variable is parsed even when the flag is
+    given, so a malformed one is always a usage error."""
+    raw = os.environ.get("DYNW_ENUMERATION_CAP")
+    try:
+        cap = ENUMERATION_CAP if raw is None else int(raw)
+    except ValueError:
+        raise ValueError(f"DYNW_ENUMERATION_CAP must be an integer, got {raw!r}") from None
+    cap = cap if flag is None else flag
+    if cap <= 0:
+        raise ValueError("all configuration caps must be positive")
+    return cap
+
+
 def dispatch(argv: list[str]) -> int:
     parser = build_parser()
     try:
@@ -551,7 +565,7 @@ def dispatch(argv: list[str]) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        config = from_env(enumeration_cap=args.enumeration_cap)
+        args.enumeration_cap = _enumeration_cap(args.enumeration_cap)
         output_format = os.environ.get("DYNW_OUTPUT_FORMAT", "text")
         if output_format not in _FORMATS:
             raise ValueError(f"output_format must be one of {_FORMATS}")
@@ -559,7 +573,7 @@ def dispatch(argv: list[str]) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        doc, lines, code = args.func(args, config)
+        doc, lines, code = args.func(args)
     except (DynwError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -27,7 +27,6 @@ import operator
 from array import array
 from fractions import Fraction
 
-from .config import RunConfig, DEFAULT
 from .errors import BudgetExceeded
 from .multipoly import Ring
 from .rational import factorize, int_str_digits, is_prime
@@ -103,14 +102,18 @@ def require_prime(p: int) -> None:
         raise ValueError(f"{p} is not prime")
 
 
-def check_enumeration_cap(q: int, dims: int, config: RunConfig = DEFAULT, k: int = 1) -> None:
+# The default enumeration cap of ff, fflab and classify, an int argument
+# `cap` wherever it is read; the CLI resolves it once (see cli).
+ENUMERATION_CAP = 10_000_000
+
+
+def check_enumeration_cap(q: int, dims: int, cap: int = ENUMERATION_CAP, k: int = 1) -> None:
     """Raise BudgetExceeded when (q^k)^dims exceeds the enumeration cap, and
     ValueError when k < 1.  Bit lengths bound (q^k)^dims before any power is
     formed; the message names it when the bound shows it printable, and
     otherwise a power of two below it."""
     if k < 1:
         raise ValueError(f"extension degree must be >= 1, got {k}")
-    cap = config.enumeration_cap
     name = "q" if dims == 1 else f"q^{dims}"
     e = k * dims
     low_bits = e * (q.bit_length() - 1)  # q^e >= 2^low_bits
@@ -131,16 +134,16 @@ class FFContext:
     operations MultiPoly.horner evaluates with: over a prime field it
     reduces each power mod p as it forms it, evaluates the rest over Z and
     reduces once mod p, which is exact.  An extension field must fit the
-    enumeration cap, q <= config.enumeration_cap, because it keeps tables
-    of about q entries.
+    enumeration cap, q <= cap, because it keeps tables of about q entries.
+    That cap is checked before p is tested for primality.
     """
 
     __slots__ = ("p", "k", "q", "modulus", "ring", "_exp", "_log", "_zech")
 
-    def __init__(self, p: int, k: int = 1, config: RunConfig = DEFAULT):
-        require_prime(p)
+    def __init__(self, p: int, k: int = 1, cap: int = ENUMERATION_CAP):
         if k != 1:  # k >= 1, and the tables hold about q entries
-            check_enumeration_cap(p, 1, config, k=k)
+            check_enumeration_cap(p, 1, cap, k=k)
+        require_prime(p)
         self.p, self.k, self.q = p, k, p**k
         self._exp = self._log = self._zech = None
         self.modulus = self._find_modulus()

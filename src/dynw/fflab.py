@@ -87,10 +87,9 @@ from dataclasses import dataclass, field
 from functools import reduce
 from typing import Iterable, Iterator
 
-from .config import RunConfig, DEFAULT
 from .dynatomic import MAX_DYNATOMIC_N, degree_d1
 from .errors import DynwError
-from .ff import FFContext, FFElement, check_enumeration_cap, require_prime
+from .ff import ENUMERATION_CAP, FFContext, FFElement, check_enumeration_cap, require_prime
 from .ff import poly_gcd, poly_powmod, poly_trim
 from .models import CurveModel, full_model, generator_set, multi_level_model, plane_model
 from .models import reduced_model
@@ -102,7 +101,7 @@ from .portraits import Portrait, map_search, successor_cycles
 
 
 def iter_solutions(
-    model: CurveModel, ctx: FFContext, config: RunConfig = DEFAULT
+    model: CurveModel, ctx: FFContext, cap: int = ENUMERATION_CAP
 ) -> Iterator[dict]:
     """All assignments over F_q satisfying every equation and inequation,
     as dicts from variable names to codes.
@@ -112,7 +111,7 @@ def iter_solutions(
     (forward image x -> x^2 + c and sibling negation).
     """
     free = model.enumeration_variables()
-    check_enumeration_cap(ctx.q, len(free), config)
+    check_enumeration_cap(ctx.q, len(free), cap)
     plan = _plan(model, model.equations, ctx)
     for values in _walk(plan, [range(ctx.q)] * len(free), ctx):
         yield dict(values)
@@ -184,16 +183,18 @@ def _is_plane(model: CurveModel) -> bool:
 
 
 def count_points(
-    model: CurveModel, p: int, k: int = 1, config: RunConfig = DEFAULT
+    model: CurveModel, p: int, k: int = 1, cap: int = ENUMERATION_CAP
 ) -> PointCountReport:
     """Count F_{p^k} assignments satisfying the model.
 
-    A p that is not prime is refused first.  A model equal to the one its
-    name gives is counted one fiber c at a time, by the route rule of the
-    module docstring: a full model by the maps of its portrait into the
-    fiber's graph (_count_full), with q^2 held to the enumeration cap; a
-    plane, multilevel or reduced model from the roots of each equation
-    Phi_{m,n} (_count_by_orbit_types).  A point of period d | n on a cycle
+    q^min(2, free variables), a bound for every route, is checked first,
+    so no p too large to count is ever tested for primality; a p that is
+    not prime is refused next.  A model equal to the one its name gives
+    is counted one fiber c at a time, by the route rule of the module
+    docstring: a full model by the maps of its portrait into the fiber's
+    graph (_count_full), with q^2 held to the enumeration cap; a plane,
+    multilevel or reduced model from the roots of each equation Phi_{m,n}
+    (_count_by_orbit_types).  A point of period d | n on a cycle
     of multiplier lambda is a root of Phi_n when d = n, or when lambda != 0
     has order r | n/d and n/(d*r) is a power of p: the formal-period rule
     (Morton and Silverman 1994), with its reason in the module docstring.
@@ -201,31 +202,30 @@ def count_points(
     counts by the orbit's size: Frobenius maps fiber c, its points and its
     nonsingular points onto those of fiber c^p (the Frobenius rule of the
     module docstring).  Every other model runs through iter_solutions.
-    Every count but the full one holds q^(free variables) to the cap.
-    q^min(2, free variables), a bound for every route, is checked before
-    the model's reference is rebuilt, and the exact cap before the field is
-    built.  A coefficient whose denominator p divides is refused with
-    ValueError before the reference is rebuilt.  For two-variable models other than
-    full ones the report also carries the count of solutions where some
-    partial derivative is nonzero (nonsingular_count) and the independent
-    per-x root-counting total (cross_count).
+    Every count but the full one holds q^(free variables) to the cap; that
+    exact cap is checked before the field is built.  A coefficient whose
+    denominator p divides is refused with ValueError before the model's
+    reference is rebuilt.  For two-variable models other than full ones
+    the report also carries the count of solutions where some partial
+    derivative is nonzero (nonsingular_count) and the independent per-x
+    root-counting total (cross_count).
     """
-    require_prime(p)
     dims = len(model.enumeration_variables())
-    check_enumeration_cap(p, min(2, dims), config, k=k)  # a bound for every route
+    check_enumeration_cap(p, min(2, dims), cap, k=k)  # a bound for every route
+    require_prime(p)
     for poly in (*model.equations, *model.inequations):
         for coef in poly.terms.values():
             if coef.denominator % p == 0:
                 raise ValueError(f"the denominator of coefficient {coef} vanishes mod {p}")
     route = _reference_route(model)
     full = isinstance(route, Portrait)
-    check_enumeration_cap(p, 2 if full else dims, config, k=k)
-    ctx = FFContext(p, k, config=config)
+    check_enumeration_cap(p, 2 if full else dims, cap, k=k)
+    ctx = FFContext(p, k, cap)
     if full:
         return PointCountReport(model_id=model.name, q=ctx.q, affine_count=_count_full(route, ctx))
     plane = _is_plane(model)
     if route is None:
-        affine, nonsingular = _count_by_solver(model, ctx, config, plane)
+        affine, nonsingular = _count_by_solver(model, ctx, cap, plane)
     else:
         affine, nonsingular = _count_by_orbit_types(model, route, ctx, plane)
     report = PointCountReport(
@@ -252,13 +252,13 @@ def _nonsingular_test(model: CurveModel, ctx: FFContext):
 
 
 def _count_by_solver(
-    model: CurveModel, ctx: FFContext, config: RunConfig, plane: bool
+    model: CurveModel, ctx: FFContext, cap: int, plane: bool
 ) -> tuple[int, int]:
     """(affine, nonsingular) over the solutions iter_solutions yields;
     nonsingular is 0 unless the model is a plane one."""
     nonsingular_at = _nonsingular_test(model, ctx) if plane else None
     affine = nonsingular = 0
-    for sol in iter_solutions(model, ctx, config):
+    for sol in iter_solutions(model, ctx, cap):
         affine += 1
         if plane and nonsingular_at(sol):
             nonsingular += 1
@@ -340,7 +340,7 @@ class TraceReport:
     violations: list[tuple[int, int]]
 
 
-def trace_relation_check(p: int, config: RunConfig = DEFAULT) -> TraceReport:
+def trace_relation_check(p: int, cap: int = ENUMERATION_CAP) -> TraceReport:
     """Check the 3-cycle trace invariant at every affine F_p point of the
     level-3 plane model.
 
@@ -358,7 +358,7 @@ def trace_relation_check(p: int, config: RunConfig = DEFAULT) -> TraceReport:
     """
     if p == 2:
         raise ValueError("the trace normalization degenerates at p = 2")
-    check_enumeration_cap(p, 2, config)
+    check_enumeration_cap(p, 2, cap)
     ctx = FFContext(p)  # refuses a p that is not prime
     x, c = MultiPoly.var("x"), MultiPoly.var("c")
     fx = x * x + c
@@ -383,7 +383,7 @@ class MaxPeriodReport:
     witness_c: FFElement
 
 
-def max_period_mod(ctx: FFContext, config: RunConfig = DEFAULT) -> MaxPeriodReport:
+def max_period_mod(ctx: FFContext, cap: int = ENUMERATION_CAP) -> MaxPeriodReport:
     """Largest cycle length of z -> z^2 + c on F_q over all c, with witness:
     the smallest code c whose graph has a cycle of that length.
 
@@ -393,7 +393,7 @@ def max_period_mod(ctx: FFContext, config: RunConfig = DEFAULT) -> MaxPeriodRepo
     enumeration visits about q^2/k pairs (c, z); the enumeration cap still
     bounds q^2.
     """
-    check_enumeration_cap(ctx.q, 2, config)
+    check_enumeration_cap(ctx.q, 2, cap)
     best, witness = 0, 0
     for c, succ in _fiber_successors(ctx, [c for c, _ in _frobenius_classes(ctx)]):
         longest = max(map(len, successor_cycles(succ)))

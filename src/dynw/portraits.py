@@ -422,9 +422,12 @@ def indegree_zero_vertices(P: Portrait) -> list[int]:
 
 def enumerate_generic(n: int, sigma: CycleStructure) -> list[Portrait]:
     """All isomorphism classes of generic quadratic portraits with exactly n
-    vertices and the given cycle structure, as canonical representatives."""
+    vertices and the given cycle structure, as canonical representatives.
+    ValueError when n < 0."""
     if not sigma.admissible():
         raise InadmissibleCycleStructure(f"cycle structure {sigma} is not admissible")
+    if n < 0:
+        raise ValueError(f"vertex count must be >= 0, got {n}")
     if n % 2:
         raise InadmissibleCycleStructure("generic portraits have even vertex count")
     if n > ENUM_BUDGET:

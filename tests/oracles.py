@@ -39,10 +39,9 @@ from itertools import combinations, combinations_with_replacement, permutations,
 from math import gcd
 
 from dynw import _packed as pk
-from dynw.config import DEFAULT, RunConfig
 from dynw.dynatomic import _cx_to_multipoly, dynatomic, dynatomic_cx
 from dynw.errors import BudgetExceeded, NonExactDivision
-from dynw.ff import FFContext
+from dynw.ff import ENUMERATION_CAP, FFContext
 from dynw.models import CurveModel
 from dynw.multipoly import MultiPoly, _term_key
 from dynw.portraits import (
@@ -553,7 +552,7 @@ def eval_terms(compiled, values: dict):
     return acc
 
 
-def brute_solutions(model: CurveModel, field: TupleField, config: RunConfig = DEFAULT):
+def brute_solutions(model: CurveModel, field: TupleField, cap: int = ENUMERATION_CAP):
     """All assignments over F_q satisfying every equation and inequation,
     as dicts from variable names to TupleElements.
 
@@ -563,10 +562,8 @@ def brute_solutions(model: CurveModel, field: TupleField, config: RunConfig = DE
     """
     free = model.enumeration_variables()
     total = field.q ** len(free)
-    if total > config.enumeration_cap:
-        raise BudgetExceeded(
-            f"q^{len(free)} = {total} exceeds enumeration cap {config.enumeration_cap}"
-        )
+    if total > cap:
+        raise BudgetExceeded(f"q^{len(free)} = {total} exceeds enumeration cap {cap}")
     eqs = [compile_terms(e, field.from_rational) for e in model.equations]
     ineqs = [compile_terms(e, field.from_rational) for e in model.inequations]
     elements = field.elements()

@@ -320,9 +320,9 @@ def test_verdict_cache_is_bounded_and_changes_no_sweep_output(monkeypatch):
 
     original = classify_module.classify
 
-    def cold_classify(c, config):
+    def cold_classify(c, cap):
         classify_module._verdict.cache_clear()
-        return original(c, config)
+        return original(c, cap)
 
     monkeypatch.setattr(classify_module, "classify", cold_classify)
     cold = io.StringIO()

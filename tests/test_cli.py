@@ -66,6 +66,13 @@ def test_portrait_enumerate(capsys):
     assert json.loads(out)["count"] == 5
 
 
+def test_portrait_enumerate_refuses_a_negative_vertex_count(capsys):
+    for mode in ((), ("--json",)):
+        assert run(capsys, "portrait", "enumerate", "--n", "-2", "--cycles", "1,1", *mode) == (
+            1, "", "error: vertex count must be >= 0, got -2\n"
+        )
+
+
 def test_portrait_autgroup(capsys):
     code, out, _ = run(capsys, "portrait", "autgroup", "--portrait", "4:1,2,1,2")
     assert code == 0 and out.startswith("order: 2\n")
@@ -360,6 +367,50 @@ def test_env_override(capsys, monkeypatch):
     assert run(capsys, "ff", "max-period", "--p", "5")[0] == 0
 
 
+# (argv, a cap that refuses it, the refusal, a cap under which it runs);
+# PLANE1 stands for a file holding plane_model(1)
+_CAPPED_COMMANDS = [
+    (("classify", "--c", "-1000000"), 1000, "2005 candidates exceed enumeration cap 1000", 10**4),
+    (("sweep", "--height", "20"), 100, "sweep to height 20 exceeds enumeration cap 100", 1000),
+    (("ff", "count", "--model", "PLANE1", "--p", "7"), 10, "q^2 = 49 exceeds enumeration cap 10", 100),
+    (("ff", "max-period", "--p", "5"), 10, "q^2 = 25 exceeds enumeration cap 10", 100),
+    (("model", "trace-check", "--p", "11"), 50, "q^2 = 121 exceeds enumeration cap 50", 1000),
+    (("reproduce", "trace"), 50, "q^2 = 121 exceeds enumeration cap 50", 1000),
+    (("reproduce", "sweep"), 100, "sweep to height 20 exceeds enumeration cap 100", 1000),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, small, refusal, large",
+    _CAPPED_COMMANDS,
+    ids=[" ".join(case[0][:2]) for case in _CAPPED_COMMANDS],
+)
+def test_every_capped_command_reads_the_flag_and_the_variable(
+    capsys, monkeypatch, tmp_path, argv, small, refusal, large
+):
+    from dynw.models import model_to_json, plane_model
+
+    model = tmp_path / "plane1.json"
+    model.write_text(model_to_json(plane_model(1)))
+    argv = tuple(str(model) if a == "PLANE1" else a for a in argv)
+    refused = (1, "", f"error: {refusal}\n")
+    monkeypatch.delenv("DYNW_ENUMERATION_CAP", raising=False)
+    code, out, _ = run(capsys, *argv)  # the default cap
+    assert code == 0
+    assert run(capsys, "--enumeration-cap", str(small), *argv) == refused
+    monkeypatch.setenv("DYNW_ENUMERATION_CAP", str(small))
+    assert run(capsys, *argv) == refused
+    # the flag overrides the variable, either way
+    assert run(capsys, "--enumeration-cap", str(large), *argv)[:2] == (0, out)
+    monkeypatch.setenv("DYNW_ENUMERATION_CAP", str(large))
+    assert run(capsys, "--enumeration-cap", str(small), *argv) == refused
+    # the variable is parsed even when the flag is given
+    monkeypatch.setenv("DYNW_ENUMERATION_CAP", "abc")
+    assert run(capsys, "--enumeration-cap", str(large), *argv) == (
+        2, "", "error: DYNW_ENUMERATION_CAP must be an integer, got 'abc'\n"
+    )
+
+
 def test_oversized_numbers_are_named_not_printed(capsys):
     for argv in (
         ("ff", "max-period", "--p", "2", "--k", "10000"),
@@ -544,6 +595,26 @@ def test_a_p_that_is_not_prime_is_refused_first(capsys, monkeypatch, tmp_path):
                 assert run(capsys, "ff", "count", "--model", str(path), "--p", p, *mode) == (
                     1, "", f"error: {p} is not prime\n"
                 ), (path.name, p, mode)
+
+
+def test_the_cap_is_checked_before_primality(capsys, monkeypatch, tmp_path):
+    # 2^11213 - 1 is a Mersenne prime of 3376 digits; testing it for
+    # primality takes far longer than refusing q^2 >= 2^22424, which a
+    # composite p of the same length gets too
+    from dynw import ff, rational
+    from dynw.models import model_to_json, plane_model
+
+    def no_primality_test(n):
+        raise AssertionError("tested p for primality")
+
+    for module in (ff, rational):
+        monkeypatch.setattr(module, "is_prime", no_primality_test)
+    path = tmp_path / "plane1.json"
+    path.write_text(model_to_json(plane_model(1)))
+    for p in (2**11213 - 1, 2**11213 - 2):
+        assert run(capsys, "ff", "count", "--model", str(path), "--p", str(p)) == (
+            1, "", "error: q^2 >= 2^22424 exceeds enumeration cap 10000000\n"
+        )
 
 
 def test_a_denominator_that_vanishes_mod_p_is_one_error_line(capsys, tmp_path):

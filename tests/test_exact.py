@@ -16,7 +16,6 @@ from dynw.errors import (
     NonExactDivision,
     ParseError,
 )
-from dynw.config import RunConfig
 from dynw.dynatomic import dynatomic
 from dynw import ff
 from dynw.ff import FFContext, FFElement, poly_mod, poly_mul
@@ -429,7 +428,19 @@ def test_exp_table_holds_the_powers_of_the_primitive_element():
 
 def test_context_refuses_a_field_over_the_cap():
     with pytest.raises(BudgetExceeded, match="q = 27 exceeds enumeration cap 26"):
-        FFContext(3, 3, config=RunConfig(enumeration_cap=26))
+        FFContext(3, 3, cap=26)
+
+
+def test_context_checks_the_cap_before_primality(monkeypatch):
+    # 3376-digit p, prime and even: q >= 2^22424 is refused with no
+    # primality test, which would take far longer
+    def no_primality_test(n):
+        raise AssertionError("tested p for primality")
+
+    monkeypatch.setattr(ff, "is_prime", no_primality_test)
+    for p in (2**11213 - 1, 2**11213 - 2):
+        with pytest.raises(BudgetExceeded, match=r"^q >= 2\^22424 exceeds enumeration cap"):
+            FFContext(p, 2)
 
 
 # Characteristic 2 (F_2, F_8), where -1 = 1, and odd characteristic in prime

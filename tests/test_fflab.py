@@ -14,7 +14,6 @@ from oracles import dynatomic_roots_by_evaluation
 import dynw.dynatomic as dyn
 from dynw import fflab
 from dynw.catalog import build_portrait, generic_entries, lookup
-from dynw.config import RunConfig
 from dynw.errors import BudgetExceeded
 from dynw.ff import FFContext
 from dynw.fflab import (
@@ -75,9 +74,8 @@ def test_count_invariant_under_x_negation():
 
 
 def test_count_budget():
-    cfg = RunConfig(enumeration_cap=10)
     with pytest.raises(BudgetExceeded):
-        count_points(plane_model(1), 7, config=cfg)
+        count_points(plane_model(1), 7, cap=10)
 
 
 def _oracle_cases():
@@ -710,6 +708,5 @@ def test_max_period_agrees_with_orbit_walks():
 
 
 def test_max_period_budget():
-    cfg = RunConfig(enumeration_cap=50)
     with pytest.raises(BudgetExceeded):
-        max_period_mod(FFContext(11), cfg)
+        max_period_mod(FFContext(11), 50)

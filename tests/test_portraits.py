@@ -230,6 +230,8 @@ def test_enumerate_rejects_bad_input():
         enumerate_generic(6, CycleStructure.of((1,)))
     with pytest.raises(BudgetExceeded):
         enumerate_generic(18, CycleStructure.of((1, 1)))
+    with pytest.raises(ValueError, match="vertex count must be >= 0, got -2"):
+        enumerate_generic(-2, CycleStructure.of((1, 1)))
 
 
 def test_minimal_extensions_from_empty():
