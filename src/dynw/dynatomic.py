@@ -19,7 +19,7 @@ Degree bookkeeping (all exact big-integer arithmetic):
     genus_lb(n) = 1 + B(n)/2 - D0(n)         reported raw, may be negative
 
 Levels above MAX_DYNATOMIC_N = 11, and orbit types wider in x than Phi_11,
-are refused before anything is built: level 11 takes about 40 s and 1.1 GiB,
+are refused before anything is built: level 11 takes about 26 s and 1 GiB,
 and level 12 exhausts a 7 GB machine.  The cap is a constant, not a run
 setting, so every builder of Phi_n, Phi_{m,n} and their models sees one cap.
 """

@@ -127,22 +127,30 @@ def check_enumeration_cap(q: int, dims: int, cap: int = ENUMERATION_CAP, k: int 
         raise BudgetExceeded(f"{name} = {q**e} exceeds enumeration cap {cap}")
 
 
+# An extension field keeps tables of 32 bytes per element, so q is held to
+# this constant, whatever the cap: F_{2^20} builds in about 6 s and 47 MiB.
+FIELD_TABLE_LIMIT = 1 << 20
+
+
 class FFContext:
     """The field F_{p^k} = F_p[t] / (modulus), its elements coded as ints.
 
     add, sub, neg, mul, inv and pow act on codes.  `ring` carries the
     operations MultiPoly.horner evaluates with: over a prime field it
     reduces each power mod p as it forms it, evaluates the rest over Z and
-    reduces once mod p, which is exact.  An extension field must fit the
-    enumeration cap, q <= cap, because it keeps tables of about q entries.
-    That cap is checked before p is tested for primality.
+    reduces once mod p, which is exact.  An extension field keeps tables of
+    about q entries, so it must fit both the enumeration cap and
+    FIELD_TABLE_LIMIT, q <= 2^20; both are checked, the cap first, before p
+    is tested for primality or a modulus is searched for.
     """
 
     __slots__ = ("p", "k", "q", "modulus", "ring", "_exp", "_log", "_zech")
 
     def __init__(self, p: int, k: int = 1, cap: int = ENUMERATION_CAP):
-        if k != 1:  # k >= 1, and the tables hold about q entries
+        if k != 1:  # k >= 1; the cap bounds p^k before it is formed
             check_enumeration_cap(p, 1, cap, k=k)
+            if p**k > FIELD_TABLE_LIMIT:
+                raise BudgetExceeded(f"q = {p}^{k} exceeds the field table limit 2^20")
         require_prime(p)
         self.p, self.k, self.q = p, k, p**k
         self._exp = self._log = self._zech = None

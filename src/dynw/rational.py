@@ -9,6 +9,7 @@ has the same numerator and denominator, so format_rational prints both.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 import sys
@@ -60,19 +61,28 @@ def perfect_square_root(n: int) -> int | None:
     return r if r * r == n else None
 
 
+# below psi_13 of OEIS A014233, a strong probable prime to these bases is prime
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test (exact for n < 3.3 * 10^24)."""
+    """Deterministic Miller-Rabin primality test to the prime bases 2..41.
+
+    It is exact for n < psi_13 = 3317044064679887385961981 (OEIS A014233),
+    and raises ValueError for larger n, whose primality it cannot certify.
+    """
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
-    d = n - 1
-    r = 0
+    if n >= _MR_EXACT_BELOW:
+        raise ValueError(f"{n} is too large to test for primality (exact below {_MR_EXACT_BELOW})")
+    d, r = n - 1, 0
     while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        d, r = d // 2, r + 1
+    for a in _MR_BASES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -86,56 +96,31 @@ def is_prime(n: int) -> bool:
 
 
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization of n >= 1 via trial division plus Pollard rho."""
+    """Prime factorization of 1 <= n < 2^40, by trial division alone.
+
+    Trial division by every candidate up to sqrt(n) < 2^20 leaves 1 or a
+    prime, so no primality test is needed; n >= 2^40 raises ValueError.
+    Every caller stays below that: q - 1 of an extension field, whose
+    tables hold q <= 2^20 (ff.FIELD_TABLE_LIMIT); the levels of the degree
+    commands, at most 12900 under the default int-digit limit (cli); and
+    dynatomic levels, at most 11.
+    """
     if n < 1:
         raise ValueError("factorize expects n >= 1")
+    if n >= 1 << 40:
+        raise ValueError("factorize expects n < 2^40")
     factors: dict[int, int] = {}
-    for p in (2, 3, 5):
-        while n % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            n //= p
-    d = 7
-    wheel = (4, 2, 4, 2, 4, 6, 2, 6)
-    i = 0
-    while d * d <= n and d < 1 << 20:
+    # 2, 3 and 5, then the candidates prime to 30: a wheel of 8 steps
+    steps = itertools.chain((1, 2, 2), itertools.cycle((4, 2, 4, 2, 4, 6, 2, 6)))
+    d = 2
+    while d * d <= n:
         while n % d == 0:
             factors[d] = factors.get(d, 0) + 1
             n //= d
-        d += wheel[i]
-        i = (i + 1) % 8
+        d += next(steps)
     if n > 1:
-        _factor_large(n, factors)
+        factors[n] = 1
     return factors
-
-
-def _factor_large(n: int, factors: dict[int, int]) -> None:
-    if n == 1:
-        return
-    if is_prime(n):
-        factors[n] = factors.get(n, 0) + 1
-        return
-    d = _pollard_rho(n)
-    _factor_large(d, factors)
-    _factor_large(n // d, factors)
-
-
-def _pollard_rho(n: int) -> int:
-    """A nontrivial factor of composite n (Brent's cycle variant)."""
-    if n % 2 == 0:
-        return 2
-    seed = 1
-    while True:
-        seed += 1
-        x = y = 2
-        c = seed
-        d = 1
-        while d == 1:
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            d = math.gcd(abs(x - y), n)
-        if d != n:
-            return d
 
 
 def divisors_of(n: int) -> list[int]:

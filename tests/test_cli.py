@@ -157,13 +157,13 @@ def test_max_period_builds_the_field_under_the_configured_cap(monkeypatch):
         pass
 
     def no_search(self):
-        raise ModulusSearch  # past the context's cap check; no 2^24 table is built
+        raise ModulusSearch  # past the context's checks; no 2^20 table is built
 
     monkeypatch.setattr(FFContext, "_find_modulus", no_search)
-    with pytest.raises(ModulusSearch):
-        dispatch(
-            ["--enumeration-cap", str(10**15), "ff", "max-period", "--p", "2", "--k", "24"]
-        )
+    argv = ["--enumeration-cap", str(10**15), "ff", "max-period", "--p", "2", "--k"]
+    with pytest.raises(ModulusSearch):  # q^2 = 2^40 is over the default cap
+        dispatch(argv + ["20"])
+    assert dispatch(argv + ["21"]) == 1  # over the field table limit, whatever the cap
 
 
 def test_cap_is_checked_before_the_field_is_built(capsys, monkeypatch, tmp_path):
@@ -615,6 +615,44 @@ def test_the_cap_is_checked_before_primality(capsys, monkeypatch, tmp_path):
         assert run(capsys, "ff", "count", "--model", str(path), "--p", str(p)) == (
             1, "", "error: q^2 >= 2^22424 exceeds enumeration cap 10000000\n"
         )
+
+
+def test_a_field_over_the_table_limit_is_one_error_line(capsys, monkeypatch, tmp_path):
+    # one enumeration variable, so q = 2^45 passes a cap of 10^14; its
+    # tables would take 32 * 2^45 bytes, and are refused before the search
+    # for a modulus
+    from dynw import ff
+
+    def never(*args):
+        raise AssertionError("searched for a modulus")
+
+    monkeypatch.setattr(ff, "_is_irreducible", never)
+    doc = {
+        "schema_version": 1, "name": "edited", "variables": ["c", "x"],
+        "free_variables": ["c"], "steps": [["image", "x", "c"]], "equations": [],
+        "inequations": [], "provenance": "plane",
+    }
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps(doc))
+    argv = ("--enumeration-cap", "100000000000000", "ff", "count", "--model", str(path))
+    for k in ("45", "21"):
+        assert run(capsys, *argv, "--p", "2", "--k", k) == (
+            1, "", f"error: q = 2^{k} exceeds the field table limit 2^20\n"
+        )
+
+
+def test_python_dash_m_runs_the_command_line():
+    import os
+    import subprocess
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    argv = [sys.executable, "-m", "dynw", "dynatomic", "degrees", "--n", "3"]
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        0, "n=3 D1=6 D0=2 B=1 genus_lb=-1/2\n", ""
+    )
 
 
 def test_a_denominator_that_vanishes_mod_p_is_one_error_line(capsys, tmp_path):

@@ -20,7 +20,8 @@ from dynw.dynatomic import dynatomic
 from dynw import ff
 from dynw.ff import FFContext, FFElement, poly_mod, poly_mul
 from dynw.multipoly import MultiPoly
-from dynw.rational import parse_rational
+from dynw import rational
+from dynw.rational import factorize, is_prime, parse_rational
 
 
 def P(text):
@@ -441,6 +442,76 @@ def test_context_checks_the_cap_before_primality(monkeypatch):
     for p in (2**11213 - 1, 2**11213 - 2):
         with pytest.raises(BudgetExceeded, match=r"^q >= 2\^22424 exceeds enumeration cap"):
             FFContext(p, 2)
+
+
+def test_context_refuses_a_field_over_the_table_limit_before_any_search(monkeypatch):
+    def never(*args):
+        raise AssertionError("searched for a modulus or tested p for primality")
+
+    monkeypatch.setattr(ff, "_is_irreducible", never)
+    monkeypatch.setattr(ff, "is_prime", never)
+    for p, k in ((2, 21), (2, 45), (1025, 2), (1024, 3)):  # 1025, 1024 not prime
+        with pytest.raises(BudgetExceeded, match=rf"^q = {p}\^{k} exceeds the field table limit 2\^20"):
+            FFContext(p, k, cap=10**14)
+
+
+def test_the_table_limit_admits_q_up_to_2_to_the_20(monkeypatch):
+    built = []
+    monkeypatch.setattr(FFContext, "_build_tables", lambda self: built.append(self.q))
+    for p, k in ((2, 20), (1021, 2), (101, 3)):
+        FFContext(p, k, cap=10**14)
+    assert built == [2**20, 1021**2, 101**3] and ff.FIELD_TABLE_LIMIT == 2**20
+
+
+# psi_12 and psi_13 of OEIS A014233, the least strong pseudoprimes to the
+# first 12 and 13 prime bases
+PSI_12 = 318665857834031151167461
+PSI_13 = 3317044064679887385961981
+
+
+def test_is_prime_refuses_the_least_pseudoprime_to_the_bases_up_to_37():
+    assert PSI_12 == 399165290221 * 798330580441
+    assert not is_prime(PSI_12)
+    assert is_prime(399165290221) and is_prime(798330580441)
+    for refuse in (ff.require_prime, FFContext):
+        with pytest.raises(ValueError, match=f"^{PSI_12} is not prime$"):
+            refuse(PSI_12)
+    with pytest.raises(ValueError, match="too large to test for primality"):
+        is_prime(PSI_13)
+    assert not is_prime(2 * PSI_13)  # a small factor is still exact
+
+
+def test_is_prime_agrees_with_trial_division():
+    sieve = bytearray([1]) * 10**5
+    sieve[0] = sieve[1] = 0
+    for n in range(2, 317):
+        if sieve[n]:
+            sieve[n * n :: n] = bytearray(len(range(n * n, 10**5, n)))
+    assert [n for n in range(10**5) if is_prime(n)] == [n for n in range(10**5) if sieve[n]]
+    assert [is_prime(n) for n in (-7, 0, 1, 2, 41, 43)] == [False] * 3 + [True] * 3
+
+
+def test_factorize_multiplies_back_with_prime_factors():
+    for n in range(1, 20000):
+        factors = factorize(n)
+        product = 1
+        for q, e in factors.items():
+            assert e >= 1 and is_prime(q), (n, q)
+            product *= q**e
+        assert product == n
+    assert factorize(2**40 - 1) == {3: 1, 5: 2, 11: 1, 17: 1, 31: 1, 41: 1, 61681: 1}
+    assert factorize(1048573 * 1048571) == {1048571: 1, 1048573: 1}  # largest primes < 2^20
+    for n in (2**40, 2**64, 0):
+        with pytest.raises(ValueError, match="factorize expects"):
+            factorize(n)
+
+
+def test_factorize_tests_no_primality(monkeypatch):
+    def no_primality_test(n):
+        raise AssertionError("tested for primality")
+
+    monkeypatch.setattr(rational, "is_prime", no_primality_test)
+    assert factorize(2**40 - 87) == {2**40 - 87: 1}  # the largest prime below 2^40
 
 
 # Characteristic 2 (F_2, F_8), where -1 = 1, and odd characteristic in prime
