@@ -128,7 +128,7 @@ def check_enumeration_cap(q: int, dims: int, cap: int = ENUMERATION_CAP, k: int 
 
 
 # An extension field keeps tables of 32 bytes per element, so q is held to
-# this constant, whatever the cap: F_{2^20} builds in about 6 s and 47 MiB.
+# this constant, whatever the cap: F_{2^20} builds in about 6.5 s and 47 MiB.
 FIELD_TABLE_LIMIT = 1 << 20
 
 

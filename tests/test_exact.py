@@ -17,10 +17,9 @@ from dynw.errors import (
     ParseError,
 )
 from dynw.dynatomic import dynatomic
-from dynw import ff
+from dynw import ff, rational
 from dynw.ff import FFContext, FFElement, poly_mod, poly_mul
 from dynw.multipoly import MultiPoly
-from dynw import rational
 from dynw.rational import factorize, is_prime, parse_rational
 
 
@@ -459,7 +458,7 @@ def test_the_table_limit_admits_q_up_to_2_to_the_20(monkeypatch):
     built = []
     monkeypatch.setattr(FFContext, "_build_tables", lambda self: built.append(self.q))
     for p, k in ((2, 20), (1021, 2), (101, 3)):
-        FFContext(p, k, cap=10**14)
+        FFContext(p, k)
     assert built == [2**20, 1021**2, 101**3] and ff.FIELD_TABLE_LIMIT == 2**20
 
 
