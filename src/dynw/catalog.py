@@ -20,8 +20,7 @@ excluded from generic-only queries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Frozen
 from .portraits import (
     CycleStructure,
     Portrait,
@@ -69,14 +68,24 @@ def build_portrait(components) -> Portrait:
     return Portrait(n, tuple(image[v] for v in range(1, n + 1)))
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
-    label: str
-    portrait: Portrait
-    cycle_structure: CycleStructure
-    genus: int | None
-    degenerate: bool
-    notes: str
+class CatalogEntry(Frozen):
+    __slots__ = ("label", "portrait", "cycle_structure", "genus", "degenerate", "notes")
+
+    def __init__(
+        self,
+        label: str,
+        portrait: Portrait,
+        cycle_structure: CycleStructure,
+        genus: int | None,
+        degenerate: bool,
+        notes: str,
+    ):
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "portrait", portrait)
+        object.__setattr__(self, "cycle_structure", cycle_structure)
+        object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "degenerate", degenerate)
+        object.__setattr__(self, "notes", notes)
 
 
 _VERIFIED = "letter fixed by structural cross-references"

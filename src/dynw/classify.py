@@ -38,11 +38,12 @@ independent oracle for classify().
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
+from typing import NamedTuple
 
+from ._record import Record
 from .catalog import TWELVE_RATIONAL_LABELS, match
 from .errors import BudgetExceeded, StepBudgetExceeded
 from .ff import ENUMERATION_CAP
@@ -90,8 +91,7 @@ def _escapes(c: Fraction, x: Fraction, m: int) -> bool:
     return two_abs > 1 and (two_abs - 1) ** 2 > 1 + 4 * abs(c)
 
 
-@dataclass
-class OrbitRecord:
+class OrbitRecord(NamedTuple):
     start: Fraction
     orbit: list[Fraction]
     preperiod: int | None
@@ -130,15 +130,26 @@ def orbit(c: Fraction, x: Fraction, max_steps: int) -> OrbitRecord:
     raise StepBudgetExceeded(f"orbit of {x} under c={c} unresolved after {max_steps} steps")
 
 
-@dataclass
-class ClassificationRecord:
-    c: Fraction
-    portrait: Portrait
-    label: str | None
-    generic: bool
-    point_count: int
-    flags: list[str] = field(default_factory=list)
-    points: list[Fraction] = field(default_factory=list)
+class ClassificationRecord(Record):
+    __slots__ = ("c", "portrait", "label", "generic", "point_count", "flags", "points")
+
+    def __init__(
+        self,
+        c: Fraction,
+        portrait: Portrait,
+        label: str | None,
+        generic: bool,
+        point_count: int,
+        flags: list[str] | None = None,
+        points: list[Fraction] | None = None,
+    ):
+        self.c = c
+        self.portrait = portrait
+        self.label = label
+        self.generic = generic
+        self.point_count = point_count
+        self.flags = [] if flags is None else flags
+        self.points = [] if points is None else points
 
 
 def _successors(m: int, a: int, u_max: int) -> list[int]:
@@ -233,8 +244,7 @@ def classify(c: Fraction, cap: int = ENUMERATION_CAP) -> ClassificationRecord:
 # ------------------------------------------------------------------------ sweep
 
 
-@dataclass
-class SweepSummary:
+class SweepSummary(NamedTuple):
     height_bound: int
     records: list[ClassificationRecord]
     tally: dict[str, int]

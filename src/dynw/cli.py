@@ -77,10 +77,14 @@ def _cmd_dynatomic_degrees(args):
 
 def _check_printable(flag: str, n: int) -> None:
     """Refuse n up front when a report's integers, all below 2^n, could be
-    too long to print: 2^n < 10^L for n <= 3L, L the live digit limit."""
+    too long to print: 2^n < 10^L for n <= 3L, L the live digit limit.  Under
+    a raised limit, or none, dyn.MAX_REPORT_N is the narrower bound."""
     limit = int_str_digits()
-    if limit and n > 3 * limit:
-        raise ValueError(f"{flag} {n} gives integers too long to print; use {flag} <= {3 * limit}")
+    bound = min(3 * limit or dyn.MAX_REPORT_N, dyn.MAX_REPORT_N)
+    if n > bound:
+        by_digits = bound == 3 * limit
+        why = "gives integers too long to print" if by_digits else "exceeds the report level bound"
+        raise ValueError(f"{flag} {n} {why}; use {flag} <= {bound}")
 
 
 def _cmd_dynatomic_check_bounds(args):

@@ -26,8 +26,8 @@ setting, so every builder of Phi_n, Phi_{m,n} and their models sees one cap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import _packed as pk
 from .errors import NonExactDivision
@@ -37,6 +37,10 @@ from .rational import divisors_of, factorize
 VAR_C = "c"
 VAR_X = "x"
 MAX_DYNATOMIC_N = 11
+# check_degree_bounds and asymptotic_genus_check refuse n above this: their
+# integers near 2^n stay printable under the default digit limit (n <= 3 * 4300)
+# and cheap whatever the limit.
+MAX_REPORT_N = 12900
 
 
 # ------------------------------------------------------- elementary functions
@@ -106,8 +110,7 @@ def iterate_fc(n: int) -> MultiPoly:
     return _cx_to_multipoly(pk.fc_iterate(n))
 
 
-@dataclass
-class DynatomicTable:
+class DynatomicTable(NamedTuple):
     n: int
     phi: MultiPoly
     degree_x: int
@@ -216,8 +219,7 @@ def generalized_dynatomic(m: int, n: int) -> MultiPoly:
 # --------------------------------------------------------------- degree reports
 
 
-@dataclass
-class DegreeReport:
+class DegreeReport(NamedTuple):
     n: int
     D1: int
     D0: int
@@ -243,8 +245,7 @@ def degree_report(n: int) -> DegreeReport:
     return DegreeReport(n=n, D1=d1, D0=d0, B=b, genus_lb=genus_lb)
 
 
-@dataclass
-class BoundsReport:
+class BoundsReport(NamedTuple):
     n: int
     D1: int
     lower: int
@@ -266,6 +267,8 @@ def check_degree_bounds(n: int) -> BoundsReport:
     """
     if n < 1:
         raise ValueError("check_degree_bounds expects n >= 1")
+    if n > MAX_REPORT_N:
+        raise ValueError(f"check_degree_bounds supports n <= {MAX_REPORT_N}")
     d1 = degree_d1(n)
     lower, upper = 1 << (n - 1), 1 << n
     lo_holds, hi_holds = lower <= d1, d1 <= upper
@@ -288,8 +291,7 @@ def check_degree_bounds(n: int) -> BoundsReport:
     )
 
 
-@dataclass
-class AsymptoticReport:
+class AsymptoticReport(NamedTuple):
     n: int
     chain_holds: bool
     lhs: int
@@ -308,6 +310,8 @@ def asymptotic_genus_check(n: int) -> AsymptoticReport:
     """
     if n < 12:
         raise ValueError("asymptotic_genus_check expects n >= 12")
+    if n > MAX_REPORT_N:
+        raise ValueError(f"asymptotic_genus_check supports n <= {MAX_REPORT_N}")
     lhs = (1 << (n - 2)) - n * (1 << (n // 2)) + n
     rhs = -((-6 * (1 << n)) // n)  # ceiling division
     b = branch_count(n)

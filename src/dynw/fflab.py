@@ -83,10 +83,10 @@ is the point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import reduce
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
+from ._record import Record
 from .dynatomic import MAX_DYNATOMIC_N, degree_d1
 from .errors import DynwError
 from .ff import ENUMERATION_CAP, FFContext, FFElement, check_enumeration_cap, require_prime
@@ -168,14 +168,24 @@ def _walk(plan: tuple, domains: list, ctx: FFContext) -> Iterator[dict]:
 # --------------------------------------------------------------- point counting
 
 
-@dataclass
-class PointCountReport:
-    model_id: str
-    q: int
-    affine_count: int
-    nonsingular_count: int | None = None
-    cross_count: int | None = None
-    violations: list[str] = field(default_factory=list)
+class PointCountReport(Record):
+    __slots__ = ("model_id", "q", "affine_count", "nonsingular_count", "cross_count", "violations")
+
+    def __init__(
+        self,
+        model_id: str,
+        q: int,
+        affine_count: int,
+        nonsingular_count: int | None = None,
+        cross_count: int | None = None,
+        violations: list[str] | None = None,
+    ):
+        self.model_id = model_id
+        self.q = q
+        self.affine_count = affine_count
+        self.nonsingular_count = nonsingular_count
+        self.cross_count = cross_count
+        self.violations = [] if violations is None else violations
 
 
 def _is_plane(model: CurveModel) -> bool:
@@ -297,8 +307,7 @@ def gonality_lower_bound(count: int, q: int) -> int:
     return -(-count // (q + 1))
 
 
-@dataclass
-class CSQuery:
+class CSQuery(NamedTuple):
     g: int
     g1: int
     g2: int
@@ -306,8 +315,7 @@ class CSQuery:
     d2: int
 
 
-@dataclass
-class CSReport:
+class CSReport(NamedTuple):
     query: CSQuery
     bound: int
     inequality_holds: bool
@@ -333,8 +341,7 @@ def cs_obstruction(query: CSQuery) -> CSReport:
 # --------------------------------------------------------- trace relation check
 
 
-@dataclass
-class TraceReport:
+class TraceReport(NamedTuple):
     p: int
     points: int
     violations: list[tuple[int, int]]
@@ -374,8 +381,7 @@ def trace_relation_check(p: int, cap: int = ENUMERATION_CAP) -> TraceReport:
 # --------------------------------------------------------- residual period data
 
 
-@dataclass
-class MaxPeriodReport:
+class MaxPeriodReport(NamedTuple):
     p: int
     k: int
     q: int

@@ -35,8 +35,9 @@ model is exactly the one its name gives.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
+from ._record import Record
 from .dynatomic import MAX_DYNATOMIC_N, degree_d0, dynatomic, generalized_dynatomic, iterate_fc
 from .errors import InadmissibleCycleStructure, NotGeneric, ParseError
 from .multipoly import MultiPoly
@@ -54,29 +55,42 @@ def fc_power(var: str, e: int) -> MultiPoly:
     return iterate_fc(e).rename({"x": var})
 
 
-@dataclass
-class PropagationStep:
+class PropagationStep(NamedTuple):
     kind: str  # "image" | "negate"
     vertex: int
     source: int
 
 
-@dataclass
-class GeneratorSet:
+class GeneratorSet(NamedTuple):
     generators: list[int]
     closure_trace: list[PropagationStep]
 
 
-@dataclass
-class CurveModel:
-    name: str
-    variables: tuple[str, ...]
-    equations: list[MultiPoly]
-    inequations: list[MultiPoly]
-    provenance: str  # "full" | "reduced" | "multilevel" | "plane"
-    free_variables: tuple[str, ...] | None = None
-    steps: list[tuple[str, str, str]] = field(default_factory=list)
-    meta: dict = field(default_factory=dict)
+class CurveModel(Record):
+    __slots__ = (
+        "name", "variables", "equations", "inequations", "provenance", "free_variables", "steps",
+        "meta",
+    )
+
+    def __init__(
+        self,
+        name: str,
+        variables: tuple[str, ...],
+        equations: list[MultiPoly],
+        inequations: list[MultiPoly],
+        provenance: str,  # "full" | "reduced" | "multilevel" | "plane"
+        free_variables: tuple[str, ...] | None = None,
+        steps: list[tuple[str, str, str]] | None = None,
+        meta: dict | None = None,
+    ):
+        self.name = name
+        self.variables = variables
+        self.equations = equations
+        self.inequations = inequations
+        self.provenance = provenance
+        self.free_variables = free_variables
+        self.steps = [] if steps is None else steps
+        self.meta = {} if meta is None else meta
 
     def enumeration_variables(self) -> tuple[str, ...]:
         return self.free_variables if self.free_variables else self.variables

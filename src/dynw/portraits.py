@@ -22,8 +22,7 @@ portrait.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
+from ._record import Frozen, Record
 from .dynatomic import degree_d0
 from .errors import BudgetExceeded, InadmissibleCycleStructure, NotGeneric, ParseError
 
@@ -31,17 +30,17 @@ AUT_BUDGET = 20
 ENUM_BUDGET = 16
 
 
-@dataclass(frozen=True)
-class Portrait:
-    n: int
-    image: tuple[int, ...]
+class Portrait(Frozen):
+    __slots__ = ("n", "image")
 
-    def __post_init__(self):
-        if self.n < 0 or len(self.image) != self.n:
+    def __init__(self, n: int, image: tuple[int, ...]):
+        if n < 0 or len(image) != n:
             raise ValueError("image array length must equal vertex count")
-        for t in self.image:
-            if not 1 <= t <= self.n:
-                raise ValueError(f"image value {t} out of range 1..{self.n}")
+        for t in image:
+            if not 1 <= t <= n:
+                raise ValueError(f"image value {t} out of range 1..{n}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "image", image)
 
     @staticmethod
     def from_text(text: str) -> "Portrait":
@@ -79,15 +78,15 @@ class Portrait:
 EMPTY = Portrait(0, ())
 
 
-@dataclass(frozen=True)
-class CycleStructure:
-    lengths: tuple[int, ...]
+class CycleStructure(Frozen):
+    __slots__ = ("lengths",)
 
-    def __post_init__(self):
-        if any(l < 1 for l in self.lengths):
+    def __init__(self, lengths: tuple[int, ...]):
+        if any(l < 1 for l in lengths):
             raise ValueError("cycle lengths must be positive")
-        if tuple(sorted(self.lengths, reverse=True)) != self.lengths:
+        if tuple(sorted(lengths, reverse=True)) != lengths:
             raise ValueError("cycle lengths must be nonincreasing")
+        object.__setattr__(self, "lengths", lengths)
 
     @staticmethod
     def of(lengths) -> "CycleStructure":
@@ -200,16 +199,20 @@ def relabel(P: Portrait, perm: tuple[int, ...]) -> Portrait:
 # ------------------------------------------------------------------ validation
 
 
-@dataclass(frozen=True)
-class Violation:
-    rule: str  # InDegree | CycleCount | FixedPointPair
-    detail: str
+class Violation(Frozen):
+    __slots__ = ("rule", "detail")
+
+    def __init__(self, rule: str, detail: str):
+        object.__setattr__(self, "rule", rule)  # InDegree | CycleCount | FixedPointPair
+        object.__setattr__(self, "detail", detail)
 
 
-@dataclass
-class GenericityReport:
-    is_generic: bool
-    violations: list[Violation] = field(default_factory=list)
+class GenericityReport(Record):
+    __slots__ = ("is_generic", "violations")
+
+    def __init__(self, is_generic: bool, violations: list[Violation] | None = None):
+        self.is_generic = is_generic
+        self.violations = [] if violations is None else violations
 
 
 def validate_generic(P: Portrait) -> GenericityReport:

@@ -465,6 +465,46 @@ def test_check_bounds_refuses_unprintable_max_up_front(capsys, monkeypatch):
         assert got == expected
 
 
+
+def test_report_levels_are_bounded_whatever_the_digit_limit(capsys, monkeypatch):
+    from dynw import dynatomic
+
+    def no_rows(n):
+        raise AssertionError("computed a row")
+
+    monkeypatch.setattr(dynatomic, "check_degree_bounds", no_rows)
+    old = sys.get_int_max_str_digits()
+    results = []
+    try:
+        for limit in (0, 20000):  # none, and one that admits more than the bound
+            sys.set_int_max_str_digits(limit)
+            for argv in (("check-bounds", "--max", "12901"), ("asymptotic", "--n", "1099511627777")):
+                flag, n = argv[1:]
+                message = f"error: {flag} {n} exceeds the report level bound; use {flag} <= 12900\n"
+                for mode in ((), ("--json",)):
+                    results.append((run(capsys, "dynatomic", *argv, *mode), (1, "", message)))
+    finally:
+        sys.set_int_max_str_digits(old)
+    for got, expected in results:
+        assert got == expected
+
+
+def test_report_levels_are_bounded_in_a_process_with_no_digit_limit():
+    import os
+    import subprocess
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONINTMAXSTRDIGITS="0")
+    for argv in (("asymptotic", "--n", "1099511627777"), ("check-bounds", "--max", "100000")):
+        flag, n = argv[1:]
+        cmd = [sys.executable, "-m", "dynw", "dynatomic", *argv]
+        proc = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            1, "", f"error: {flag} {n} exceeds the report level bound; use {flag} <= 12900\n"
+        )
+
+
 @pytest.mark.parametrize("command", ["count", "max-period"])
 @pytest.mark.parametrize("k", ["-1", "0", "1000000"])
 def test_extension_degree_is_checked_before_q_is_formed(capsys, monkeypatch, tmp_path, command, k):

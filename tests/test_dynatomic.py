@@ -362,6 +362,16 @@ def test_asymptotic_genus_check():
         asymptotic_genus_check(11)
 
 
+def test_degree_reports_refuse_levels_over_the_report_bound():
+    assert dyn.MAX_REPORT_N == 12900
+    assert check_degree_bounds(12900).ok
+    assert asymptotic_genus_check(12900).chain_holds
+    for check in (check_degree_bounds, asymptotic_genus_check):
+        for n in (12901, 1099511627777):
+            with pytest.raises(ValueError, match=f"{check.__name__} supports n <= 12900"):
+                check(n)
+
+
 def test_branch_count_small():
     assert branch_count(1) == 1
     assert branch_count(2) == 0

@@ -2,7 +2,6 @@
 
 import hashlib
 import json
-from dataclasses import replace
 
 import pytest
 
@@ -15,6 +14,7 @@ from dynw.errors import InadmissibleCycleStructure, NotGeneric, ParseError
 from dynw.ff import FFContext
 from dynw.fflab import count_points, iter_solutions, trace_relation_check
 from dynw.models import (
+    CurveModel,
     fc_power,
     full_model,
     generator_set,
@@ -61,7 +61,16 @@ def test_full_model_matches_arithmetic_construction():
         equations, inequations = arithmetic_full_system(P)
         assert model.equations == equations, P
         assert model.inequations == inequations, P
-        oracle = replace(model, equations=equations, inequations=inequations)
+        oracle = CurveModel(
+            model.name,
+            model.variables,
+            equations,
+            inequations,
+            model.provenance,
+            model.free_variables,
+            model.steps,
+            model.meta,
+        )
         assert model_to_json(model) == model_to_json(oracle), P
 
 

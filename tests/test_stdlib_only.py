@@ -31,3 +31,24 @@ def test_src_imports_only_the_standard_library_and_dynw():
     assert {path.name: _outside_imports(path) for path in modules} == {
         path.name: [] for path in modules
     }
+
+
+def test_importing_the_package_loads_no_code_generation_modules():
+    """dataclasses pulls in inspect, ast and dis, none of which the package
+    needs; a fresh interpreter that imports every module loads none of them."""
+    import os
+    import subprocess
+
+    names = sorted(path.stem for path in SRC.glob("*.py") if path.stem != "__main__")
+    assert "cli" in names and "_record" in names
+    code = (
+        "import importlib, sys\n"
+        "import dynw.cli\n"
+        f"for name in {names!r}:\n"
+        "    importlib.import_module('dynw' if name == '__init__' else 'dynw.' + name)\n"
+        "print(sorted({'dataclasses', 'inspect', 'ast', 'dis'} & set(sys.modules)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    argv = [sys.executable, "-c", code]
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
