@@ -2,17 +2,17 @@
 
 Subcommand groups: dynatomic, portrait, model, ff, classify, sweep,
 reproduce.  Exit codes: 0 success, 1 domain error, 2 usage error.  For a
-fixed argv and configuration, stdout is byte-identical across runs; wall
--clock timings (reproduce) go to stderr.
+fixed argv, stdout is byte-identical across runs; wall-clock timings
+(reproduce) go to stderr.
 
-`dispatch` resolves the one run setting, the enumeration cap, into
-`args.enumeration_cap` (see _enumeration_cap).  Each `_cmd_*` handler
+Settings come from argv alone; no environment variable is read (neither
+DYNW_ENUMERATION_CAP nor DYNW_OUTPUT_FORMAT).  The one run setting is
+`--enumeration-cap`, default ff.ENUMERATION_CAP.  Each `_cmd_*` handler
 takes the parsed args alone and returns its report as (doc, lines, code):
 the JSON document without `schema_version` (None for a text-only command),
 the text lines and the exit code.  `dispatch` alone decides the output
 format.  It prints the document, with `schema_version` added, when the
-command has one and `--json` or DYNW_OUTPUT_FORMAT=json asks for it;
-otherwise it prints the lines.
+command has one and `--json` asks for it; otherwise it prints the lines.
 
 Portrait arguments accept either a literal "N:t1,...,tN" string or a path
 to a file containing one.  Model files are the JSON documents emitted by
@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from fractions import Fraction
@@ -49,7 +48,6 @@ from .portraits import (
 from .rational import format_rational, int_str_digits, parse_rational
 
 SCHEMA_VERSION = 1
-_FORMATS = ("json", "text")
 
 
 def _load_portrait(arg: str) -> Portrait:
@@ -432,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="dynw",
         description="Exact-arithmetic workbench for preperiodic portraits of x^2 + c.",
     )
-    parser.add_argument("--enumeration-cap", type=int, default=None)
+    parser.add_argument("--enumeration-cap", type=int, default=ENUMERATION_CAP)
     groups = parser.add_subparsers(dest="group", required=True)
 
     def with_json(p):
@@ -547,41 +545,21 @@ def _merge_value_flags(argv: list[str]) -> list[str]:
     return out
 
 
-def _enumeration_cap(flag: int | None) -> int:
-    """The cap --enumeration-cap gives, else DYNW_ENUMERATION_CAP, else
-    ff.ENUMERATION_CAP.  The variable is parsed even when the flag is
-    given, so a malformed one is always a usage error."""
-    raw = os.environ.get("DYNW_ENUMERATION_CAP")
-    try:
-        cap = ENUMERATION_CAP if raw is None else int(raw)
-    except ValueError:
-        raise ValueError(f"DYNW_ENUMERATION_CAP must be an integer, got {raw!r}") from None
-    cap = cap if flag is None else flag
-    if cap <= 0:
-        raise ValueError("all configuration caps must be positive")
-    return cap
-
-
 def dispatch(argv: list[str]) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(_merge_value_flags(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        args.enumeration_cap = _enumeration_cap(args.enumeration_cap)
-        output_format = os.environ.get("DYNW_OUTPUT_FORMAT", "text")
-        if output_format not in _FORMATS:
-            raise ValueError(f"output_format must be one of {_FORMATS}")
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    if args.enumeration_cap <= 0:
+        print("error: all configuration caps must be positive", file=sys.stderr)
         return 2
     try:
         doc, lines, code = args.func(args)
     except (DynwError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if doc is not None and (args.json or output_format == "json"):
+    if doc is not None and args.json:
         lines = [json.dumps({"schema_version": SCHEMA_VERSION, **doc}, sort_keys=True, indent=2)]
     for line in lines:
         print(line)

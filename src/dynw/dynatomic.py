@@ -21,7 +21,8 @@ Degree bookkeeping (all exact big-integer arithmetic):
 Levels above MAX_DYNATOMIC_N = 11, and orbit types wider in x than Phi_11,
 are refused before anything is built: level 11 takes about 26 s and 1 GiB,
 and level 12 exhausts a 7 GB machine.  The cap is a constant, not a run
-setting, so every builder of Phi_n, Phi_{m,n} and their models sees one cap.
+setting, so every builder of f^n, Phi_n, Phi_{m,n} and their models sees one
+cap.
 """
 
 from __future__ import annotations
@@ -100,6 +101,11 @@ def _fn_minus_x(n: int) -> list:
     return pk.cx_add(pk.fc_iterate(n), [None, [-1]])
 
 
+def _check_level(n: int) -> None:
+    if n > MAX_DYNATOMIC_N:
+        raise ValueError(f"n = {n} exceeds max_dynatomic_n = {MAX_DYNATOMIC_N}")
+
+
 # ------------------------------------------------------------------ operations
 
 
@@ -107,6 +113,7 @@ def iterate_fc(n: int) -> MultiPoly:
     """The n-th iterate of x^2 + c as a polynomial in (c, x); f^0 = x."""
     if n < 0:
         raise ValueError("iterate count must be >= 0")
+    _check_level(n)
     return _cx_to_multipoly(pk.fc_iterate(n))
 
 
@@ -155,8 +162,7 @@ def dynatomic(n: int) -> DynatomicTable:
     """The n-th dynatomic polynomial with its degree bookkeeping."""
     if n < 1:
         raise ValueError("dynatomic level must be >= 1")
-    if n > MAX_DYNATOMIC_N:
-        raise ValueError(f"n = {n} exceeds max_dynatomic_n = {MAX_DYNATOMIC_N}")
+    _check_level(n)
     phi_cx = dynatomic_cx(n)
     d1 = degree_d1(n)
     deg_x = pk.cx_deg_x(phi_cx)
@@ -170,6 +176,7 @@ def dynatomic(n: int) -> DynatomicTable:
 
 def product_identity_holds(n: int) -> bool:
     """Check prod_{d | n} Phi_d = f^n - x exactly."""
+    _check_level(n)
     prod = None
     for d in sorted(divisors_of(n)):
         phi = dynatomic_cx(d)
@@ -195,8 +202,7 @@ def generalized_dynatomic(m: int, n: int) -> MultiPoly:
     """
     if m < 0 or n < 1:
         raise ValueError("need m >= 0 and n >= 1")
-    if n > MAX_DYNATOMIC_N:
-        raise ValueError(f"n = {n} exceeds max_dynatomic_n = {MAX_DYNATOMIC_N}")
+    _check_level(n)
     want, cap = degree_d1(n) << max(m - 1, 0), degree_d1(MAX_DYNATOMIC_N)
     if want > cap:
         raise ValueError(

@@ -235,10 +235,6 @@ def validate_generic(P: Portrait) -> GenericityReport:
     return GenericityReport(is_generic=not violations, violations=violations)
 
 
-def is_generic(P: Portrait) -> bool:
-    return validate_generic(P).is_generic
-
-
 # -------------------------------------------------------------- canonical form
 
 
@@ -307,10 +303,6 @@ def canonical_form(P: Portrait) -> Portrait:
     for v in range(1, P.n + 1):
         new_img[label[v] - 1] = label[P.successor(v)]
     return Portrait(P.n, tuple(new_img))
-
-
-def isomorphic(P: Portrait, Q: Portrait) -> bool:
-    return canonical_form(P) == canonical_form(Q)
 
 
 # ------------------------------------------------- embeddings and automorphisms

@@ -268,20 +268,11 @@ def test_usage_error_exit_code(capsys):
     assert run(capsys, "nonsense")[0] == 2
 
 
-def test_bad_configuration_is_a_usage_error(capsys, monkeypatch):
+def test_bad_configuration_is_a_usage_error(capsys):
     code, out, err = run(capsys, "--enumeration-cap", "0", "classify", "--c", "1")
     assert (code, out) == (2, "") and err == "error: all configuration caps must be positive\n"
-    monkeypatch.setenv("DYNW_ENUMERATION_CAP", "abc")
-    code, out, err = run(capsys, "classify", "--c", "1")
-    assert (code, out) == (2, "")
-    assert err == "error: DYNW_ENUMERATION_CAP must be an integer, got 'abc'\n"
-    monkeypatch.delenv("DYNW_ENUMERATION_CAP")
     code, out, err = run(capsys, "--jobs", "2", "classify", "--c", "1")
     assert (code, out) == (2, "") and err.startswith("usage: dynw")
-    monkeypatch.setenv("DYNW_OUTPUT_FORMAT", "csv")
-    code, out, err = run(capsys, "classify", "--c", "1")
-    assert (code, out) == (2, "") and err.startswith("error: output_format must be one of")
-    assert err.count("\n") == 1
 
 
 def test_default_config_refuses_level_12_before_building(capsys, monkeypatch):
@@ -358,15 +349,6 @@ def test_byte_identical_reruns(capsys):
     assert first == second
 
 
-def test_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("DYNW_ENUMERATION_CAP", "10")
-    assert run(capsys, "ff", "max-period", "--p", "5") == (
-        1, "", "error: q^2 = 25 exceeds enumeration cap 10\n"
-    )
-    monkeypatch.delenv("DYNW_ENUMERATION_CAP")
-    assert run(capsys, "ff", "max-period", "--p", "5")[0] == 0
-
-
 # (argv, a cap that refuses it, the refusal, a cap under which it runs);
 # PLANE1 stands for a file holding plane_model(1)
 _CAPPED_COMMANDS = [
@@ -385,7 +367,7 @@ _CAPPED_COMMANDS = [
     _CAPPED_COMMANDS,
     ids=[" ".join(case[0][:2]) for case in _CAPPED_COMMANDS],
 )
-def test_every_capped_command_reads_the_flag_and_the_variable(
+def test_every_capped_command_reads_the_flag(
     capsys, monkeypatch, tmp_path, argv, small, refusal, large
 ):
     from dynw.models import model_to_json, plane_model
@@ -394,21 +376,13 @@ def test_every_capped_command_reads_the_flag_and_the_variable(
     model.write_text(model_to_json(plane_model(1)))
     argv = tuple(str(model) if a == "PLANE1" else a for a in argv)
     refused = (1, "", f"error: {refusal}\n")
-    monkeypatch.delenv("DYNW_ENUMERATION_CAP", raising=False)
     code, out, _ = run(capsys, *argv)  # the default cap
     assert code == 0
     assert run(capsys, "--enumeration-cap", str(small), *argv) == refused
-    monkeypatch.setenv("DYNW_ENUMERATION_CAP", str(small))
-    assert run(capsys, *argv) == refused
-    # the flag overrides the variable, either way
     assert run(capsys, "--enumeration-cap", str(large), *argv)[:2] == (0, out)
-    monkeypatch.setenv("DYNW_ENUMERATION_CAP", str(large))
-    assert run(capsys, "--enumeration-cap", str(small), *argv) == refused
-    # the variable is parsed even when the flag is given
-    monkeypatch.setenv("DYNW_ENUMERATION_CAP", "abc")
-    assert run(capsys, "--enumeration-cap", str(large), *argv) == (
-        2, "", "error: DYNW_ENUMERATION_CAP must be an integer, got 'abc'\n"
-    )
+    # the retired variable is not read: a refusing cap in it changes nothing
+    monkeypatch.setenv("DYNW_ENUMERATION_CAP", str(small))
+    assert run(capsys, *argv)[:2] == (0, out)
 
 
 def test_oversized_numbers_are_named_not_printed(capsys):
@@ -816,17 +790,23 @@ def test_every_command_is_covered_by_the_output_format_tests():
     assert (len(JSON_COMMANDS), len(TEXT_ONLY_COMMANDS)) == (15, 6)
 
 
+# the retired variables, set to values that once changed or refused output
+_RETIRED_VARIABLES = {"DYNW_ENUMERATION_CAP": "abc", "DYNW_OUTPUT_FORMAT": "csv"}
+
+
 @pytest.mark.parametrize("command", sorted(JSON_COMMANDS), ids=" ".join)
 def test_json_flag_and_environment_print_the_same_document(capsys, monkeypatch, tmp_path, command):
+    """--json prints the document, and text is the default; neither output
+    depends on the environment (DYNW_OUTPUT_FORMAT is not read)."""
     model = _full_model_file(capsys, tmp_path, "4:2,1,2,1")
     argv = [*command] + [model if a == "MODEL" else a for a in JSON_COMMANDS[command]]
     text = run(capsys, *argv)
     flag = run(capsys, *argv, "--json")
-    monkeypatch.setenv("DYNW_OUTPUT_FORMAT", "json")
-    assert run(capsys, *argv) == flag
-    assert json.loads(flag[1])["schema_version"] == 1
-    monkeypatch.setenv("DYNW_OUTPUT_FORMAT", "text")
-    assert run(capsys, *argv) == text != flag
+    assert json.loads(flag[1])["schema_version"] == 1 and text != flag
+    for values in (_RETIRED_VARIABLES, {"DYNW_OUTPUT_FORMAT": "json"}):
+        for name, value in values.items():
+            monkeypatch.setenv(name, value)
+        assert (run(capsys, *argv), run(capsys, *argv, "--json")) == (text, flag)
 
 
 @pytest.mark.parametrize("command", sorted(TEXT_ONLY_COMMANDS), ids=" ".join)
@@ -838,5 +818,6 @@ def test_environment_leaves_text_only_commands_alone(capsys, monkeypatch, comman
         return code, out, re.sub(r"elapsed \d+\.\d+s", "elapsed", err)
 
     text = masked()
-    monkeypatch.setenv("DYNW_OUTPUT_FORMAT", "json")
+    for name, value in _RETIRED_VARIABLES.items():
+        monkeypatch.setenv(name, value)
     assert masked() == text

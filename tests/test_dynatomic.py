@@ -67,8 +67,9 @@ def test_dynatomic_level_cap(monkeypatch):
     monkeypatch.setattr(pk, "fc_iterate", no_build)
     monkeypatch.setenv("DYNW_MAX_DYNATOMIC_N", "12")  # not a setting: never read
     assert dyn.MAX_DYNATOMIC_N == 11
-    with pytest.raises(ValueError, match=r"^n = 12 exceeds max_dynatomic_n = 11$"):
-        dynatomic(12)
+    for build in (dynatomic, iterate_fc, product_identity_holds):
+        with pytest.raises(ValueError, match=r"^n = 12 exceeds max_dynatomic_n = 11$"):
+            build(12)
     with pytest.raises(ValueError):
         dynatomic(0)
 
