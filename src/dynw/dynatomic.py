@@ -101,7 +101,8 @@ def _fn_minus_x(n: int) -> list:
     return pk.cx_add(pk.fc_iterate(n), [None, [-1]])
 
 
-def _check_level(n: int) -> None:
+def check_level(n: int) -> None:
+    """Refuse a level above MAX_DYNATOMIC_N, before anything is built."""
     if n > MAX_DYNATOMIC_N:
         raise ValueError(f"n = {n} exceeds max_dynatomic_n = {MAX_DYNATOMIC_N}")
 
@@ -113,7 +114,7 @@ def iterate_fc(n: int) -> MultiPoly:
     """The n-th iterate of x^2 + c as a polynomial in (c, x); f^0 = x."""
     if n < 0:
         raise ValueError("iterate count must be >= 0")
-    _check_level(n)
+    check_level(n)
     return _cx_to_multipoly(pk.fc_iterate(n))
 
 
@@ -162,7 +163,7 @@ def dynatomic(n: int) -> DynatomicTable:
     """The n-th dynatomic polynomial with its degree bookkeeping."""
     if n < 1:
         raise ValueError("dynatomic level must be >= 1")
-    _check_level(n)
+    check_level(n)
     phi_cx = dynatomic_cx(n)
     d1 = degree_d1(n)
     deg_x = pk.cx_deg_x(phi_cx)
@@ -176,7 +177,7 @@ def dynatomic(n: int) -> DynatomicTable:
 
 def product_identity_holds(n: int) -> bool:
     """Check prod_{d | n} Phi_d = f^n - x exactly."""
-    _check_level(n)
+    check_level(n)
     prod = None
     for d in sorted(divisors_of(n)):
         phi = dynatomic_cx(d)
@@ -202,7 +203,7 @@ def generalized_dynatomic(m: int, n: int) -> MultiPoly:
     """
     if m < 0 or n < 1:
         raise ValueError("need m >= 0 and n >= 1")
-    _check_level(n)
+    check_level(n)
     want, cap = degree_d1(n) << max(m - 1, 0), degree_d1(MAX_DYNATOMIC_N)
     if want > cap:
         raise ValueError(
@@ -343,6 +344,7 @@ __all__ = [
     "DegreeReport",
     "BoundsReport",
     "AsymptoticReport",
+    "check_level",
     "iterate_fc",
     "dynatomic",
     "generalized_dynatomic",

@@ -38,7 +38,7 @@ import json
 from typing import NamedTuple
 
 from ._record import Record
-from .dynatomic import MAX_DYNATOMIC_N, degree_d0, dynatomic, generalized_dynatomic, iterate_fc
+from .dynatomic import check_level, degree_d0, dynatomic, generalized_dynatomic, iterate_fc
 from .errors import InadmissibleCycleStructure, NotGeneric, ParseError
 from .multipoly import MultiPoly
 from .portraits import Portrait, find_cycles, indegrees, preimages, validate_generic, vertex_depths
@@ -309,8 +309,7 @@ def multi_level_model(n_list) -> CurveModel:
     levels = sorted((int(n) for n in n_list), reverse=True)
     if not levels or any(n < 1 for n in levels):
         raise InadmissibleCycleStructure("levels must be positive integers")
-    if levels[0] > MAX_DYNATOMIC_N:  # before D0(n) forms 2^n
-        raise ValueError(f"n = {levels[0]} exceeds max_dynatomic_n = {MAX_DYNATOMIC_N}")
+    check_level(levels[0])  # before D0(n) forms 2^n
     for n in set(levels):
         if levels.count(n) > degree_d0(n):
             raise InadmissibleCycleStructure(
