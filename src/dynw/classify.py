@@ -11,12 +11,13 @@ The candidate envelope: write c = a/b in lowest terms.
   envelope therefore certifies non-preperiodicity.
 
 classify(c) works on the integer numerators u of the candidates u/m.  The
-candidate u/m maps to (u^2 + a)/m when m divides u^2 + a and the result
-stays in the window |u| <= u_max; otherwise it escapes.  One successor array
-per c holds this map.  Only the annulus of magnitudes |u| with
--m*u_max <= u^2 + a <= m*u_max can map back into the window, so only it is
-computed; every other candidate escapes at once.  When c > 1/4 nothing is
-computed: x^2 + c - x = (x - 1/2)^2 + c - 1/4 > 0, so every real orbit
+candidate u/m maps to (u^2 + a)/m when m divides u^2 + a, that is when
+u = r (mod m) for a root r of r^2 = -a (mod m), and the result stays in the
+window |u| <= u_max; otherwise it escapes.  One successor array per c holds
+this map.  Only the annulus of magnitudes |u| with -m*u_max <= u^2 + a <= m*u_max
+can map back into the window, so images are computed only for the residues r
+of the annulus; every other candidate escapes at once.  When c > 1/4 nothing
+is computed: x^2 + c - x = (x - 1/2)^2 + c - 1/4 > 0, so every real orbit
 strictly increases and the portrait is empty.  The preperiodic points are
 the candidates whose path never escapes (the set is automatically
 forward-closed), found by walking from the live candidates alone, and the
@@ -152,33 +153,38 @@ class ClassificationRecord(Record):
         self.points = [] if points is None else points
 
 
-def _successors(m: int, a: int, u_max: int) -> list[int]:
-    """succ[u + u_max] = v + u_max when u/m maps to v/m inside the window,
-    and -1 when the image of u/m escapes.
+def _successors(m: int, a: int, u_max: int) -> tuple[list[int], list[int]]:
+    """(succ, live): succ[u + u_max] = v + u_max when u/m maps to v/m inside
+    the window, and -1 when the image of u/m escapes; live lists the indices
+    whose entry is not -1.
 
-    The image (u^2 + a)/m lies in the window exactly when
-    -m*u_max <= u^2 + a <= m*u_max, so only the annulus
-    isqrt_ceil(max(0, -a - m*u_max)) <= |u| <= min(u_max, isqrt(m*u_max - a))
-    is filled, one divmod per magnitude shared by +u and -u.  The annulus is
-    empty, and every entry -1, when m*u_max < a, which needs c > 1; classify
-    calls this only for c <= 1/4.
+    The image (u^2 + a)/m is an integer exactly when u = r (mod m) for a
+    root r of r^2 = -a (mod m), and lies in the window exactly when u is in
+    the annulus lo <= |u| <= hi of -m*u_max <= u^2 + a <= m*u_max.  So the
+    roots are found in one pass over range(m), and each steps through the
+    annulus in strides of m from lo + (r - lo) % m, one division per
+    magnitude shared by +u and -u.  The annulus is empty, and every entry
+    -1, when m*u_max < a, which needs c > 1; classify calls this only for
+    c <= 1/4.
     """
     succ = [-1] * (2 * u_max + 1)
+    live: list[int] = []
     top = m * u_max - a
     if top < 0:
-        return succ
-    for u in range(isqrt_ceil(max(0, -a - m * u_max)), min(u_max, isqrt(top)) + 1):
-        v, r = divmod(u * u + a, m)
-        if r == 0:
-            succ[u_max + u] = succ[u_max - u] = v + u_max
-    return succ
+        return succ, live
+    lo, hi = isqrt_ceil(max(0, -a - m * u_max)), min(u_max, isqrt(top))
+    for r in [r for r in range(m) if (r * r + a) % m == 0]:
+        for u in range(lo + (r - lo) % m, hi + 1, m):
+            succ[u_max + u] = succ[u_max - u] = (u * u + a) // m + u_max
+            live += (u_max + u, u_max - u) if u else (u_max,)
+    return succ, live
 
 
-def _non_escaping(succ: list[int]) -> list[int]:
+def _non_escaping(succ: list[int], live: list[int]) -> list[int]:
     """The ascending indices whose path under succ never reaches -1, walked
-    only from the indices whose successor is not -1."""
+    only from the live indices, those whose successor is not -1."""
     stays: dict[int, bool | None] = {}  # None while on the current path
-    for start in [i for i, j in enumerate(succ) if j >= 0]:
+    for start in live:
         path = []
         i = start
         while i >= 0 and i not in stays:
@@ -213,7 +219,7 @@ def _verdict(n: int, image: tuple[int, ...]) -> tuple[Portrait, str | None, bool
 def classify(c: Fraction, cap: int = ENUMERATION_CAP) -> ClassificationRecord:
     """The exact rational preperiodic portrait of x^2 + c.  BudgetExceeded
     when its 2*u_max + 1 candidates exceed the enumeration cap `cap`."""
-    c = Fraction(c)
+    c = c if isinstance(c, Fraction) else Fraction(c)
     points: list[Fraction] = []
     image: tuple[int, ...] = ()
     window = _window(c)
@@ -224,21 +230,14 @@ def classify(c: Fraction, cap: int = ENUMERATION_CAP) -> ClassificationRecord:
         # when c > 1/4, x^2 + c - x = (x - 1/2)^2 + c - 1/4 > 0, so every
         # real orbit strictly increases and no point is preperiodic
         if 4 * a <= m * m:
-            succ = _successors(m, a, u_max)
-            kept = _non_escaping(succ)
-            rank = {i: r + 1 for r, i in enumerate(kept)}
-            image = tuple(rank[succ[i]] for i in kept)
-            points = [Fraction(i - u_max, m) for i in kept]
+            succ, live = _successors(m, a, u_max)
+            kept = _non_escaping(succ, live)
+            if kept:
+                rank = {i: r + 1 for r, i in enumerate(kept)}
+                image = tuple([rank[succ[i]] for i in kept])
+                points = [Fraction(i - u_max, m) for i in kept]
     P, label, generic, flags = _verdict(len(points), image)
-    return ClassificationRecord(
-        c=c,
-        portrait=P,
-        label=label,
-        generic=generic,
-        point_count=P.n,
-        flags=list(flags),
-        points=points,
-    )
+    return ClassificationRecord(c, P, label, generic, P.n, list(flags), points)
 
 
 # ------------------------------------------------------------------------ sweep
@@ -254,16 +253,13 @@ class SweepSummary(NamedTuple):
 def _sweep_domain(height_bound: int) -> list[Fraction]:
     """All c = a/m^2 in lowest terms with max(|a|, m^2) <= height_bound,
     ordered by (height, numerator, denominator)."""
-    out = []
-    m = 1
-    while m * m <= height_bound:
-        den = m * m
-        for a in range(-height_bound, height_bound + 1):
-            if gcd(abs(a), den) == 1:
-                out.append(Fraction(a, den))
-        m += 1
-    out.sort(key=lambda c: (max(abs(c.numerator), c.denominator), c.numerator, c.denominator))
-    return out
+    keys = sorted(
+        (max(abs(a), den), a, den)
+        for den in [m * m for m in range(1, isqrt(height_bound) + 1)]
+        for a in range(-height_bound, height_bound + 1)
+        if gcd(a, den) == 1
+    )
+    return [Fraction(a, den) for _, a, den in keys]
 
 
 def sweep(height_bound: int, out=None, cap: int = ENUMERATION_CAP) -> SweepSummary:
@@ -311,17 +307,16 @@ CSV_COLUMNS = (
 
 
 def write_records_csv(out, records: list[ClassificationRecord]) -> None:
+    """One CSV row per record; the verdict cache shares portrait objects
+    between records, so each shared portrait is formatted once."""
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
+    texts: dict[int, str] = {}  # keyed by id: the records keep each portrait alive
     for rec in records:
+        text = texts.get(id(rec.portrait))
+        if text is None:
+            text = texts[id(rec.portrait)] = rec.portrait.to_text()
+        c, label, flags = rec.c, rec.label or "", ";".join(rec.flags)
         writer.writerow(
-            [
-                rec.c.numerator,
-                rec.c.denominator,
-                rec.portrait.to_text(),
-                rec.label or "",
-                int(rec.generic),
-                rec.point_count,
-                ";".join(rec.flags),
-            ]
+            [c.numerator, c.denominator, text, label, int(rec.generic), rec.point_count, flags]
         )

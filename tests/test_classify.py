@@ -97,6 +97,12 @@ def test_classify_known_parameters():
     assert classify(Fraction(-21, 16)).label == "8(2,1,1)"
 
 
+def test_classify_takes_an_int_or_a_string_as_the_fraction_it_names():
+    for arg, c in ((-2, Fraction(-2)), ("-3/4", Fraction(-3, 4))):
+        rec = classify(arg)
+        assert rec == classify(c) and type(rec.c) is Fraction and rec.c == c, arg
+
+
 def test_classify_soundness():
     """Every vertex value satisfies its recorded preperiod/period exactly."""
     rng = random.Random(8)
@@ -190,7 +196,7 @@ def assert_matches_orbit_oracle(c: Fraction) -> None:
         assert rec.points == [] and rec.portrait.n == 0
         return
     m, a, u_max = window
-    succ = _successors(m, a, u_max)
+    succ, _ = _successors(m, a, u_max)
     for x in rec.points:
         v = succ[int(x * m) + u_max] - u_max
         assert Fraction(v, m) == x * x + c, (c, x)
@@ -224,18 +230,20 @@ def test_step_budget():
 
 
 def assert_annulus_matches_window(c: Fraction) -> None:
-    """_successors fills the annulus exactly as the full window would, and
-    _non_escaping, walking from live candidates only, keeps the same indices
-    as the walk from every index."""
+    """_successors, stepping through the annulus by the square roots of -a
+    mod m, fills the array exactly as the full window would and lists every
+    live index once, and _non_escaping, walking from those live indices
+    only, keeps the same indices as the walk from every index."""
     window = _window(c)
     if window is None:
         return
     m, a, u_max = window
-    succ = _successors(m, a, u_max)
+    succ, live = _successors(m, a, u_max)
     full = window_successors(m, a, u_max)
     assert succ == full, c
+    assert sorted(live) == [i for i, j in enumerate(full) if j >= 0], c
     kept = window_non_escaping(full)
-    assert _non_escaping(succ) == kept, c
+    assert _non_escaping(succ, live) == kept, c
 
 
 def test_annulus_matches_full_window_on_sweep_domain():
@@ -251,6 +259,39 @@ def test_annulus_matches_full_window_on_square_denominators(a, m):
     assert_annulus_matches_window(Fraction(a, m * m))
 
 
+MANY_ROOT_MODULI = [8, 16, 24, 48, 120, 240]
+
+
+def square_roots_mod(m: int, a: int) -> int:
+    """How many r in range(m) have r^2 = -a (mod m), counted one by one."""
+    return sum(1 for r in range(m) if (r * r + a) % m == 0)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    m=st.sampled_from(MANY_ROOT_MODULI),
+    s=st.integers(0, 239),
+    t=st.integers(-10**8 + 60000, 10**8),
+    square=st.booleans(),
+)
+def test_annulus_matches_full_window_on_moduli_with_many_roots(m, s, t, square):
+    # a = t - t % m - s^2 makes -a a square mod m; a plain t may have no root
+    a = t - t % m - s * s if square else t
+    assert abs(a) <= 10**8 and (square_roots_mod(m, a) > 0 or not square)
+    assert_annulus_matches_window(Fraction(a, m * m))
+
+
+@pytest.mark.parametrize("m", MANY_ROOT_MODULI)
+def test_annulus_matches_full_window_at_every_root_of_one(m):
+    # a = -1 (mod m), so c = a/m^2 is in lowest terms and r^2 = -a = 1 has
+    # 4 roots mod 8 and mod 16, 8 mod 24 and mod 48, and 16 mod 120 and 240
+    roots = {8: 4, 16: 4, 24: 8, 48: 8, 120: 16, 240: 16}[m]
+    top = 10**8 // m * m
+    for a in (-1, m - 1, -m * m - 1, -2 * m * m - 1, m - top - 1, top - 1):
+        assert abs(a) <= 10**8 and square_roots_mod(m, a) == roots, (m, a)
+        assert_annulus_matches_window(Fraction(a, m * m))
+
+
 EMPTY_ANNULUS = [Fraction(5), Fraction(10**6), Fraction(101, 4)]
 EXACT_INNER_RADIUS = [Fraction(-8), Fraction(-32), Fraction(-11, 4), Fraction(-37, 16)]
 
@@ -261,10 +302,10 @@ EXACT_INNER_RADIUS = [Fraction(-8), Fraction(-32), Fraction(-11, 4), Fraction(-3
 def test_annulus_edge_cases(c):
     m, a, u_max = _window(c)
     if c in EMPTY_ANNULUS:  # c > 1/4 with m*u_max < a: nothing maps back in
-        assert m * u_max < a and _successors(m, a, u_max) == [-1] * (2 * u_max + 1)
+        assert m * u_max < a and _successors(m, a, u_max) == ([-1] * (2 * u_max + 1), [])
     if c in EXACT_INNER_RADIUS:  # -a - m*u_max = r^2, and u = r maps into the window
         r = perfect_square_root(-a - m * u_max)
-        assert r and _successors(m, a, u_max)[u_max + r] >= 0
+        assert r and _successors(m, a, u_max)[0][u_max + r] >= 0
     assert_annulus_matches_window(c)
 
 

@@ -669,6 +669,45 @@ def test_python_dash_m_runs_the_command_line():
     )
 
 
+def test_the_worst_classify_input_runs_in_256_mib():
+    # c = -1/4999998^2: its 9999999 candidates are the most the default
+    # enumeration cap admits, and its denominator m = 4999998 is the largest
+    # modulus classify meets; the limit applies to the child process alone
+    import os
+    import resource
+    import subprocess
+    from pathlib import Path
+
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (256 * 2**20, 256 * 2**20))
+
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    argv = [sys.executable, "-m", "dynw", "classify", "--c", "-1/24999980000004"]
+    proc = subprocess.run(
+        argv, env=env, capture_output=True, text=True, timeout=120, preexec_fn=limit_address_space
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "label=empty" in proc.stdout
+
+
+def test_a_closed_stdout_ends_the_command_with_exit_1_and_no_traceback():
+    # dynatomic poly --n 7 prints about 100 KB, more than a pipe holds, so the
+    # write after the reader closes its end fails
+    import os
+    import subprocess
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    argv = [sys.executable, "-m", "dynw", "dynatomic", "poly", "--n", "7"]
+    proc = subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (1, b"")
+
+
 def test_a_denominator_that_vanishes_mod_p_is_one_error_line(capsys, tmp_path):
     doc = {
         "schema_version": 1, "name": "half", "provenance": "plane", "variables": ["c", "x"],
