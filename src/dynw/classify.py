@@ -14,11 +14,12 @@ classify(c) works on the integer numerators u of the candidates u/m.  The
 candidate u/m maps to (u^2 + a)/m when m divides u^2 + a, that is when
 u = r (mod m) for a root r of r^2 = -a (mod m), and the result stays in the
 window |u| <= u_max; otherwise it escapes.  One successor array per c holds
-this map.  Only the annulus of magnitudes |u| with -m*u_max <= u^2 + a <= m*u_max
-can map back into the window, so images are computed only for the residues r
-of the annulus; every other candidate escapes at once.  When c > 1/4 nothing
-is computed: x^2 + c - x = (x - 1/2)^2 + c - 1/4 > 0, so every real orbit
-strictly increases and the portrait is empty.  The preperiodic points are
+this map.  Only the annulus of magnitudes |u| with
+-m*u_max <= u^2 + a <= m*u_max can map back into the window, so images are
+computed only for the residues r of the annulus; every other candidate
+escapes at once.  When c > 1/4 nothing is computed, since
+x^2 + c - x = (x - 1/2)^2 + c - 1/4 > 0: every real orbit strictly
+increases and the portrait is empty.  The preperiodic points are
 the candidates whose path never escapes (the set is automatically
 forward-closed), found by walking from the live candidates alone, and the
 portrait's image map is read straight off the array.  The raw portrait then
