@@ -13,25 +13,27 @@ The candidate envelope: write c = a/b in lowest terms.
 classify(c) works on the integer numerators u of the candidates u/m.  The
 candidate u/m maps to (u^2 + a)/m when m divides u^2 + a, that is when
 u = r (mod m) for a root r of r^2 = -a (mod m), and the result stays in the
-window |u| <= u_max; otherwise it escapes.  One successor array per c holds
-this map.  Only the annulus of magnitudes |u| with
--m*u_max <= u^2 + a <= m*u_max can map back into the window, so images are
-computed only for the residues r of the annulus; every other candidate
-escapes at once.  When c > 1/4 nothing is computed, since
-x^2 + c - x = (x - 1/2)^2 + c - 1/4 > 0: every real orbit strictly
-increases and the portrait is empty.  The preperiodic points are
+window |u| <= u_max; otherwise it escapes.  One dict per c holds this map
+for the live candidates alone, those whose image stays in the window, so
+its size follows what is found and not the window: the enumeration cap on
+the window bounds the work of the residue scan, not memory.  Only the
+annulus of magnitudes |u| with -m*u_max <= u^2 + a <= m*u_max can map back
+into the window, so images are computed only for the residues r of the
+annulus; every other candidate escapes at once.  When c > 1/4 nothing is
+computed, since x^2 + c - x = (x - 1/2)^2 + c - 1/4 > 0: every real orbit
+strictly increases and the portrait is empty.  The preperiodic points are
 the candidates whose path never escapes (the set is automatically
-forward-closed), found by walking from the live candidates alone, and the
-portrait's image map is read straight off the array.  The raw portrait then
-gets its verdict: canonical form, catalog label, genericity and flags.  The
+forward-closed), found by walking from the keys of the map, and the
+portrait's image map is read straight off it.  The raw portrait then gets
+its verdict: canonical form, catalog label, genericity and flags.  The
 verdict depends on the raw portrait alone and few raw portraits occur (18
 over the 3535 parameters of height 200), so a bounded cache computes each
-once; it holds only immutable values, and every record gets its own flags
-list.  sweep() does this for all c = a/m^2 up to a height bound and tallies
-the classes; any generic portrait outside the conjectured twelve rational
-classes is reported as an anomaly rather than an error, since completeness
-of that list is conditional on the absence of rational points of period
-above 3.
+once; it holds only immutable values, so the records of one verdict share
+its flags tuple, and each record's points are a tuple.  sweep() does this
+for all c = a/m^2 up to a height bound and tallies the classes; any generic
+portrait outside the conjectured twelve rational classes is reported as an
+anomaly rather than an error, since completeness of that list is
+conditional on the absence of rational points of period above 3.
 
 orbit() iterates one value in Fraction arithmetic; the tests use it as an
 independent oracle for classify().
@@ -142,57 +144,56 @@ class ClassificationRecord(Record):
         label: str | None,
         generic: bool,
         point_count: int,
-        flags: list[str] | None = None,
-        points: list[Fraction] | None = None,
+        flags: tuple[str, ...] = (),
+        points: tuple[Fraction, ...] = (),
     ):
         self.c = c
         self.portrait = portrait
         self.label = label
         self.generic = generic
         self.point_count = point_count
-        self.flags = [] if flags is None else flags
-        self.points = [] if points is None else points
+        self.flags = flags
+        self.points = points
 
 
-def _successors(m: int, a: int, u_max: int) -> tuple[list[int], list[int]]:
-    """(succ, live): succ[u + u_max] = v + u_max when u/m maps to v/m inside
-    the window, and -1 when the image of u/m escapes; live lists the indices
-    whose entry is not -1.
+def _successors(m: int, a: int, u_max: int) -> dict[int, int]:
+    """succ[u + u_max] = v + u_max for each candidate u/m whose image v/m
+    lies inside the window; a candidate whose image escapes has no key.
 
     The image (u^2 + a)/m is an integer exactly when u = r (mod m) for a
     root r of r^2 = -a (mod m), and lies in the window exactly when u is in
     the annulus lo <= |u| <= hi of -m*u_max <= u^2 + a <= m*u_max.  So the
     roots are found in one pass over range(m), and each steps through the
     annulus in strides of m from lo + (r - lo) % m, one division per
-    magnitude shared by +u and -u.  The annulus is empty, and every entry
-    -1, when m*u_max < a, which needs c > 1; classify calls this only for
-    c <= 1/4.
+    magnitude shared by +u and -u.  Only these live candidates are stored,
+    so the map's size follows what is found, not the 2*u_max + 1 candidates
+    of the window.  The annulus is empty, and so is the map, when
+    m*u_max < a, which needs c > 1; classify calls this only for c <= 1/4.
     """
-    succ = [-1] * (2 * u_max + 1)
-    live: list[int] = []
+    succ: dict[int, int] = {}
     top = m * u_max - a
     if top < 0:
-        return succ, live
+        return succ
     lo, hi = isqrt_ceil(max(0, -a - m * u_max)), min(u_max, isqrt(top))
     for r in [r for r in range(m) if (r * r + a) % m == 0]:
         for u in range(lo + (r - lo) % m, hi + 1, m):
             succ[u_max + u] = succ[u_max - u] = (u * u + a) // m + u_max
-            live += (u_max + u, u_max - u) if u else (u_max,)
-    return succ, live
+    return succ
 
 
-def _non_escaping(succ: list[int], live: list[int]) -> list[int]:
-    """The ascending indices whose path under succ never reaches -1, walked
-    only from the live indices, those whose successor is not -1."""
+def _non_escaping(succ: dict[int, int]) -> list[int]:
+    """The ascending indices whose path under succ never escapes, walked
+    from the keys of succ; a path escapes at the first index that is not a
+    key."""
     stays: dict[int, bool | None] = {}  # None while on the current path
-    for start in live:
+    for start in succ:
         path = []
         i = start
-        while i >= 0 and i not in stays:
+        while i in succ and i not in stays:
             stays[i] = None
             path.append(i)
             i = succ[i]
-        verdict = i >= 0 and stays[i] is not False
+        verdict = i in succ and stays[i] is not False
         for j in path:
             stays[j] = verdict
     return sorted(i for i, s in stays.items() if s)
@@ -207,7 +208,8 @@ _VERDICT_CACHE_SIZE = 1024
 def _verdict(n: int, image: tuple[int, ...]) -> tuple[Portrait, str | None, bool, tuple[str, ...]]:
     """(canonical portrait, catalog label, genericity, flags) of the raw
     portrait (n, image), computed once per raw portrait.  Only immutable
-    parts are returned, so records cannot share a mutable value."""
+    parts are returned, so the records that share them cannot change one
+    another."""
     P = canonical_form(Portrait(n, image))
     entry = match(P)
     report = validate_generic(P)
@@ -221,7 +223,7 @@ def classify(c: Fraction, cap: int = ENUMERATION_CAP) -> ClassificationRecord:
     """The exact rational preperiodic portrait of x^2 + c.  BudgetExceeded
     when its 2*u_max + 1 candidates exceed the enumeration cap `cap`."""
     c = c if isinstance(c, Fraction) else Fraction(c)
-    points: list[Fraction] = []
+    points: tuple[Fraction, ...] = ()
     image: tuple[int, ...] = ()
     window = _window(c)
     if window is not None:
@@ -231,14 +233,14 @@ def classify(c: Fraction, cap: int = ENUMERATION_CAP) -> ClassificationRecord:
         # when c > 1/4, x^2 + c - x = (x - 1/2)^2 + c - 1/4 > 0, so every
         # real orbit strictly increases and no point is preperiodic
         if 4 * a <= m * m:
-            succ, live = _successors(m, a, u_max)
-            kept = _non_escaping(succ, live)
+            succ = _successors(m, a, u_max)
+            kept = _non_escaping(succ)
             if kept:
                 rank = {i: r + 1 for r, i in enumerate(kept)}
                 image = tuple([rank[succ[i]] for i in kept])
-                points = [Fraction(i - u_max, m) for i in kept]
+                points = tuple([Fraction(i - u_max, m) for i in kept])
     P, label, generic, flags = _verdict(len(points), image)
-    return ClassificationRecord(c, P, label, generic, P.n, list(flags), points)
+    return ClassificationRecord(c, P, label, generic, P.n, flags, points)
 
 
 # ------------------------------------------------------------------------ sweep

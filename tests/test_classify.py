@@ -187,16 +187,16 @@ def assert_matches_orbit_oracle(c: Fraction) -> None:
     rec = classify(c)
     cands = preperiodic_candidates(c)
     oracle = [x for x in cands if not orbit(c, x, len(cands) + 4).escaped]
-    assert rec.points == oracle, c
+    assert rec.points == tuple(oracle), c
     index = {x: i + 1 for i, x in enumerate(oracle)}
     image = tuple(index[x * x + c] for x in oracle)
     assert rec.portrait == canonical_form(Portrait(len(oracle), image)), c
     window = _window(c)
     if window is None:
-        assert rec.points == [] and rec.portrait.n == 0
+        assert rec.points == () and rec.portrait.n == 0
         return
     m, a, u_max = window
-    succ, _ = _successors(m, a, u_max)
+    succ = _successors(m, a, u_max)
     for x in rec.points:
         v = succ[int(x * m) + u_max] - u_max
         assert Fraction(v, m) == x * x + c, (c, x)
@@ -219,7 +219,7 @@ def test_non_square_denominator_gives_empty_portrait(a, b):
     c = Fraction(a, b)
     assume(perfect_square_root(c.denominator) is None)
     rec = classify(c)
-    assert rec.points == [] and rec.portrait.n == 0 and rec.label == "empty"
+    assert rec.points == () and rec.portrait.n == 0 and rec.label == "empty"
     assert_matches_orbit_oracle(c)
 
 
@@ -231,19 +231,18 @@ def test_step_budget():
 
 def assert_annulus_matches_window(c: Fraction) -> None:
     """_successors, stepping through the annulus by the square roots of -a
-    mod m, fills the array exactly as the full window would and lists every
-    live index once, and _non_escaping, walking from those live indices
-    only, keeps the same indices as the walk from every index."""
+    mod m, has a key for exactly the indices whose full-window successor is
+    not -1, each with that successor, and _non_escaping, walking from those
+    keys only, keeps the same indices as the walk from every index."""
     window = _window(c)
     if window is None:
         return
     m, a, u_max = window
-    succ, live = _successors(m, a, u_max)
+    succ = _successors(m, a, u_max)
     full = window_successors(m, a, u_max)
-    assert succ == full, c
-    assert sorted(live) == [i for i, j in enumerate(full) if j >= 0], c
+    assert succ == {i: j for i, j in enumerate(full) if j >= 0}, c
     kept = window_non_escaping(full)
-    assert _non_escaping(succ, live) == kept, c
+    assert _non_escaping(succ) == kept, c
 
 
 def test_annulus_matches_full_window_on_sweep_domain():
@@ -302,10 +301,10 @@ EXACT_INNER_RADIUS = [Fraction(-8), Fraction(-32), Fraction(-11, 4), Fraction(-3
 def test_annulus_edge_cases(c):
     m, a, u_max = _window(c)
     if c in EMPTY_ANNULUS:  # c > 1/4 with m*u_max < a: nothing maps back in
-        assert m * u_max < a and _successors(m, a, u_max) == ([-1] * (2 * u_max + 1), [])
+        assert m * u_max < a and _successors(m, a, u_max) == {}
     if c in EXACT_INNER_RADIUS:  # -a - m*u_max = r^2, and u = r maps into the window
         r = perfect_square_root(-a - m * u_max)
-        assert r and _successors(m, a, u_max)[0][u_max + r] >= 0
+        assert r and u_max + r in _successors(m, a, u_max)
     assert_annulus_matches_window(c)
 
 
@@ -322,13 +321,13 @@ def test_no_annulus_is_built_above_one_quarter(monkeypatch):
     assert len(above) == 849 + 2105  # c in (1/4, 1] and c > 1
     for c in above:
         rec = classify(c)
-        assert rec.points == [] and rec.label == "empty", c
+        assert rec.points == () and rec.label == "empty", c
     # the cap is still checked first
     with pytest.raises(BudgetExceeded, match="^2000000005 candidates exceed"):
         classify(Fraction(10**18))
     assert built == []
     # at c = 1/4 the parabolic fixed point 1/2 and its preimage are still found
-    assert classify(Fraction(1, 4)).points == [Fraction(-1, 2), Fraction(1, 2)]
+    assert classify(Fraction(1, 4)).points == (Fraction(-1, 2), Fraction(1, 2))
     assert built == [Fraction(1, 4)]
 
 
@@ -343,13 +342,27 @@ def test_sweep_csv_is_pinned_at_heights_200_and_300():
 
 
 def test_records_do_not_share_cached_flags():
+    # the fields a record may share with another are tuples, so no record
+    # can change another
     first = classify(Fraction(-1))
-    assert first.flags == ["NonGeneric", "InDegree"]
-    first.flags.append("Mutated")
+    assert type(first.flags) is tuple and type(first.points) is tuple
+    assert first.flags == ("NonGeneric", "InDegree")
     again = classify(Fraction(-1))
-    assert again.flags == ["NonGeneric", "InDegree"]
-    assert again.flags is not first.flags
+    assert (again.flags, again.points) == (first.flags, first.points)
     assert again.portrait == first.portrait
+
+
+def test_records_of_one_verdict_share_its_flags_and_the_empty_points():
+    records = sweep(60).records
+    by_portrait: dict[int, list] = {}  # the verdict cache shares each portrait
+    for rec in records:
+        by_portrait.setdefault(id(rec.portrait), []).append(rec)
+    assert len(by_portrait) < len(records)
+    for group in by_portrait.values():
+        assert all(rec.flags is group[0].flags for rec in group), group[0].portrait
+    empty = [rec.points for rec in records if not rec.points]
+    assert len(empty) > 1 and type(empty[0]) is tuple
+    assert all(points is empty[0] for points in empty)
 
 
 def test_verdict_cache_is_bounded_and_changes_no_sweep_output(monkeypatch):

@@ -20,7 +20,7 @@ S2 = CycleStructure((2,))
 FIELDS = {
     OrbitRecord: dict(start=1, orbit=[1, 2], preperiod=0, eventual_period=2, escaped=False),
     ClassificationRecord: dict(
-        c=-1, portrait=P2, label="4(2)", generic=True, point_count=2, flags=["f"], points=[0, -1]
+        c=-1, portrait=P2, label="4(2)", generic=True, point_count=2, flags=("f",), points=(0, -1)
     ),
     SweepSummary: dict(height_bound=3, records=[], tally={"4(2)": 1}, anomalies=[]),
     DynatomicTable: dict(n=2, phi="phi", degree_x=2, degree_c=1),
@@ -55,7 +55,8 @@ FIELDS = {
 }
 FROZEN = (Portrait, CycleStructure, Violation, CatalogEntry)
 MUTABLE = (ClassificationRecord, PointCountReport, CurveModel, GenericityReport)
-# the fields whose default is a new empty list or dict in each instance
+# the fields whose default is empty: a new list or dict in each instance, or
+# the one empty tuple, which instances may share since no one can change it
 FRESH_DEFAULTS = {
     ClassificationRecord: (
         dict(c=0, portrait=P2, label=None, generic=True, point_count=0), ("flags", "points")
@@ -90,7 +91,10 @@ def test_mutable_defaults_are_fresh_per_instance(cls):
     first, second = cls(**required), cls(**required)
     for name in defaulted:
         value = getattr(first, name)
-        assert not value and value is not getattr(second, name), name
+        if type(value) is tuple:
+            assert value == () and getattr(second, name) == (), name
+        else:
+            assert not value and value is not getattr(second, name), name
     if cls is PointCountReport:
         assert first.nonsingular_count is None and first.cross_count is None
     if cls is CurveModel:
