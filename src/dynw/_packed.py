@@ -9,23 +9,26 @@ big-number products.  Only the standard library is used.
 
 Representation ("cx form"): a polynomial in (c, x) is a list indexed by
 x-degree whose entries are dense c-coefficient lists of ints (or None for a
-zero x-slot).  All arithmetic here is exact over Z; the slot width of every
-product is derived from rigorous bit-size bounds of the operands, so digit
-recovery can never alias.
+zero x-slot).  Every cx form the module returns has trimmed rows (None for
+an empty row, no trailing zero in a row, no trailing None) when its operands
+have them, and products, quotients and compositions have them always, so
+two forms are equal exactly when they are equal as lists.  Forms and their
+rows are shared, never copied (fc_iterate returns its cached form), so no
+caller may mutate one.  All arithmetic here is exact over Z; the slot
+width of every product is derived from rigorous bit-size bounds of the
+operands, so digit recovery can never alias.
 
-Factors that are both even in x are first rewritten in y = x^2, which
-halves them.  A product then takes one of two routes, whichever the cost
-model in ``_termwise_is_cheaper`` expects to be faster:
+Each product has one route:
 
-* term by term: each term b*c^l*x^j of the smaller factor adds b times the
-  packed c-row i of the other factor, shifted by l slots, into output row
-  i + j, in base 2^W ints.  A huge quotient times a divisor like f^5 - x,
-  the bulk of dynatomic work, costs a few shifts, small multiplies and
-  additions per row this way.
-* 2-D Kronecker: each factor becomes one decimal.Decimal of base-10^w
-  slots, x-row i starting at slot i*stride, which libmpdec multiplies with
-  a number-theoretic transform.  A slot is converted between int and str,
-  so a slot wider than the interpreter's digit limit is refused.
+* ``cx_mul`` is term by term: each term b*c^l*x^j of the smaller factor
+  adds b times the packed c-row i of the other factor, shifted by l slots,
+  into output row i + j, in base 2^W ints.
+* ``cx_square`` first rewrites an operand even in x in y = x^2, which
+  halves it, then packs it as one decimal.Decimal of base-10^w slots, x-row
+  i starting at slot i*stride, which libmpdec squares with a
+  number-theoretic transform (2-D Kronecker substitution).  A slot is
+  converted between int and str, so a slot wider than the interpreter's
+  digit limit is refused.
 
 Exact division is long division of N(2^W, x) by the x-monic D(2^W, x) over
 Z, on packed c-rows.  A zero remainder proves that E = N - quot*D vanishes
@@ -115,26 +118,22 @@ def cx_nnz(A: list) -> int:
     return sum(1 for s in A if s)
 
 
-def cx_copy(A: list) -> list:
-    return [s[:] if s else None for s in A]
-
-
 def cx_add(A: list, B: list) -> list:
-    out = [s[:] if s else None for s in A]
-    if len(out) < len(B):
-        out += [None] * (len(B) - len(out))
+    """A + B; the rows that only one of them fills are shared, not copied."""
+    out = A + [None] * (len(B) - len(A))
     for i, s in enumerate(B):
         if not s:
             continue
-        if out[i] is None:
-            out[i] = s[:]
-        else:
-            t = out[i]
-            if len(t) < len(s):
-                t += [0] * (len(s) - len(t))
-            for j, c in enumerate(s):
-                t[j] += c
-            _trim(t)
+        t = out[i]
+        if not t:
+            out[i] = s
+            continue
+        if len(t) < len(s):
+            t, s = s, t
+        t = t[:]
+        for j, c in enumerate(s):
+            t[j] += c
+        out[i] = _trim(t)
     return cx_trim(out)
 
 
@@ -227,12 +226,12 @@ def _dec_unpack(M: decimal.Decimal, w: int, stride: int, n_rows: int) -> list:
     return cx_trim([_trim(flat[i * stride : (i + 1) * stride]) for i in range(n_rows)])
 
 
-def _kronecker(A: list, B: list, bits: int) -> list:
-    """A*B (A is B for a square) by 2-D Kronecker substitution.
+def _kronecker(A: list, bits: int) -> list:
+    """A^2 by 2-D Kronecker substitution.
 
     ``bits`` bounds the bit size of every output coefficient.
     """
-    stride = _nc(A) + _nc(B) - 1
+    stride = 2 * _nc(A) - 1
     w = _digits_for(bits)
     limit = int_str_digits()  # int <-> str conversions of a slot
     if limit and w > limit:
@@ -240,9 +239,8 @@ def _kronecker(A: list, B: list, bits: int) -> list:
             f"a product needs {w}-digit slots, over the {limit}-digit limit "
             "for int <-> str conversion; raise it with sys.set_int_max_str_digits"
         )
-    pa = _dec_pack(A, w, stride)
-    pb = pa if B is A else _dec_pack(B, w, stride)
-    return _dec_unpack(_DEC.multiply(pa, pb), w, stride, len(A) + len(B) - 1)
+    packed = _dec_pack(A, w, stride)
+    return _dec_unpack(_DEC.multiply(packed, packed), w, stride, 2 * len(A) - 1)
 
 
 # ------------------------------------------------------------ term by term
@@ -275,22 +273,11 @@ def _termwise(A: list, B: list, W: int) -> list:
     return cx_trim([_unpack(p, W) if p else None for p in out])
 
 
-def _termwise_is_cheaper(big: list, small: list, bits: int) -> bool:
-    """Cost model, in 30-bit digit operations, fitted on CPython 3.11.
-
-    Term by term: each term of ``small`` costs a multiply and an add over
-    the packed rows of ``big``.  Kronecker: about 300 per 30-bit digit of
-    the product, packed, multiplied and unpacked as a decimal.
-    """
-    digit_ops = sum(1 + (abs(v).bit_length() + 29) // 30 for s in small if s for v in s if v)
-    big_digits = _slot_count(big) * bits // 30 + 1
-    termwise = digit_ops * big_digits
-    n = (len(big) + len(small) - 1) * (_nc(big) + _nc(small) - 1) * bits // 30 + 1
-    return termwise < 300 * n
-
-
-def _is_even(A: list) -> bool:
-    return not any(A[1::2])
+def _product_bits(A: list, B: list) -> int:
+    """Bit size bound of every coefficient of A*B, and of every partial sum
+    of one: it adds at most min(nc) * min(nnz) coefficient products."""
+    pairs = min(_nc(A), _nc(B)) * min(cx_nnz(A), cx_nnz(B))
+    return cx_bits(A) + cx_bits(B) + pairs.bit_length() + 1
 
 
 def _spread(C: list) -> list:
@@ -301,28 +288,25 @@ def _spread(C: list) -> list:
 
 
 def cx_mul(A: list, B: list) -> list:
-    """Exact product."""
-    A = cx_trim(A)
-    B = cx_trim(B)
-    return _product(A, B) if A and B else []
+    """Exact product, term by term."""
+    A, B = cx_trim(A), cx_trim(B)
+    if not A or not B:
+        return []
+    big, small = (A, B) if _slot_count(A) >= _slot_count(B) else (B, A)
+    return _termwise(big, small, _width_for(_product_bits(A, B)))
 
 
 def cx_square(A: list) -> list:
+    """Exact square, by 2-D Kronecker substitution."""
     A = cx_trim(A)
-    return _product(A, A) if A else []
+    return _square(A) if A else []
 
 
-def _product(A: list, B: list) -> list:
-    """A*B for trimmed nonzero cx forms; B is A for a square."""
-    if (len(A) > 1 or len(B) > 1) and _is_even(A) and _is_even(B):
-        half = A[::2]
-        return _spread(_product(half, half if B is A else B[::2]))
-    pair_bound = min(_nc(A), _nc(B)) * min(cx_nnz(A), cx_nnz(B))
-    bits = cx_bits(A) + cx_bits(B) + pair_bound.bit_length() + 1
-    big, small = (A, B) if _slot_count(A) >= _slot_count(B) else (B, A)
-    if _termwise_is_cheaper(big, small, bits):
-        return _termwise(big, small, _width_for(bits))
-    return _kronecker(A, B, bits)
+def _square(A: list) -> list:
+    """A^2 for a trimmed nonzero A; an A even in x is squared in y = x^2."""
+    if len(A) > 1 and not any(A[1::2]):
+        return _spread(_square(A[::2]))
+    return _kronecker(A, _product_bits(A, A))
 
 
 # ------------------------------------------------------------------ division
@@ -333,10 +317,10 @@ def cx_divexact(N: list, D: list) -> list:
 
     Classical long division in (Z[c])[x] over Kronecker-packed c-rows, at a
     heuristic slot width W that N fits in.  A pass with zero remainder is
-    certified (module docstring) when bits(quot) + bits(D) + bits(pairs) + 1
-    < W, pairs being _product's pair bound; otherwise the next pass is at
-    least twice as wide, and twice that sum.  After the third pass an exact
-    quotient several times wider than N and D together is still refused.
+    certified (module docstring) when _product_bits(quot, D) < W; otherwise
+    the next pass is at least twice as wide, and twice that bound.  After
+    the third pass an exact quotient several times wider than N and D
+    together is still refused.
     """
     N = cx_trim(N)
     D = cx_trim(D)
@@ -359,8 +343,7 @@ def cx_divexact(N: list, D: list) -> list:
         quot = _div_packed(N, negated, deg_d, W)
         if quot is None:
             continue
-        pairs = min(_nc(quot), _nc(D)) * min(cx_nnz(quot), cx_nnz(D))
-        needed = cx_bits(quot) + cx_bits(D) + pairs.bit_length() + 1
+        needed = _product_bits(quot, D)
         if needed < W:
             return quot
     raise ArithmeticError("non-exact division: nonzero remainder")
@@ -401,25 +384,6 @@ def _div_packed(N: list, negated: list, deg_d: int, W: int):
     return cx_trim(quot)
 
 
-def _trimmed_row(s) -> list:
-    """A c-row without its trailing zeros; [] for an absent or all-zero row."""
-    if not s:
-        return []
-    n = len(s)
-    while n and not s[n - 1]:
-        n -= 1
-    return s if n == len(s) else s[:n]
-
-
-def cx_eq(A: list, B: list) -> bool:
-    if len(A) < len(B):
-        A, B = B, A
-    return all(
-        _trimmed_row(s) == _trimmed_row(B[i] if i < len(B) else None)
-        for i, s in enumerate(A)
-    )
-
-
 def cx_deg_x(A: list) -> int:
     """Index of the last row with a nonzero coefficient; -1 for zero."""
     i = len(A) - 1
@@ -450,10 +414,10 @@ _fc_cache: list = [[None, [1]]]  # f^0 = x
 
 
 def fc_iterate(n: int) -> list:
-    """cx form of the n-th iterate of x^2 + c (f^0 = x), cached."""
+    """cx form of the n-th iterate of x^2 + c (f^0 = x), cached and shared."""
     while len(_fc_cache) <= n:
         _fc_cache.append(cx_add(cx_square(_fc_cache[-1]), [[0, 1]]))  # + c
-    return cx_copy(_fc_cache[n])
+    return _fc_cache[n]
 
 
 def cx_compose_f(A: list, times: int) -> list:

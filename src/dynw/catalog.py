@@ -24,6 +24,7 @@ from ._record import Frozen
 from .portraits import (
     CycleStructure,
     Portrait,
+    build_portrait,
     canonical_form,
     cycle_structure,
     validate_generic,
@@ -35,37 +36,6 @@ T3 = (L, L)                 # tail root carrying a preimage pair
 T5 = (T3, L)                # chain of depth 3
 T7A = (T3, T3)              # pairs above both branches
 T7B = (T5, L)               # chain of depth 4
-
-
-def build_portrait(components) -> Portrait:
-    """Portrait from [(cycle_length, [tree per cycle position]), ...]."""
-    image: dict[int, int] = {}
-    next_id = 1
-
-    def alloc() -> int:
-        nonlocal next_id
-        v = next_id
-        next_id += 1
-        return v
-
-    def grow_tree(root: int, tree) -> None:
-        for child in tree:
-            u = alloc()
-            image[u] = root
-            grow_tree(u, child)
-
-    for length, trees in components:
-        if len(trees) != length:
-            raise ValueError("need one tree per cycle position")
-        cyc = [alloc() for _ in range(length)]
-        for i in range(length):
-            image[cyc[i]] = cyc[(i + 1) % length]
-        for i in range(length):
-            s = alloc()
-            image[s] = cyc[(i + 1) % length]
-            grow_tree(s, trees[i])
-    n = next_id - 1
-    return Portrait(n, tuple(image[v] for v in range(1, n + 1)))
 
 
 class CatalogEntry(Frozen):

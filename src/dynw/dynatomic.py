@@ -129,7 +129,7 @@ _dynatomic_cache: dict[int, list] = {}
 
 
 def dynatomic_cx(n: int) -> list:
-    """Internal cx form of Phi_n, cached.
+    """Internal cx form of Phi_n, cached and shared: never mutate it.
 
     The Moebius product is evaluated as a chain of single-dividend exact
     divisions over the prime factors of n, which keeps the largest
@@ -142,14 +142,12 @@ def dynatomic_cx(n: int) -> list:
     M(n, S) is the product of the Phi_e, e | n, for which no prime in S
     divides n/e, so each division is exact.
     """
-    if n in _dynatomic_cache:
-        return pk.cx_copy(_dynatomic_cache[n])
-    try:
-        phi = _moebius_chain(n, sorted(factorize(n)))
-    except ArithmeticError as exc:  # pragma: no cover - internal invariant
-        raise NonExactDivision(f"dynatomic quotient at n = {n}: {exc}") from exc
-    _dynatomic_cache[n] = pk.cx_copy(phi)
-    return phi
+    if n not in _dynatomic_cache:
+        try:
+            _dynatomic_cache[n] = _moebius_chain(n, sorted(factorize(n)))
+        except ArithmeticError as exc:  # pragma: no cover - internal invariant
+            raise NonExactDivision(f"dynatomic quotient at n = {n}: {exc}") from exc
+    return _dynatomic_cache[n]
 
 
 def _moebius_chain(n: int, primes: list) -> list:
@@ -176,13 +174,14 @@ def dynatomic(n: int) -> DynatomicTable:
 
 
 def product_identity_holds(n: int) -> bool:
-    """Check prod_{d | n} Phi_d = f^n - x exactly."""
+    """Check prod_{d | n} Phi_d = f^n - x exactly; both sides are cx forms
+    with trimmed rows, so list equality decides."""
     check_level(n)
     prod = None
     for d in sorted(divisors_of(n)):
         phi = dynatomic_cx(d)
         prod = phi if prod is None else pk.cx_mul(prod, phi)
-    return pk.cx_eq(prod, _fn_minus_x(n))
+    return prod == _fn_minus_x(n)
 
 
 def generalized_dynatomic(m: int, n: int) -> MultiPoly:

@@ -387,22 +387,45 @@ def automorphism_group(P: Portrait) -> list[tuple[int, ...]]:
 # ------------------------------------------------------------------ enumeration
 
 
+def build_portrait(components) -> Portrait:
+    """Portrait from [(cycle_length, [tree per cycle position]), ...]; the
+    tree at position i hangs from the second preimage of cycle vertex i+1,
+    and a tree is a tuple of child trees."""
+    image: dict[int, int] = {}
+    next_id = 1
+
+    def alloc() -> int:
+        nonlocal next_id
+        v = next_id
+        next_id += 1
+        return v
+
+    def grow_tree(root: int, tree) -> None:
+        for child in tree:
+            u = alloc()
+            image[u] = root
+            grow_tree(u, child)
+
+    for length, trees in components:
+        if len(trees) != length:
+            raise ValueError("need one tree per cycle position")
+        cyc = [alloc() for _ in range(length)]
+        for i in range(length):
+            image[cyc[i]] = cyc[(i + 1) % length]
+        for i in range(length):
+            s = alloc()
+            image[s] = cyc[(i + 1) % length]
+            grow_tree(s, trees[i])
+    n = next_id - 1
+    return Portrait(n, tuple(image[v] for v in range(1, n + 1)))
+
+
 def minimal_portrait(sigma: CycleStructure) -> Portrait:
     """The smallest generic portrait with the given cycle structure:
     the cycles plus exactly one extra preimage per cycle vertex."""
     if not sigma.admissible():
         raise InadmissibleCycleStructure(f"cycle structure {sigma} is not admissible")
-    img: list[int] = []
-    base = 0
-    for length in sigma.lengths:
-        for i in range(length):
-            img.append(base + (i + 1) % length + 1)  # cycle edge c_i -> c_{i+1}
-        for i in range(length):
-            img.append(base + (i + 1) % length + 1)  # tail t_i -> c_{i+1}
-        base += 2 * length
-    # interleave: vertices were appended cycle-first then tails per component;
-    # image values already refer to cycle vertices, so the layout is consistent.
-    return canonical_form(Portrait(len(img), tuple(img)))
+    return canonical_form(build_portrait([(l, [()] * l) for l in sigma.lengths]))
 
 
 def attach_pair(P: Portrait, v: int) -> Portrait:

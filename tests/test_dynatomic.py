@@ -25,6 +25,8 @@ from dynw.dynatomic import (
     product_identity_holds,
 )
 from dynw.errors import NonExactDivision
+from dynw.models import plane_model, reduced_model
+from dynw.portraits import build_portrait
 from dynw.multipoly import MultiPoly
 from dynw.rational import factorize
 
@@ -95,7 +97,9 @@ def test_moebius_chain_certifies_each_division_on_its_first_pass(monkeypatch):
     division and form no product inside a division; the polynomials are
     pinned by one sha256 over their exponent maps."""
     divisions, passes, products = [], [], []
-    real_divexact, real_pass, real_product = pk.cx_divexact, pk._div_packed, pk._product
+    real_divexact, real_pass, real_mul, real_square = (
+        pk.cx_divexact, pk._div_packed, pk.cx_mul, pk.cx_square
+    )
 
     def divexact(N, D):
         before = len(products)
@@ -107,19 +111,51 @@ def test_moebius_chain_certifies_each_division_on_its_first_pass(monkeypatch):
         passes.append(args[-1])
         return real_pass(*args)
 
-    def product(A, B):
+    def mul(A, B):
         products.append(B)
-        return real_product(A, B)
+        return real_mul(A, B)
+
+    def square(A):
+        products.append(A)
+        return real_square(A)
 
     monkeypatch.setattr(dyn, "_dynatomic_cache", {})
     monkeypatch.setattr(pk, "cx_divexact", divexact)
     monkeypatch.setattr(pk, "_div_packed", one_pass)
-    monkeypatch.setattr(pk, "_product", product)
+    monkeypatch.setattr(pk, "cx_mul", mul)
+    monkeypatch.setattr(pk, "cx_square", square)
     digest = hashlib.sha256()
     for n in range(1, 10):
         digest.update(repr(sorted(pk.cx_to_terms(dyn.dynatomic_cx(n)).items())).encode())
     assert len(divisions) == len(passes) == 10  # levels 2..9, and three at 6
     assert digest.hexdigest() == "9a42dbb7e70c3f3302744348d4d58be7790bf160fb90ee59aa9e6dbfffd48878"
+
+
+def test_cached_forms_are_shared_and_never_mutated():
+    """dynatomic_cx and fc_iterate return their cached forms themselves, not
+    copies, so no reader may mutate one: a digest of the forms of levels
+    1-8 is unchanged after the builders that read them have run."""
+    def digest():
+        h = hashlib.sha256()
+        for n in range(1, 9):
+            h.update(repr((dyn.dynatomic_cx(n), pk.fc_iterate(n))).encode())
+        return h.hexdigest()
+
+    for n in range(1, 9):
+        assert dyn.dynatomic_cx(n) is dyn.dynatomic_cx(n)
+        assert pk.fc_iterate(n) is pk.fc_iterate(n)
+    before = digest()
+    assert all(product_identity_holds(n) for n in range(1, 9))
+    for m, n in ((1, 3), (2, 2), (3, 4)):
+        generalized_dynatomic(m, n)
+    for n in range(9):
+        iterate_fc(n)
+    plane_model(5)
+    chain = ()
+    for _ in range(5):
+        chain = (chain, ())  # preimage pairs down to depth 6: orbit type (6, 2)
+    reduced_model(build_portrait([(2, [chain, ()])]))
+    assert digest() == before
 
 
 @pytest.mark.parametrize("n", [8, 12, 30, 210])
@@ -276,7 +312,7 @@ def test_phi_n_of_f_splits_into_phi_n_and_its_mirror():
     for n in range(1, 8):
         phi = dyn.dynatomic_cx(n)
         mirror = [[-v for v in s] if i % 2 and s else s for i, s in enumerate(phi)]
-        assert pk.cx_eq(pk.cx_compose_f(phi, 1), pk.cx_mul(phi, mirror)), n
+        assert pk.cx_to_terms(pk.cx_compose_f(phi, 1)) == pk.cx_to_terms(pk.cx_mul(phi, mirror)), n
 
 
 def _with_fractions(terms: dict) -> MultiPoly:

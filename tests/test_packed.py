@@ -107,14 +107,6 @@ def test_divexact_rejects_non_exact():
         pk.cx_divexact(x2_plus_1, [])
 
 
-def test_eq_ignores_trailing_zeros_in_rows():
-    assert pk.cx_eq([[1, 0]], [[1]])
-    assert pk.cx_eq([[1], [0, 0], None], [[1]])
-    assert pk.cx_eq([[1], None], [[1, 0], [0]])
-    assert not pk.cx_eq([[1, 0]], [[1, 1]])
-    assert not pk.cx_eq([[1], [0, 2]], [[1]])
-
-
 def test_divexact_accepts_untrimmed_rows():
     # (x + 1)(x + 2) with every c-row carrying a trailing zero
     quot = pk.cx_divexact([[2, 0], [3, 0], [1, 0]], [[1], [1]])
@@ -149,13 +141,13 @@ def test_divexact_packs_each_row_once(monkeypatch):
     D[-1] = [1]
     N = pk.cx_mul(Q, D)
     calls = 0
-    assert pk.cx_eq(division_pass(N, D), Q)
+    assert pk.cx_to_terms(division_pass(N, D)) == pk.cx_to_terms(Q)
     assert calls <= len(N) + len(D) + 4
 
 
 # ------------------------------------------------- one test per engine path
-# Each path below is forced through the term-wise cost model and checked
-# against reference_mul.
+# Each product has one route, checked against reference_mul: cx_mul term by
+# term, cx_square by decimal Kronecker after halving an operand even in x.
 
 
 def random_even_cx(rng, max_x=12, max_c=8, bits=64):
@@ -207,23 +199,18 @@ def test_decimal_pack_round_trip():
 
 
 def test_decimal_kronecker_matches_reference(monkeypatch):
-    """With the term-wise route off, every product is a decimal Kronecker
-    product."""
-    monkeypatch.setattr(pk, "_termwise_is_cheaper", lambda *args: False)
+    """Every square is a decimal Kronecker product."""
     kron = spy_on(monkeypatch, "_kronecker")
     rng = random.Random(8)
     for _ in range(100):
-        bits = rng.choice((1, 64, 200))
-        A, B = random_cx(rng, bits=bits), random_cx(rng, bits=bits)
-        assert pk.cx_to_terms(pk.cx_mul(A, B)) == reference_mul(A, B)
+        A = random_cx(rng, bits=rng.choice((1, 64, 200)))
         assert pk.cx_to_terms(pk.cx_square(A)) == reference_mul(A, A)
-    assert len(kron) >= 150
+    assert len(kron) >= 90
 
 
 def test_kronecker_refuses_slots_over_the_digit_limit(monkeypatch):
     """A slot wider than the int <-> str digit limit is one ValueError that
     names the limit, raised before anything is packed."""
-    monkeypatch.setattr(pk, "_termwise_is_cheaper", lambda *args: False)
     packs = spy_on(monkeypatch, "_dec_pack")
     rng = random.Random(9)
     A = [[rng.randint(2**2299, 2**2300) for _ in range(3)] for _ in range(3)]
@@ -231,14 +218,13 @@ def test_kronecker_refuses_slots_over_the_digit_limit(monkeypatch):
     sys.set_int_max_str_digits(640)
     try:
         with pytest.raises(ValueError, match="640-digit limit") as exc:
-            pk.cx_mul(A, A[::-1])
+            pk.cx_square(A)
     finally:
         sys.set_int_max_str_digits(old)
     assert "\n" not in str(exc.value) and not packs
 
 
 def test_termwise_matches_reference(monkeypatch):
-    monkeypatch.setattr(pk, "_termwise_is_cheaper", lambda *args: True)
     termwise = spy_on(monkeypatch, "_termwise")
     rng = random.Random(10)
     for _ in range(100):
@@ -248,10 +234,29 @@ def test_termwise_matches_reference(monkeypatch):
     assert len(termwise) >= 90
 
 
+def test_each_product_has_one_route(monkeypatch):
+    """Every square, of a random operand or of f^0..f^8, reaches _kronecker
+    once and never _termwise; every product of two factors reaches
+    _termwise and never _kronecker."""
+    rng = random.Random(12)
+    operands = [A for A in (random_cx(rng, bits=rng.choice((1, 64))) for _ in range(40)) if A]
+    iterates = [pk.fc_iterate(n) for n in range(9)]
+    kron, termwise = spy_on(monkeypatch, "_kronecker"), spy_on(monkeypatch, "_termwise")
+    for A in operands + iterates:
+        pk.cx_square(A)
+        assert (len(kron), len(termwise)) == (1, 0), A[:2]
+        kron.clear()
+    for A, B in zip(operands, operands[1:] + iterates[:4]):
+        pk.cx_mul(A, B)
+        assert (len(kron), len(termwise)) == (0, 1)
+        termwise.clear()
+
+
 @pytest.mark.parametrize("max_str_digits", [0, 20000])
 def test_even_operands_multiply_in_x_squared(monkeypatch, max_str_digits):
-    """Factors even in x are multiplied as polynomials in y = x^2, with no
-    int <-> str digit limit (0) and with a finite one."""
+    """Squares of operands even in x are taken in y = x^2, and products of
+    even factors match the reference, with no int <-> str digit limit (0)
+    and with a finite one."""
     old = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(max_str_digits)
     try:
@@ -261,7 +266,6 @@ def test_even_operands_multiply_in_x_squared(monkeypatch, max_str_digits):
 
 
 def check_even_operands(monkeypatch):
-    monkeypatch.setattr(pk, "_termwise_is_cheaper", lambda *args: False)
     kron = spy_on(monkeypatch, "_kronecker")
     rng = random.Random(11)
     for _ in range(50):
@@ -269,9 +273,7 @@ def check_even_operands(monkeypatch):
         kron.clear()
         assert pk.cx_to_terms(pk.cx_square(A)) == reference_mul(A, A)
         assert len(kron[0][0]) <= (len(A) + 1) // 2
-        kron.clear()
         assert pk.cx_to_terms(pk.cx_mul(A, B)) == reference_mul(A, B)
-        assert len(kron[0][0]) + len(kron[0][1]) <= (len(A) + len(B) + 2) // 2
     # f^n is even in x for n >= 1: squaring it is a square in y
     f5 = pk.fc_iterate(5)
     kron.clear()
@@ -349,10 +351,10 @@ def test_an_aliased_quotient_is_refused_and_the_retry_is_exact(monkeypatch):
         Q = from_terms(reference_mul(Q, [[1]] * 16))
     assert pk.cx_bits(Q) == 115 and reference_mul(Q, D) == pk.cx_to_terms(N)
     passes = record_passes(monkeypatch)
-    products = spy_on(monkeypatch, "_product")
+    muls, squares = spy_on(monkeypatch, "cx_mul"), spy_on(monkeypatch, "cx_square")
     assert pk.cx_to_terms(pk.cx_divexact(N, D)) == pk.cx_to_terms(Q)
     (w1, aliased), (w2, exact) = passes
-    assert (w1, w2) == (104, pk._width_for(2 * 137)) and not products
+    assert (w1, w2) == (104, pk._width_for(2 * 137)) and not muls and not squares
     assert pk.cx_bits(aliased) == 103 and pk.cx_deg_c(aliased) == 1
     assert pk.cx_deg_c(exact) == 0
     # the aliased quotient is the exact one read in base 2^104 digits
