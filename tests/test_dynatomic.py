@@ -26,8 +26,8 @@ from dynw.dynatomic import (
 )
 from dynw.errors import NonExactDivision
 from dynw.models import plane_model, reduced_model
-from dynw.portraits import build_portrait
 from dynw.multipoly import MultiPoly
+from dynw.portraits import build_portrait
 from dynw.rational import factorize
 
 P = MultiPoly.parse
@@ -312,7 +312,8 @@ def test_phi_n_of_f_splits_into_phi_n_and_its_mirror():
     for n in range(1, 8):
         phi = dyn.dynatomic_cx(n)
         mirror = [[-v for v in s] if i % 2 and s else s for i, s in enumerate(phi)]
-        assert pk.cx_to_terms(pk.cx_compose_f(phi, 1)) == pk.cx_to_terms(pk.cx_mul(phi, mirror)), n
+        composed, product = pk.cx_compose_f(phi, 1), pk.cx_mul(phi, mirror)
+        assert pk.cx_to_terms(composed) == pk.cx_to_terms(product), n
 
 
 def _with_fractions(terms: dict) -> MultiPoly:
